@@ -8,15 +8,17 @@ Library layout:
 - ``iekf``: the left-invariant Kalman filter
 - ``simulator`` / ``logio``: synthetic scenarios and their on-disk format
 - ``pipeline`` / ``metrics`` / ``cli``: replay modes, RMS scoring, CLI harness
-- ``kernels``: compiled correspondence search with a pure-numpy fallback
+- ``kernels``: exact nearest-neighbour correspondence search in numpy
 """
 
 from .icp import IcpConfig, IcpResult, icp_align, icp_covariance, nearest_neighbor, solve_linear_alignment
 from .iekf import FilterState, LinearizedMatrices, NoiseConfig, OdometrySample, linearize, predict, run_filter, update
-from .kernels import BACKEND as KERNEL_BACKEND
 from .pointcloud import PointCloud, transform_cloud
 from .scan_matching import MatcherState, PoseMeasurement, aided_step, naive_step
 from .se3 import Pose, exp_se3, hat, log_se3, planar_extract, project_pi, renormalize, skew, vee
 from .simulator import ScenarioLog, SensorRates, TrajectorySpec, WorldModel, run_scenario
 
 __version__ = "0.1.0"
+
+# Name of the correspondence-search implementation, for run records.
+KERNEL_BACKEND = "numpy"

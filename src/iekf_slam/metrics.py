@@ -78,7 +78,7 @@ def report_text(report: MetricsReport) -> str:
         f"rms_x = {report.rms_x!r}",
         f"rms_y = {report.rms_y!r}",
         f"rms_psi = {report.rms_psi!r}",
-        f"rms_psi_deg = {np.degrees(report.rms_psi)!r}",
+        f"rms_psi_deg = {float(np.degrees(report.rms_psi))!r}",
         f"max_x = {report.max_x!r}",
         f"max_y = {report.max_y!r}",
         f"max_psi = {report.max_psi!r}",

@@ -9,11 +9,11 @@ indistinguishable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .icp import IcpConfig, icp_align, icp_covariance
+from .icp import IcpConfig, icp_align, icp_covariance  # noqa: F401  (re-export)
 from .pointcloud import BODY, GROUND, PointCloud, transform_cloud  # noqa: F401  (re-export)
 from .se3 import Pose
 
@@ -89,9 +89,9 @@ def aided_step(
         raise ValueError("aided matcher reference must be in the ground frame")
 
     target = state.reference_cloud.transformed(predicted_pose.inverse(), frame=BODY)
-    result = icp_align(new_cloud, target, cfg)
+    # ICP's covariance of new_cloud under ``sigma`` is the measurement covariance.
+    result = icp_align(new_cloud, target, replace(cfg if cfg is not None else IcpConfig(), sigma=sigma))
     measured = predicted_pose @ result.delta_pose
-    covariance = icp_covariance(new_cloud, sigma)
     state.pose_estimate = measured
     state.reference_cloud = new_cloud.transformed(measured)
-    return PoseMeasurement(measured, covariance, new_cloud.timestamp)
+    return PoseMeasurement(measured, result.covariance, new_cloud.timestamp)

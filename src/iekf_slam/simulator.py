@@ -214,8 +214,7 @@ def generate_trajectory(spec: TrajectorySpec, dt: float):
     else:
         path = np.vstack([[0.0, 0.0], np.asarray(spec.waypoints, dtype=float).reshape(-1, 2)])
         cum_len = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(path, axis=0), axis=1))])
-        poses = [Pose.identity() if np.allclose(path[0], 0.0) else _waypoint_pose(path, cum_len, 0.0)]
-        poses[0] = _waypoint_pose(path, cum_len, 0.0)
+        poses = [_waypoint_pose(path, cum_len, 0.0)]
         twists = []
         for k in range(n):
             desired = _waypoint_pose(path, cum_len, spec.speed * (k + 1) * dt)

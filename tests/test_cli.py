@@ -148,6 +148,17 @@ class TestEvaluate:
         assert errors[0] == "t,err_x,err_y,err_psi"
         assert len(errors) == 12
 
+    def test_report_values_parse_as_float(self, tmp_path, capsys):
+        est, gt = self.make_pair(tmp_path, offset=0.1)
+        out_dir = str(tmp_path / "report")
+        assert main(["evaluate", est, gt, "--out", out_dir]) == 0
+        lines = open(os.path.join(out_dir, "report.txt")).read().splitlines()
+        pairs = [line.split(" = ") for line in lines if not line.startswith("#")]
+        assert len(pairs) == 9
+        for key, value in pairs:
+            assert key.isidentifier()
+            float(value)
+
     def test_heading_wrap(self, tmp_path, capsys):
         t = np.array([0.0])
         psi = np.pi - 0.01

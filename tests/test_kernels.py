@@ -1,8 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from iekf_slam import kernels
-from iekf_slam.kernels import _fallback
 
 
 def brute_force(src, tgt):
@@ -15,29 +16,75 @@ def brute_force(src, tgt):
     return np.array(idx), np.array(dist)
 
 
-def test_backend_selected():
-    assert kernels.BACKEND in ("native", "fallback")
+def reference_nearest(source, target, max_dist):
+    """Unblocked oracle: the whole (N, M) squared-distance matrix at once,
+    with the same per-pair arithmetic as the kernel."""
+    source = np.ascontiguousarray(source, dtype=np.float64)
+    target = np.ascontiguousarray(target, dtype=np.float64)
+    if target.shape[0] == 0:
+        n = source.shape[0]
+        return np.full(n, -1, dtype=np.int64), np.full(n, np.inf)
+    d2 = ((source[:, None, :] - target[None, :, :]) ** 2).sum(axis=2)
+    indices = np.argmin(d2, axis=1).astype(np.int64)
+    distances = np.sqrt(d2[np.arange(source.shape[0]), indices])
+    rejected = distances > max_dist
+    indices[rejected] = -1
+    distances[rejected] = np.inf
+    return indices, distances
 
 
-def test_fallback_matches_linear_scan(rng):
+def test_matches_linear_scan(rng):
     src = rng.uniform(-5, 5, (100, 3))
     tgt = rng.uniform(-5, 5, (1000, 3))
-    idx, dist = _fallback.batch_nearest(src, tgt, np.inf)
+    idx, dist = kernels.batch_nearest(src, tgt, np.inf)
     ref_idx, ref_dist = brute_force(src, tgt)
     assert np.array_equal(idx, ref_idx)
     assert np.allclose(dist, ref_dist, atol=1e-12)
 
 
-def test_active_backend_matches_fallback(rng):
-    src = rng.uniform(-5, 5, (200, 3))
+def test_matches_unblocked_reference(rng):
+    block = kernels.BLOCK_ROWS
     tgt = rng.uniform(-5, 5, (300, 3))
-    for max_dist in (np.inf, 1.0, 0.2):
-        idx_a, dist_a = kernels.batch_nearest(src, tgt, max_dist)
-        idx_b, dist_b = _fallback.batch_nearest(src, tgt, max_dist)
-        assert np.array_equal(idx_a, idx_b)
-        finite = idx_a >= 0
-        assert np.allclose(dist_a[finite], dist_b[finite], atol=1e-12)
-        assert np.all(np.isinf(dist_a[~finite]))
+    for n in (0, 1, block, 3 * block, 3 * block + 17):
+        src = rng.uniform(-5, 5, (n, 3))
+        for max_dist in (np.inf, 1.0, 0.2):
+            idx, dist = kernels.batch_nearest(src, tgt, max_dist)
+            ref_idx, ref_dist = reference_nearest(src, tgt, max_dist)
+            assert idx.dtype == np.int64 and dist.dtype == np.float64
+            assert np.array_equal(idx, ref_idx)
+            assert np.array_equal(dist, ref_dist)
+
+
+def test_grid_ties_across_block_boundary():
+    # Cell centres of a unit grid are equidistant from four grid points, so
+    # every query is an exact four-way tie; 121 queries fill one block and
+    # part of the next.
+    gx, gy = np.meshgrid(np.arange(12.0), np.arange(12.0), indexing="ij")
+    tgt = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
+    cx, cy = np.meshgrid(np.arange(11.0) + 0.5, np.arange(11.0) + 0.5, indexing="ij")
+    src = np.column_stack([cx.ravel(), cy.ravel(), np.zeros(cx.size)])
+    assert kernels.BLOCK_ROWS < len(src) < 2 * kernels.BLOCK_ROWS
+    idx, dist = kernels.batch_nearest(src, tgt, np.inf)
+    ref_idx, ref_dist = reference_nearest(src, tgt, np.inf)
+    assert np.array_equal(idx, ref_idx)
+    assert np.array_equal(dist, ref_dist)
+    for p, i in zip(src, idx):
+        d2 = ((tgt - p) ** 2).sum(axis=1)
+        tied = np.flatnonzero(d2 == d2.min())
+        assert len(tied) == 4
+        assert i == tied[0]
+
+
+def test_memory_stays_bounded(rng):
+    src = rng.uniform(-5, 5, (2000, 3))
+    tgt = rng.uniform(-5, 5, (2000, 3))
+    tracemalloc.start()
+    try:
+        kernels.batch_nearest(src, tgt, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_tie_breaks_to_lowest_index():

@@ -100,6 +100,16 @@ class TestAided:
         meas = aided_step(state, truth, scan, 0.05, CFG)
         assert np.allclose(meas.covariance, icp_covariance(scan, 0.05), atol=1e-15)
 
+    def test_covariance_uses_the_callers_sigma(self, rng):
+        landmarks = landmark_points(rng)
+        state = MatcherState(mode=AIDED)
+        aided_step(state, Pose.identity(), scan_at(landmarks, Pose.identity()), 0.2, CFG)
+        truth = Pose(np.eye(3), np.array([0.1, 0.0, 0.0]))
+        scan = scan_at(landmarks, truth)
+        meas = aided_step(state, truth, scan, 0.2, CFG)
+        assert CFG.sigma != 0.2
+        assert np.array_equal(meas.covariance, icp_covariance(scan, 0.2))
+
     def test_naive_and_aided_differ_by_odometry_increment(self, rng):
         # same identical-cloud stream: naive holds, aided follows the prediction
         lattice = np.array([[i * 0.5, y, z] for i in range(-8, 9) for y in (-1.0, 1.0) for z in (0.0, 0.4)])
