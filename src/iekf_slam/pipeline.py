@@ -38,15 +38,15 @@ def _merge_events(odometry, scans):
             si += 1
 
 
-def run_aided_matcher(odometry, scans, sigma, icp_cfg: IcpConfig):
-    """Odometry-aided scan matching over a log.
+def run_aided_matcher(odometry, scans, sigma, icp_cfg: IcpConfig, initial_pose: Pose):
+    """Odometry-aided scan matching over a log, starting from ``initial_pose``.
 
     Returns (rows, measurements): one (t, pose) row per event and the list of
     PoseMeasurements. ICP failures drop the measurement and continue on the
     integrated pose.
     """
     matcher = MatcherState(mode=AIDED)
-    pose = Pose.identity()
+    pose = initial_pose
     t = 0.0
     last_sample = None
     rows = []
@@ -97,14 +97,17 @@ def run_pipeline(log, mode, noise: NoiseConfig, init: FilterState, icp_cfg: IcpC
     if mode == "naive-scan-match":
         return [(t, pose, None) for t, pose in run_naive_matcher(log.odometry, log.scans, icp_cfg)]
 
+    initial_pose = log.ground_truth[0][1]
     if mode == "scan-match-only":
-        rows, _ = run_aided_matcher(log.odometry, log.scans, sigma, icp_cfg)
+        rows, _ = run_aided_matcher(log.odometry, log.scans, sigma, icp_cfg, initial_pose)
         return [(t, pose, None) for t, pose in rows]
 
     if mode == "dead-reckoning":
         measurements = []
     else:
-        _, measurements = run_aided_matcher(log.odometry, log.scans, sigma, icp_cfg)
+        _, measurements = run_aided_matcher(
+            log.odometry, log.scans, sigma, icp_cfg, initial_pose
+        )
 
     return [
         (state.timestamp, state.pose, state.covariance)

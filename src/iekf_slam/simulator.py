@@ -231,11 +231,21 @@ def _cov_sqrt(cov):
     return vecs @ np.diag(np.sqrt(vals)) @ vecs.T
 
 
-def sample_odometry(twist, noise: NoiseConfig, rng, timestamp=0.0) -> OdometrySample:
-    """Additive Gaussian noise on the true body twist; exact when covariances are zero."""
+def odometry_noise_sqrt(noise: NoiseConfig):
+    """(gyro, velocity) covariance square roots that scale the odometry noise draws."""
+    return _cov_sqrt(noise.gyro_cov), _cov_sqrt(noise.velocity_cov)
+
+
+def sample_odometry(twist, noise: NoiseConfig, rng, timestamp=0.0, noise_sqrt=None) -> OdometrySample:
+    """Additive Gaussian noise on the true body twist; exact when covariances are zero.
+
+    ``noise_sqrt`` is ``odometry_noise_sqrt(noise)``, passed in by callers that
+    draw many samples; it is computed here when omitted.
+    """
     twist = np.asarray(twist, dtype=float)
-    nu_omega = _cov_sqrt(noise.gyro_cov) @ rng.standard_normal(3)
-    nu_mu = _cov_sqrt(noise.velocity_cov) @ rng.standard_normal(3)
+    gyro_sqrt, velocity_sqrt = odometry_noise_sqrt(noise) if noise_sqrt is None else noise_sqrt
+    nu_omega = gyro_sqrt @ rng.standard_normal(3)
+    nu_mu = velocity_sqrt @ rng.standard_normal(3)
     return OdometrySample(twist[:3] + nu_omega, twist[3:] + nu_mu, timestamp)
 
 
@@ -282,10 +292,11 @@ def run_scenario(
     dt = 1.0 / rates.odometry_hz
     traj = generate_trajectory(spec, dt)
     stride = rates.scan_stride()
+    noise_sqrt = odometry_noise_sqrt(noise)
     odometry = []
     scans = []
     for k, point in enumerate(traj[:-1]):
-        odometry.append(sample_odometry(point.twist, noise, rng, point.t))
+        odometry.append(sample_odometry(point.twist, noise, rng, point.t, noise_sqrt))
         if k % stride == 0:
             scan = render_scan(world, point.pose, rates, rng, point.t)
             if scan is not None:

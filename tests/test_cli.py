@@ -40,6 +40,14 @@ noise.velocity_sigma = 0.0
 """
 
 
+WAYPOINTS_Y_FIRST_SCENARIO = """
+scenario.kind = waypoints
+scenario.waypoints = 0 1; 1 1
+scenario.speed = 0.5
+seed = 0
+"""
+
+
 class TestHelp:
     def test_epilog_documents_exit_codes(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -112,6 +120,29 @@ class TestRun:
         main(["simulate", "--config", cfg, "--out", log_dir])
         assert main(["run", log_dir]) == 0
         assert os.path.exists(os.path.join(log_dir, "estimates_iekf.csv"))
+
+    @pytest.mark.parametrize("mode", ["iekf", "scan-match-only"])
+    def test_waypoints_anchor_at_true_initial_pose(self, tmp_path, mode):
+        # The first leg runs along +y, so the true initial heading is 90 deg;
+        # the matcher must start there rather than at the identity. The filter
+        # is given the true initial heading, so only the matcher's anchor is
+        # under test.
+        cfg = write_config(tmp_path, WAYPOINTS_Y_FIRST_SCENARIO)
+        log_dir = str(tmp_path / "log")
+        main(["simulate", "--config", cfg, "--out", log_dir])
+        run_cfg = write_config(tmp_path, "filter.init_heading_deg = 90\n", name="filter.cfg")
+        est = str(tmp_path / "est.csv")
+        assert main(["run", log_dir, "--config", run_cfg, "--mode", mode, "--out", est]) == 0
+        out_dir = str(tmp_path / "report")
+        gt = os.path.join(log_dir, "ground_truth.csv")
+        assert main(["evaluate", est, gt, "--out", out_dir]) == 0
+        report = open(os.path.join(out_dir, "report.txt")).read()
+        values = dict(
+            line.split(" = ") for line in report.splitlines() if not line.startswith("#")
+        )
+        assert float(values["rms_psi_deg"]) < 2.0
+        assert float(values["rms_x"]) < 0.05
+        assert float(values["rms_y"]) < 0.05
 
     def test_missing_log_dir_exit_3(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope")]) == 3
