@@ -77,6 +77,17 @@ def information_matrix(points):
     return info
 
 
+def ill_conditioned(info):
+    """True when the symmetric information matrix's condition number exceeds
+    MAX_CONDITION, judged from its eigenvalues (cheaper than the SVD behind
+    ``np.linalg.cond``); lambda_min <= 0 and NaN count as ill-conditioned."""
+    try:
+        lam = np.linalg.eigvalsh(info)
+    except np.linalg.LinAlgError:  # no convergence: NaN or inf entries
+        return True
+    return not (lam[0] > 0 and lam[0] * MAX_CONDITION >= lam[-1])
+
+
 def solve_linear_alignment(points, residuals):
     """Least-squares twist for paired source points and residual vectors.
 
@@ -89,7 +100,7 @@ def solve_linear_alignment(points, residuals):
     if points.shape[0] < 3:
         raise DegenerateGeometryError(f"need >= 3 pairs, got {points.shape[0]}")
     info = information_matrix(points)
-    if np.linalg.cond(info) > MAX_CONDITION:
+    if ill_conditioned(info):
         raise DegenerateGeometryError("alignment information matrix ill-conditioned")
     # B_i^T y_i = [-a_i x y_i; -y_i]
     rhs = np.concatenate(
@@ -106,7 +117,7 @@ def icp_covariance(cloud: PointCloud, sigma, rescale=True):
     plain independent-noise least-squares covariance sigma^2 [.]^-1.
     """
     info = information_matrix(cloud.points)
-    if np.linalg.cond(info) > MAX_CONDITION:
+    if ill_conditioned(info):
         raise DegenerateGeometryError("cloud geometry degenerate for covariance")
     cov = sigma**2 * np.linalg.inv(info)
     if rescale:

@@ -9,6 +9,14 @@ Covariance propagates by an Euler step of the Riccati drift between scans;
 each pose measurement applies the equivalent discrete update with gain
 K = P (P + C_meas)^-1 and the multiplicative correction pose * exp(K z),
 z = vee(pi(pose^-1 * measured)).
+
+Because A never sees the pose, ``run_filter`` computes every odometry
+increment (one ``exp_se3_many`` call) and every transition matrix
+Phi = I + hA (one stacked array) for the whole stream before the sequential
+pass, which only composes poses, applies the covariance recursion shared
+with :func:`predict` and fuses measurements. Positive definiteness is
+checked over every propagated P with one stacked Cholesky per interval
+between measurements, before that interval's states are yielded.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ import numpy as np
 
 from .errors import MeasurementRejectedError, NumericalFailureError, TimingError
 from .scan_matching import PoseMeasurement
-from .se3 import Pose, exp_se3, project_pi, skew
+from .se3 import Pose, exp_se3, exp_se3_many, project_pi, skew_many
 
 MAX_PREDICT_SUBSTEP = 0.1  # s
 
@@ -87,20 +95,58 @@ class FilterState:
         return FilterState(pose if pose is not None else Pose.identity(), p0, timestamp)
 
 
+def _velocities(samples):
+    """(N, 3) angular and (N, 3) linear velocities of a sequence of samples."""
+    omega = np.array([s.omega for s in samples], dtype=float).reshape(-1, 3)
+    mu = np.array([s.mu for s in samples], dtype=float).reshape(-1, 3)
+    return omega, mu
+
+
+def _system_matrices(omega, mu):
+    """Stacked A = [[-S(omega), 0], [-S(mu), -S(omega)]] for (N, 3) velocities."""
+    s_omega = skew_many(omega)
+    a = np.zeros((s_omega.shape[0], 6, 6))
+    a[:, :3, :3] = -s_omega
+    a[:, 3:, :3] = -skew_many(mu)
+    a[:, 3:, 3:] = -s_omega
+    return a
+
+
 def linearize(sample: OdometrySample) -> LinearizedMatrices:
     """State-independent linearization: a function of the odometry sample alone."""
-    a = np.zeros((6, 6))
-    a[:3, :3] = -skew(sample.omega)
-    a[3:, :3] = -skew(sample.mu)
-    a[3:, 3:] = -skew(sample.omega)
+    a = _system_matrices(sample.omega, sample.mu)[0]
     return LinearizedMatrices(A=a, B=-np.eye(6), C=np.eye(6), D=np.eye(6))
 
 
+def odometry_increments(dts, samples):
+    """Pose increments exp(dt_k * twist_k) of paired steps and held samples,
+    as ``exp_se3_many``'s (rotations, translations)."""
+    omega, mu = _velocities(samples)
+    dts = np.asarray(dts, dtype=float).reshape(-1, 1)
+    return exp_se3_many(dts * np.concatenate([omega, mu], axis=1))
+
+
 def _require_pd(p, context):
+    """Raise NumericalFailureError unless ``p`` (one matrix or a stack) is
+    positive definite."""
     try:
         np.linalg.cholesky(p)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"covariance not positive definite after {context}") from exc
+
+
+def _substeps(dt):
+    """Number and length of the covariance substeps over dt (each <= 0.1 s)."""
+    n_sub = max(1, math.ceil(dt / MAX_PREDICT_SUBSTEP))
+    return n_sub, dt / n_sub
+
+
+def _propagate_covariance(p, phi, hq, n_sub):
+    """n_sub steps of P <- phi P phi^T + hQ, each followed by symmetrization."""
+    for _ in range(n_sub):
+        p = phi @ p @ phi.T + hq
+        p = (p + p.T) / 2.0
+    return p
 
 
 def predict(state: FilterState, sample: OdometrySample, dt: float, noise: NoiseConfig) -> FilterState:
@@ -112,15 +158,9 @@ def predict(state: FilterState, sample: OdometrySample, dt: float, noise: NoiseC
     positive definite even for very lopsided priors."""
     if dt <= 0:
         raise TimingError(f"non-positive prediction step dt={dt}")
-    a = linearize(sample).A
-    q = noise.q_block()
-    p = state.covariance
-    n_sub = max(1, math.ceil(dt / MAX_PREDICT_SUBSTEP))
-    h = dt / n_sub
-    phi = np.eye(6) + h * a
-    for _ in range(n_sub):
-        p = phi @ p @ phi.T + h * q
-        p = (p + p.T) / 2.0
+    n_sub, h = _substeps(dt)
+    phi = np.eye(6) + h * linearize(sample).A
+    p = _propagate_covariance(state.covariance, phi, h * noise.q_block(), n_sub)
     pose = state.pose @ exp_se3(dt * sample.twist())
     _require_pd(p, "predict")
     return FilterState(pose, p, state.timestamp + dt)
@@ -151,6 +191,43 @@ def update(state: FilterState, meas: PoseMeasurement) -> FilterState:
     return FilterState(pose, p_new, state.timestamp)
 
 
+def _schedule(odometry, measurements, t0):
+    """First pass over the merged streams.
+
+    Returns (events, dts, samples). Each event is (step index or -1, state
+    timestamp after it, measurement or None); prediction step k spans dts[k]
+    on the held samples[k]. Raises TimingError on an out-of-order timestamp.
+    """
+    events, dts, samples = [], [], []
+    t_state, prev_t, held = t0, -np.inf, None
+    odo_iter, meas_iter = iter(odometry), iter(measurements)
+    odo, meas = next(odo_iter, None), next(meas_iter, None)
+    while odo is not None or meas is not None:
+        take_odo = meas is None or (odo is not None and odo.timestamp <= meas.timestamp)
+        t = odo.timestamp if take_odo else meas.timestamp
+        if t < prev_t:
+            raise TimingError(f"out-of-order timestamp {t} after {prev_t}")
+        prev_t = t
+        step = -1
+        if t > t_state:
+            if held is not None:
+                dt = t - t_state
+                step = len(dts)
+                dts.append(dt)
+                samples.append(held)
+                t_state = t_state + dt
+            else:
+                t_state = t
+        if take_odo:
+            events.append((step, t_state, None))
+            held = odo
+            odo = next(odo_iter, None)
+        else:
+            events.append((step, t_state, meas))
+            meas = next(meas_iter, None)
+    return events, dts, samples
+
+
 def run_filter(odometry, measurements, noise: NoiseConfig, init: FilterState):
     """Merge timestamp-sorted odometry and measurement streams through
     predict/update; yields the filter state after every event.
@@ -158,32 +235,43 @@ def run_filter(odometry, measurements, noise: NoiseConfig, init: FilterState):
     Velocity samples are zero-order held: the sample at t_k propagates the
     state up to the next event. Equal timestamps process odometry first.
     A failed update (rejected measurement) leaves the state on prediction.
+
+    The streams are walked once up front (so an out-of-order timestamp raises
+    TimingError before anything is yielded), every increment and transition
+    matrix is computed in one batch, and the states of each interval between
+    measurements are yielded once all of their covariances pass the
+    positive-definiteness check.
     """
-    state = init
-    last_sample = None
-    odo_iter = iter(odometry)
-    meas_iter = iter(measurements)
-    odo = next(odo_iter, None)
-    meas = next(meas_iter, None)
-    prev_t = -np.inf
-    while odo is not None or meas is not None:
-        take_odo = meas is None or (odo is not None and odo.timestamp <= meas.timestamp)
-        t = odo.timestamp if take_odo else meas.timestamp
-        if t < prev_t:
-            raise TimingError(f"out-of-order timestamp {t} after {prev_t}")
-        prev_t = t
-        if t > state.timestamp:
-            if last_sample is not None:
-                state = predict(state, last_sample, t - state.timestamp, noise)
-            else:
-                state = FilterState(state.pose, state.covariance, t)
-        if take_odo:
-            last_sample = odo
-            odo = next(odo_iter, None)
-        else:
-            try:
-                state = update(state, meas)
-            except MeasurementRejectedError:
-                pass
-            meas = next(meas_iter, None)
+    events, dts, samples = _schedule(odometry, measurements, init.timestamp)
+    substeps = [_substeps(dt) for dt in dts]
+    rotations, translations = odometry_increments(dts, samples)
+    phis = _system_matrices(*_velocities(samples))  # becomes I + hA in place
+    phis *= np.array([h for _, h in substeps], dtype=float).reshape(-1, 1, 1)
+    phis += np.eye(6)
+    q = noise.q_block()
+
+    pose, p = init.pose, init.covariance
+    pending, predicted = [], []
+    for step, t, meas in events:
+        if step >= 0:
+            n_sub, h = substeps[step]
+            p = _propagate_covariance(p, phis[step], h * q, n_sub)
+            pose = pose @ Pose(rotations[step], translations[step])
+            predicted.append(p)
+        state = FilterState(pose, p, t)
+        if meas is None:
+            pending.append(state)
+            continue
+        if predicted:
+            _require_pd(predicted, "predict")
+        yield from pending
+        pending, predicted = [], []
+        try:
+            state = update(state, meas)
+        except MeasurementRejectedError:
+            pass
+        pose, p = state.pose, state.covariance
         yield state
+    if predicted:
+        _require_pd(predicted, "predict")
+    yield from pending

@@ -4,10 +4,11 @@ Modes stage the motivating comparisons: dead-reckoning alone (drifts),
 naive scan matching (stalls in unobservable scenes), the odometry-aided
 scan matcher on its own, and the full IEKF fusing both.
 
-The aided matcher integrates its own odometry stream, anchored at the true
-initial pose through the first scan; the filter only consumes the matcher's
-absolute pose measurements, so a badly initialized filter still receives
-correctly anchored measurements.
+Both matchers start at the log's first ground-truth pose. The aided matcher
+integrates its own odometry stream (every increment in one batched
+exponential) from there through the first scan; the filter only consumes
+the matcher's absolute pose measurements, so a badly initialized filter
+still receives correctly anchored measurements.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateGeometryError, NumericalFailureError
 from .icp import IcpConfig
-from .iekf import FilterState, NoiseConfig, run_filter
+from .iekf import FilterState, NoiseConfig, odometry_increments, run_filter
 from .scan_matching import AIDED, NAIVE, MatcherState, aided_step, naive_step
-from .se3 import Pose, exp_se3
+from .se3 import Pose, exp_se3  # noqa: F401  (re-export: perfbench traces pipeline.exp_se3)
 
 MODES = ("iekf", "dead-reckoning", "naive-scan-match", "scan-match-only")
 
@@ -43,21 +44,34 @@ def run_aided_matcher(odometry, scans, sigma, icp_cfg: IcpConfig, initial_pose: 
 
     Returns (rows, measurements): one (t, pose) row per event and the list of
     PoseMeasurements. ICP failures drop the measurement and continue on the
-    integrated pose.
+    integrated pose. Every odometry increment of the log is computed in one
+    batch before the sequential pass.
     """
-    matcher = MatcherState(mode=AIDED)
-    pose = initial_pose
+    events = list(_merge_events(odometry, scans))
+    times, steps, dts, held = [], [], [], []
     t = 0.0
     last_sample = None
-    rows = []
-    measurements = []
-    for kind, event in _merge_events(odometry, scans):
+    for kind, event in events:
+        step = -1
         if event.timestamp > t and last_sample is not None:
-            pose = pose @ exp_se3((event.timestamp - t) * last_sample.twist())
+            step = len(dts)
+            dts.append(event.timestamp - t)
+            held.append(last_sample)
         t = max(t, event.timestamp)
+        times.append(t)
+        steps.append(step)
         if kind == "odo":
             last_sample = event
-        else:
+    rotations, translations = odometry_increments(dts, held)
+
+    matcher = MatcherState(mode=AIDED)
+    pose = initial_pose
+    rows = []
+    measurements = []
+    for (kind, event), t, step in zip(events, times, steps):
+        if step >= 0:
+            pose = pose @ Pose(rotations[step], translations[step])
+        if kind == "scan":
             try:
                 meas = aided_step(matcher, pose, event, sigma, icp_cfg)
             except (DegenerateGeometryError, NumericalFailureError):
@@ -69,9 +83,10 @@ def run_aided_matcher(odometry, scans, sigma, icp_cfg: IcpConfig, initial_pose: 
     return rows, measurements
 
 
-def run_naive_matcher(odometry, scans, icp_cfg: IcpConfig):
-    """Naive chained scan matching; odometry events only hold the last pose."""
-    matcher = MatcherState(mode=NAIVE)
+def run_naive_matcher(odometry, scans, icp_cfg: IcpConfig, initial_pose: Pose):
+    """Naive chained scan matching from ``initial_pose``; odometry events only
+    hold the last pose."""
+    matcher = MatcherState(mode=NAIVE, pose_estimate=initial_pose)
     rows = []
     for kind, event in _merge_events(odometry, scans):
         if kind == "scan":
@@ -94,10 +109,11 @@ def run_pipeline(log, mode, noise: NoiseConfig, init: FilterState, icp_cfg: IcpC
         raise ConfigError(f"unknown mode {mode!r}; choose from {', '.join(MODES)}")
     sigma = icp_cfg.sigma if sigma is None else sigma
 
-    if mode == "naive-scan-match":
-        return [(t, pose, None) for t, pose in run_naive_matcher(log.odometry, log.scans, icp_cfg)]
-
     initial_pose = log.ground_truth[0][1]
+    if mode == "naive-scan-match":
+        rows = run_naive_matcher(log.odometry, log.scans, icp_cfg, initial_pose)
+        return [(t, pose, None) for t, pose in rows]
+
     if mode == "scan-match-only":
         rows, _ = run_aided_matcher(log.odometry, log.scans, sigma, icp_cfg, initial_pose)
         return [(t, pose, None) for t, pose in rows]

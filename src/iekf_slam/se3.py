@@ -4,6 +4,10 @@ group operations, renormalization and planar extraction.
 Twist vectors are 6-vectors ordered [rotational (rad), translational (m)].
 Poses are stored as a rotation matrix plus translation vector; the 4x4
 homogeneous form appears only at I/O boundaries.
+
+``exp_se3_many`` is the exponential of a whole (N, 6) stream of twists in
+one call, bit-identical to ``exp_se3`` row by row; the matcher and the
+filter integrate each odometry stream with it.
 """
 
 from __future__ import annotations
@@ -157,6 +161,56 @@ def exp_se3(twist) -> Pose:
     rotation = np.eye(3) + b * S + c * (S @ S)
     translation = _translation_jacobian(w) @ twist[3:]
     return Pose(rotation, translation)
+
+
+def skew_many(vectors):
+    """(N, 3, 3) stack of :func:`skew` matrices for an (N, 3) array."""
+    v = np.asarray(vectors, dtype=float).reshape(-1, 3)
+    out = np.zeros((v.shape[0], 3, 3))
+    out[:, 0, 1] = -v[:, 2]
+    out[:, 0, 2] = v[:, 1]
+    out[:, 1, 0] = v[:, 2]
+    out[:, 1, 2] = -v[:, 0]
+    out[:, 2, 0] = -v[:, 1]
+    out[:, 2, 1] = v[:, 0]
+    return out
+
+
+def exp_se3_many(twists):
+    """:func:`exp_se3` of every row of an (N, 6) array, as (rotations (N, 3, 3),
+    translations (N, 3)).
+
+    Same formulas and small-angle rule, and the same bits: theta comes from a
+    batched dot product (as in ``np.linalg.norm``), the translation from a
+    batched matrix-vector product, and theta**2 and theta**3 from Python
+    floats, whose ``**`` calls the C library's pow like numpy's scalar ``**``
+    does (numpy's array power takes other routes that differ in the last bit).
+    """
+    twists = np.asarray(twists, dtype=float).reshape(-1, 6)
+    w = twists[:, :3]
+    theta = np.sqrt((w[:, None, :] @ w[:, :, None]).ravel())
+    S = skew_many(w)
+    SS = S @ S
+    n = theta.shape[0]
+    b, c, d = np.ones(n), np.full(n, 0.5), np.zeros(n)
+    big = ~(theta < _SMALL_ANGLE)
+    th = theta[big]
+    sin, cos = np.sin(th), np.cos(th)
+    th_list = th.tolist()
+    th2 = np.array([t**2 for t in th_list])
+    th3 = np.array([t**3 for t in th_list])
+    b[big] = sin / th
+    c[big] = (1.0 - cos) / th2
+    d[big] = (th - sin) / th3
+    # I + b*S + c*S^2 summed in exp_se3's order, in place (x + I == I + x)
+    rotations = b[:, None, None] * S
+    rotations += np.eye(3)
+    rotations += c[:, None, None] * SS
+    jacobians = c[:, None, None] * S
+    jacobians += np.eye(3)
+    jacobians[big] += d[big, None, None] * SS[big]
+    translations = (jacobians @ twists[:, 3:, None])[:, :, 0]
+    return rotations, translations
 
 
 def log_se3(pose: Pose):

@@ -144,6 +144,30 @@ class TestRun:
         assert float(values["rms_x"]) < 0.05
         assert float(values["rms_y"]) < 0.05
 
+    def test_naive_matcher_anchors_at_true_initial_pose(self, tmp_path):
+        # Same +y-first scenario. Chained ICP without an odometry prior cannot
+        # follow the 90 deg turn in place at t = 2.0 s, so only the first leg
+        # is checked: the anchor alone must put it on the true heading.
+        cfg = write_config(tmp_path, WAYPOINTS_Y_FIRST_SCENARIO)
+        log_dir = str(tmp_path / "log")
+        main(["simulate", "--config", cfg, "--out", log_dir])
+        est = str(tmp_path / "est.csv")
+        assert main(["run", log_dir, "--mode", "naive-scan-match", "--out", est]) == 0
+        t, x, y, _, psi, _ = load_estimates(est)
+        gt_t, gt_x, gt_y, gt_psi = ground_truth_planar(
+            load_ground_truth(os.path.join(log_dir, "ground_truth.csv"))
+        )
+        assert t[0] == gt_t[0]
+        assert abs(x[0] - gt_x[0]) < 1e-9
+        assert abs(y[0] - gt_y[0]) < 1e-9
+        assert abs(psi[0] - gt_psi[0]) < 1e-9
+        lookup = {round(tv, 9): k for k, tv in enumerate(gt_t)}
+        first_leg = [k for k, tv in enumerate(t) if tv < 2.0]
+        assert first_leg
+        for k in first_leg:
+            err = np.angle(np.exp(1j * (psi[k] - gt_psi[lookup[round(t[k], 9)]])))
+            assert abs(np.degrees(err)) < 1.0
+
     def test_missing_log_dir_exit_3(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope")]) == 3
 

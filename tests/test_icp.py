@@ -4,9 +4,11 @@ import pytest
 from conftest import random_twist
 from iekf_slam.errors import DegenerateGeometryError, EmptyCloudError, NoOverlapError
 from iekf_slam.icp import (
+    MAX_CONDITION,
     IcpConfig,
     icp_align,
     icp_covariance,
+    ill_conditioned,
     information_matrix,
     nearest_neighbor,
     solve_linear_alignment,
@@ -77,6 +79,52 @@ class TestLinearAlignment:
         pts = np.outer(np.linspace(0, 1, 12), [1.0, 0, 0])
         with pytest.raises(DegenerateGeometryError):
             solve_linear_alignment(pts, np.zeros((12, 3)))
+
+
+class TestIllConditioned:
+    """The eigenvalue test agrees with np.linalg.cond away from the threshold."""
+
+    @staticmethod
+    def assert_agrees(info):
+        assert ill_conditioned(info) == (np.linalg.cond(info) > MAX_CONDITION)
+
+    def test_collinear_fixtures(self):
+        for pts in (
+            np.outer(np.linspace(0, 1, 12), [1.0, 0, 0]),
+            np.outer(np.linspace(0, 1, 15), [0, 1.0, 0]),
+            np.zeros((3, 3)),
+        ):
+            info = information_matrix(pts)
+            assert ill_conditioned(info)
+            self.assert_agrees(info)
+
+    def test_planar_and_random_fixtures(self, rng):
+        planar = np.column_stack([rng.uniform(-2, 2, (40, 2)), np.zeros(40)])
+        tetrahedron = np.array(
+            [[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]
+        )
+        for pts in (planar, tetrahedron, random_cloud(rng).points, random_cloud(rng, n=3).points):
+            info = information_matrix(pts)
+            assert not ill_conditioned(info)
+            self.assert_agrees(info)
+
+    def test_random_information_matrices(self, rng):
+        for _ in range(500):
+            q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+            log_cond = rng.choice([rng.uniform(0, 7.5), rng.uniform(8.5, 14)])
+            lam = np.sort(10.0 ** rng.uniform(0, log_cond, 6))
+            lam[0], lam[-1] = 1.0, 10.0**log_cond
+            info = rng.uniform(1e-3, 1e3) * (q * lam) @ q.T
+            info = (info + info.T) / 2.0
+            self.assert_agrees(info)
+
+    def test_indefinite_and_nan_count_as_ill_conditioned(self):
+        assert ill_conditioned(np.diag([-1.0, 1, 1, 1, 1, 1]))
+        assert ill_conditioned(np.zeros((6, 6)))
+        assert ill_conditioned(np.full((6, 6), np.nan))
+        one_nan = np.eye(6)
+        one_nan[0, 0] = np.nan
+        assert ill_conditioned(one_nan)
 
 
 class TestIcpAlign:

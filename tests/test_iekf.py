@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_pose, random_twist, rot_z
-from iekf_slam.errors import TimingError
+from iekf_slam.errors import MeasurementRejectedError, NumericalFailureError, TimingError
 from iekf_slam.iekf import (
     FilterState,
     NoiseConfig,
@@ -19,6 +19,39 @@ from iekf_slam.se3 import Pose, exp_se3, skew
 
 def meas(pose, cov, t=0.0):
     return PoseMeasurement(pose, cov, t)
+
+
+def reference_run_filter(odometry, measurements, noise, init):
+    """Oracle: the event loop calling ``predict`` and ``update`` once per
+    event, which ``run_filter`` replaced with a batched schedule."""
+    state = init
+    last_sample = None
+    odo_iter = iter(odometry)
+    meas_iter = iter(measurements)
+    odo = next(odo_iter, None)
+    m = next(meas_iter, None)
+    prev_t = -np.inf
+    while odo is not None or m is not None:
+        take_odo = m is None or (odo is not None and odo.timestamp <= m.timestamp)
+        t = odo.timestamp if take_odo else m.timestamp
+        if t < prev_t:
+            raise TimingError(f"out-of-order timestamp {t} after {prev_t}")
+        prev_t = t
+        if t > state.timestamp:
+            if last_sample is not None:
+                state = predict(state, last_sample, t - state.timestamp, noise)
+            else:
+                state = FilterState(state.pose, state.covariance, t)
+        if take_odo:
+            last_sample = odo
+            odo = next(odo_iter, None)
+        else:
+            try:
+                state = update(state, m)
+            except MeasurementRejectedError:
+                pass
+            m = next(meas_iter, None)
+        yield state
 
 
 class TestLinearize:
@@ -240,3 +273,129 @@ class TestRunFilter:
             if err <= bound:
                 hits += 1
         assert hits >= 99
+
+
+class TestRunFilterMatchesReference:
+    """run_filter against the per-event predict/update oracle: covariances
+    bit-identical, poses within 1e-15."""
+
+    @staticmethod
+    def assert_matches(odometry, measurements, noise=None, init=None):
+        noise = noise if noise is not None else NoiseConfig()
+        init = init if init is not None else FilterState.initial()
+        got = list(run_filter(odometry, measurements, noise, init))
+        want = list(reference_run_filter(odometry, measurements, noise, init))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.timestamp == w.timestamp
+            assert np.array_equal(g.covariance, w.covariance)
+            assert np.allclose(g.pose.rotation, w.pose.rotation, rtol=0, atol=1e-15)
+            assert np.allclose(g.pose.translation, w.pose.translation, rtol=0, atol=1e-15)
+        return got
+
+    @staticmethod
+    def noisy_odometry(rng, times):
+        return [
+            OdometrySample(
+                [0, 0, 0.2] + 0.01 * rng.standard_normal(3),
+                [0.25, 0, 0] + 0.02 * rng.standard_normal(3),
+                t,
+            )
+            for t in times
+        ]
+
+    @staticmethod
+    def measurements_near(rng, states, times, cov=None):
+        by_time = {s.timestamp: s.pose for s in states}
+        cov = cov if cov is not None else np.diag([1e-4] * 3 + [4e-4] * 3)
+        return [
+            meas(by_time[t] @ exp_se3(0.01 * random_twist(rng)), cov, t) for t in times
+        ]
+
+    def test_regular_streams(self, rng):
+        odometry = self.noisy_odometry(rng, [0.02 * k for k in range(200)])
+        truth = list(run_filter(odometry, [], NoiseConfig(), FilterState.initial()))
+        times = [0.02 * k for k in range(10, 200, 10)]
+        self.assert_matches(odometry, self.measurements_near(rng, truth, times))
+
+    def test_rejected_measurement(self, rng):
+        odometry = self.noisy_odometry(rng, [0.02 * k for k in range(60)])
+        truth = list(run_filter(odometry, [], NoiseConfig(), FilterState.initial()))
+        ms = self.measurements_near(rng, truth, [0.2, 0.4, 0.6, 0.8])
+        ms[1] = meas(ms[1].measured_pose, np.full((6, 6), np.nan), 0.4)
+        with pytest.raises(MeasurementRejectedError):
+            update(FilterState.initial(), ms[1])
+        states = self.assert_matches(odometry, ms)
+        at = [k for k, s in enumerate(states) if s.timestamp == 0.4]
+        # odometry first on the tie, then the rejected update leaves it as is
+        assert len(at) == 2
+        assert np.array_equal(states[at[0]].covariance, states[at[1]].covariance)
+
+    def test_equal_timestamps(self, rng):
+        # repeated odometry times, measurements on odometry times and on
+        # each other's times
+        times = sorted([0.02 * k for k in range(40)] + [0.1, 0.1, 0.3])
+        odometry = self.noisy_odometry(rng, times)
+        truth = list(run_filter(odometry, [], NoiseConfig(), FilterState.initial()))
+        ms = self.measurements_near(rng, truth, [0.1, 0.2, 0.2, 0.3, 0.3])
+        self.assert_matches(odometry, ms)
+
+    def test_long_gap_is_substepped(self, rng):
+        times = [0.02 * k for k in range(10)] + [0.18 + 0.35, 0.18 + 0.35 + 0.137, 1.5]
+        odometry = self.noisy_odometry(rng, times)
+        truth = list(run_filter(odometry, [], NoiseConfig(), FilterState.initial()))
+        ms = self.measurements_near(rng, truth, [0.08]) + [
+            meas(Pose.identity(), 1e-2 * np.eye(6), 1.2),
+        ]
+        self.assert_matches(odometry, ms)
+
+    def test_state_time_accumulates_like_predict(self, rng):
+        # 0.327 + (0.993 - 0.327) rounds to 0.9929999999999999: the state
+        # time is t_prev + dt, as predict returns it, and the odometry sample
+        # at 0.993 then triggers a sub-ulp prediction step
+        odometry = self.noisy_odometry(rng, [0.0, 0.327, 0.993, 1.2])
+        ms = [meas(Pose.identity(), 1e-3 * np.eye(6), 0.993)]
+        states = self.assert_matches(odometry, ms)
+        assert states[2].timestamp == 0.327 + (0.993 - 0.327) != 0.993
+
+    def test_measurement_before_first_odometry(self, rng):
+        odometry = self.noisy_odometry(rng, [0.5 + 0.02 * k for k in range(30)])
+        ms = [
+            meas(exp_se3(0.01 * random_twist(rng)), 1e-3 * np.eye(6), 0.0),
+            meas(exp_se3(0.01 * random_twist(rng)), 1e-3 * np.eye(6), 0.25),
+            meas(exp_se3(0.01 * random_twist(rng)), 1e-3 * np.eye(6), 0.7),
+        ]
+        states = self.assert_matches(odometry, ms)
+        assert states[1].timestamp == 0.25
+
+    def test_odometry_after_last_measurement(self, rng):
+        odometry = self.noisy_odometry(rng, [0.02 * k for k in range(100)])
+        truth = list(run_filter(odometry, [], NoiseConfig(), FilterState.initial()))
+        states = self.assert_matches(odometry, self.measurements_near(rng, truth, [0.2, 0.4]))
+        assert states[-1].timestamp == odometry[-1].timestamp
+
+    def test_no_events(self):
+        assert list(run_filter([], [], NoiseConfig(), FilterState.initial())) == []
+
+
+class TestRunFilterChecks:
+    def test_covariance_losing_pd_mid_interval_raises(self):
+        # Q with a negative gyro variance: zero-twist odometry gives Phi = I,
+        # so P[0, 0] falls by 3e-5 per 0.02 s step and P stops being positive
+        # definite at t = 0.08 s, inside the first interval (measurement at 0.2).
+        noise = NoiseConfig(np.diag([-1.5e-3, 1e-4, 1e-4]), 1e-4 * np.eye(3))
+        odometry = [OdometrySample(np.zeros(3), np.zeros(3), 0.02 * k) for k in range(30)]
+        ms = [meas(Pose.identity(), 1e-3 * np.eye(6), 0.2)]
+        yielded = []
+        with pytest.raises(NumericalFailureError):
+            for state in run_filter(odometry, ms, noise, FilterState.initial()):
+                yielded.append(state)
+        for state in yielded:
+            np.linalg.cholesky(state.covariance)
+            assert state.timestamp < 0.08
+
+    def test_out_of_order_measurements_rejected(self):
+        odometry = [OdometrySample(np.zeros(3), np.zeros(3), 0.02 * k) for k in range(10)]
+        ms = [meas(Pose.identity(), np.eye(6), 0.1), meas(Pose.identity(), np.eye(6), 0.05)]
+        with pytest.raises(TimingError):
+            list(run_filter(odometry, ms, NoiseConfig(), FilterState.initial()))

@@ -8,12 +8,14 @@ from iekf_slam.errors import CorruptedPoseError, LogDomainError, MalformedAlgebr
 from iekf_slam.se3 import (
     Pose,
     exp_se3,
+    exp_se3_many,
     hat,
     log_se3,
     planar_extract,
     project_pi,
     renormalize,
     skew,
+    skew_many,
     vee,
     wrap_angle,
 )
@@ -93,6 +95,67 @@ class TestExp:
             R = exp_se3(random_twist(rng, 1.7, 5.0)).rotation
             assert np.allclose(R.T @ R, np.eye(3), atol=1e-9)
             assert abs(np.linalg.det(R) - 1) < 1e-9
+
+
+class TestExpMany:
+    @staticmethod
+    def assert_matches_scalar(twists):
+        rotations, translations = exp_se3_many(twists)
+        assert rotations.shape == (len(twists), 3, 3)
+        assert translations.shape == (len(twists), 3)
+        for t, r, v in zip(twists, rotations, translations):
+            pose = exp_se3(t)
+            assert np.allclose(r, pose.rotation, rtol=0, atol=1e-15)
+            assert np.allclose(v, pose.translation, rtol=0, atol=1e-15)
+
+    def test_random_twists(self, rng):
+        self.assert_matches_scalar(
+            np.array([random_twist(rng, 1.7, 5.0) for _ in range(500)])
+        )
+
+    def test_odometry_sized_twists(self, rng):
+        # one 50 Hz step of a slow ground robot, the filter's common case
+        self.assert_matches_scalar(0.02 * rng.standard_normal((500, 6)))
+
+    def test_zero_rotation(self, rng):
+        twists = np.zeros((20, 6))
+        twists[:, 3:] = rng.standard_normal((20, 3))
+        self.assert_matches_scalar(twists)
+        rotations, translations = exp_se3_many(twists)
+        for t, r, v in zip(twists, rotations, translations):
+            assert np.array_equal(r, exp_se3(t).rotation)
+            assert np.array_equal(r, np.eye(3))
+            assert np.array_equal(v, t[3:])
+
+    def test_below_small_angle(self, rng):
+        axes = rng.standard_normal((30, 3))
+        axes /= np.linalg.norm(axes, axis=1)[:, None]
+        angles = np.logspace(-14, np.log10(0.99e-8), 30)
+        twists = np.hstack([axes * angles[:, None], rng.standard_normal((30, 3))])
+        self.assert_matches_scalar(twists)
+
+    def test_near_pi(self, rng):
+        axes = rng.standard_normal((30, 3))
+        axes /= np.linalg.norm(axes, axis=1)[:, None]
+        angles = np.pi - np.logspace(-12, -2, 30)
+        twists = np.hstack([axes * angles[:, None], rng.standard_normal((30, 3))])
+        self.assert_matches_scalar(twists)
+
+    def test_mixed_small_and_large_in_one_batch(self, rng):
+        twists = np.array([random_twist(rng) for _ in range(40)])
+        twists[::3, :3] = 0.0
+        twists[1::5, :3] *= 1e-10
+        self.assert_matches_scalar(twists)
+
+    def test_empty(self):
+        rotations, translations = exp_se3_many(np.zeros((0, 6)))
+        assert rotations.shape == (0, 3, 3)
+        assert translations.shape == (0, 3)
+
+    def test_skew_many_matches_skew(self, rng):
+        v = rng.standard_normal((50, 3))
+        for row, s in zip(v, skew_many(v)):
+            assert np.array_equal(s, skew(row))
 
 
 class TestLog:
