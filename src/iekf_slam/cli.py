@@ -60,7 +60,7 @@ def cmd_run(args):
     sigma = cloud_sigma if cloud_sigma > 0 else 0.05
     icp_cfg = cfgmod.make_icp_config(cfg, sigma=sigma)
     init = cfgmod.make_initial_state(cfg)
-    rows = run_pipeline(log, mode, noise, init, icp_cfg, sigma=icp_cfg.sigma)
+    rows = run_pipeline(log, mode, noise, init, icp_cfg)
     out = args.out or os.path.join(args.log_dir, f"estimates_{mode}.csv")
     save_estimates(out, rows)
     print(f"wrote {len(rows)} estimate rows ({mode}) to {out}")

@@ -10,13 +10,16 @@ each pose measurement applies the equivalent discrete update with gain
 K = P (P + C_meas)^-1 and the multiplicative correction pose * exp(K z),
 z = vee(pi(pose^-1 * measured)).
 
-Because A never sees the pose, ``run_filter`` computes every odometry
-increment (one ``exp_se3_many`` call) and every transition matrix
-Phi = I + hA (one stacked array) for the whole stream before the sequential
-pass, which only composes poses, applies the covariance recursion shared
-with :func:`predict` and fuses measurements. Positive definiteness is
-checked over every propagated P with one stacked Cholesky per interval
-between measurements, before that interval's states are yielded.
+:func:`schedule` is the one place where odometry is merged with a second
+timestamped stream; ``run_filter`` and both scan matchers in ``pipeline``
+step through its events. Because A never sees the pose, ``run_filter``
+computes every odometry increment (one ``exp_se3_many`` call) and every
+transition matrix Phi = I + hA (one stacked array) for the whole stream
+before the sequential pass, which only composes poses, applies the
+covariance recursion shared with :func:`predict` and fuses measurements.
+Positive definiteness is checked over every propagated P with one stacked
+Cholesky per interval between measurements, before that interval's states
+are yielded.
 """
 
 from __future__ import annotations
@@ -191,20 +194,36 @@ def update(state: FilterState, meas: PoseMeasurement) -> FilterState:
     return FilterState(pose, p_new, state.timestamp)
 
 
-def _schedule(odometry, measurements, t0):
-    """First pass over the merged streams.
+def schedule(odometry, others, t0):
+    """Merge timestamp-sorted odometry with a second timestamped stream.
 
-    Returns (events, dts, samples). Each event is (step index or -1, state
-    timestamp after it, measurement or None); prediction step k spans dts[k]
-    on the held samples[k]. Raises TimingError on an out-of-order timestamp.
+    This is the one event walk of every replay mode: the filter merges
+    odometry with pose measurements, the matchers merge it with scans. Items
+    need only a ``.timestamp``.
+
+    Returns (events, dts, samples), one event per item in merged order: an
+    event is (step index or -1, state time after it, the ``others`` item or
+    None for odometry). Prediction step k spans dts[k] on the held
+    samples[k]. The contract:
+
+    - Zero-order hold: each odometry sample drives the state from its own
+      time up to the next event that is later.
+    - Odometry comes first on equal timestamps.
+    - The state starts at ``t0``. It takes a step only when an event is later
+      than the state and an odometry sample is held; the new state time is
+      ``t_prev + dt``, exactly as :func:`predict` accumulates it. An event
+      that is later with no sample held yet moves the state time to the
+      event's time without a step; an event at or before the state time
+      leaves the state where it is.
+    - An out-of-order timestamp in the merged stream raises TimingError.
     """
     events, dts, samples = [], [], []
     t_state, prev_t, held = t0, -np.inf, None
-    odo_iter, meas_iter = iter(odometry), iter(measurements)
-    odo, meas = next(odo_iter, None), next(meas_iter, None)
-    while odo is not None or meas is not None:
-        take_odo = meas is None or (odo is not None and odo.timestamp <= meas.timestamp)
-        t = odo.timestamp if take_odo else meas.timestamp
+    odo_iter, other_iter = iter(odometry), iter(others)
+    odo, other = next(odo_iter, None), next(other_iter, None)
+    while odo is not None or other is not None:
+        take_odo = other is None or (odo is not None and odo.timestamp <= other.timestamp)
+        t = odo.timestamp if take_odo else other.timestamp
         if t < prev_t:
             raise TimingError(f"out-of-order timestamp {t} after {prev_t}")
         prev_t = t
@@ -223,26 +242,24 @@ def _schedule(odometry, measurements, t0):
             held = odo
             odo = next(odo_iter, None)
         else:
-            events.append((step, t_state, meas))
-            meas = next(meas_iter, None)
+            events.append((step, t_state, other))
+            other = next(other_iter, None)
     return events, dts, samples
 
 
 def run_filter(odometry, measurements, noise: NoiseConfig, init: FilterState):
-    """Merge timestamp-sorted odometry and measurement streams through
+    """Run timestamp-sorted odometry and measurement streams through
     predict/update; yields the filter state after every event.
 
-    Velocity samples are zero-order held: the sample at t_k propagates the
-    state up to the next event. Equal timestamps process odometry first.
-    A failed update (rejected measurement) leaves the state on prediction.
-
-    The streams are walked once up front (so an out-of-order timestamp raises
-    TimingError before anything is yielded), every increment and transition
-    matrix is computed in one batch, and the states of each interval between
-    measurements are yielded once all of their covariances pass the
-    positive-definiteness check.
+    The events and their timing come from :func:`schedule` (zero-order hold,
+    odometry first on ties), called up front so an out-of-order timestamp
+    raises TimingError before anything is yielded. A failed update
+    (rejected measurement) leaves the state on prediction. Every increment
+    and transition matrix is computed in one batch, and the states of each
+    interval between measurements are yielded once all of their covariances
+    pass the positive-definiteness check.
     """
-    events, dts, samples = _schedule(odometry, measurements, init.timestamp)
+    events, dts, samples = schedule(odometry, measurements, init.timestamp)
     substeps = [_substeps(dt) for dt in dts]
     rotations, translations = odometry_increments(dts, samples)
     phis = _system_matrices(*_velocities(samples))  # becomes I + hA in place

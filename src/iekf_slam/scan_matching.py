@@ -9,12 +9,12 @@ indistinguishable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .icp import IcpConfig, icp_align, icp_covariance  # noqa: F401  (re-export)
-from .pointcloud import BODY, GROUND, PointCloud, transform_cloud  # noqa: F401  (re-export)
+from .pointcloud import BODY, GROUND, PointCloud
 from .se3 import Pose
 
 NAIVE = "naive"
@@ -66,7 +66,6 @@ def aided_step(
     state: MatcherState,
     predicted_pose: Pose,
     new_cloud: PointCloud,
-    sigma: float,
     cfg: IcpConfig | None = None,
 ) -> PoseMeasurement | None:
     """Odometry-aided matching step.
@@ -89,8 +88,8 @@ def aided_step(
         raise ValueError("aided matcher reference must be in the ground frame")
 
     target = state.reference_cloud.transformed(predicted_pose.inverse(), frame=BODY)
-    # ICP's covariance of new_cloud under ``sigma`` is the measurement covariance.
-    result = icp_align(new_cloud, target, replace(cfg if cfg is not None else IcpConfig(), sigma=sigma))
+    # ICP's covariance of new_cloud under ``cfg.sigma`` is the measurement covariance.
+    result = icp_align(new_cloud, target, cfg)
     measured = predicted_pose @ result.delta_pose
     state.pose_estimate = measured
     state.reference_cloud = new_cloud.transformed(measured)

@@ -143,14 +143,6 @@ class Pose:
         )
 
 
-def compose(a: Pose, b: Pose) -> Pose:
-    return a.compose(b)
-
-
-def inverse(x: Pose) -> Pose:
-    return x.inverse()
-
-
 def exp_se3(twist) -> Pose:
     """Exponential map se(3) -> SE(3), closed form (Rodrigues + translation A)."""
     twist = np.asarray(twist, dtype=float)

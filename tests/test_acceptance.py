@@ -52,14 +52,14 @@ def _score(rows, ground_truth):
     )
 
 
-def _run_seed(spec, seed, mode="iekf", world=None, rates=None, icp_cfg=None, init=None, sigma=None):
+def _run_seed(spec, seed, mode="iekf", world=None, rates=None, icp_cfg=None, init=None):
     world = default_world() if world is None else world
     rates = SensorRates() if rates is None else rates
     icp_cfg = IcpConfig() if icp_cfg is None else icp_cfg
     init = FilterState.initial() if init is None else init
     noise = NoiseConfig()
     log = run_scenario(world, spec, rates, noise, seed)
-    rows = run_pipeline(log, mode, noise, init, icp_cfg, sigma=sigma)
+    rows = run_pipeline(log, mode, noise, init, icp_cfg)
     return log, rows
 
 
@@ -302,8 +302,7 @@ def test_featureless_corridor_behaviour():
     worst = {"x": 0.0, "y": 0.0, "psi": 0.0}
     for seed in range(3):
         log, rows = _run_seed(
-            spec, seed, mode="scan-match-only", world=world, rates=rates,
-            icp_cfg=icp_cfg, sigma=0.05,
+            spec, seed, mode="scan-match-only", world=world, rates=rates, icp_cfg=icp_cfg
         )
         score = _score(rows, log.ground_truth)
         worst["x"] = max(worst["x"], score.rms_x)

@@ -40,6 +40,15 @@ noise.velocity_sigma = 0.0
 """
 
 
+SHORT_RANGE_SCENARIO = """
+scenario.kind = circle
+scenario.duration = 10.0
+rates.range_max = 1.0
+"""
+
+MODES = ["iekf", "dead-reckoning", "naive-scan-match", "scan-match-only"]
+
+
 WAYPOINTS_Y_FIRST_SCENARIO = """
 scenario.kind = waypoints
 scenario.waypoints = 0 1; 1 1
@@ -170,6 +179,41 @@ class TestRun:
 
     def test_missing_log_dir_exit_3(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope")]) == 3
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_out_of_order_odometry_exit_1(self, tmp_path, capsys, mode):
+        # Every mode walks the same schedule, so a shuffled log is refused
+        # in every mode instead of being replayed as given.
+        cfg = write_config(tmp_path, SHORT_SCENARIO)
+        log_dir = str(tmp_path / "log")
+        main(["simulate", "--config", cfg, "--out", log_dir])
+        path = tmp_path / "log" / "odometry.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[11], lines[12] = lines[12], lines[11]  # the header is line 0
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        est = str(tmp_path / "est.csv")
+        assert main(["run", log_dir, "--mode", mode, "--out", est]) == 1
+        assert "out-of-order" in capsys.readouterr().err
+        assert not os.path.exists(est)
+
+    @pytest.mark.parametrize("mode", ["iekf", "scan-match-only"])
+    def test_no_scan_matched_exit_4(self, tmp_path, capsys, mode):
+        # A 1 m range leaves one point per scan, so every match fails; the
+        # run must say so rather than write dead reckoning.
+        cfg = write_config(tmp_path, SHORT_RANGE_SCENARIO)
+        log_dir = str(tmp_path / "log")
+        main(["simulate", "--config", cfg, "--out", log_dir])
+        scans = load_log(log_dir).scans
+        n_scans = len(scans)
+        assert n_scans > 1 and max(len(scan) for scan in scans) < 3
+        capsys.readouterr()
+        est = str(tmp_path / "est.csv")
+        assert main(["run", log_dir, "--mode", mode, "--out", est]) == 4
+        err = capsys.readouterr().err
+        assert "no scan" in err
+        assert f"{n_scans} scans" in err
+        assert not os.path.exists(est)
 
 
 class TestEvaluate:

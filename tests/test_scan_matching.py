@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -58,15 +60,15 @@ class TestAided:
     def test_first_scan_initializes(self, rng):
         state = MatcherState(mode=AIDED)
         cloud = PointCloud(landmark_points(rng), BODY)
-        assert aided_step(state, Pose.identity(), cloud, 0.05, CFG) is None
+        assert aided_step(state, Pose.identity(), cloud, CFG) is None
         assert state.reference_cloud.frame == GROUND
 
     def test_perfect_odometry_gives_predicted_pose(self, rng):
         landmarks = landmark_points(rng)
         state = MatcherState(mode=AIDED)
-        aided_step(state, Pose.identity(), scan_at(landmarks, Pose.identity()), 0.05, CFG)
+        aided_step(state, Pose.identity(), scan_at(landmarks, Pose.identity()), CFG)
         truth = Pose(rot_z(0.1), np.array([0.2, 0.05, 0.0]))
-        meas = aided_step(state, truth, scan_at(landmarks, truth), 0.05, CFG)
+        meas = aided_step(state, truth, scan_at(landmarks, truth), CFG)
         assert meas.measured_pose.is_close(truth, tol=1e-6)
         # internal ICP correction is near identity
         assert (truth.inverse() @ meas.measured_pose).is_close(Pose.identity(), tol=1e-6)
@@ -74,10 +76,10 @@ class TestAided:
     def test_biased_odometry_corrected(self, rng):
         landmarks = landmark_points(rng)
         state = MatcherState(mode=AIDED)
-        aided_step(state, Pose.identity(), scan_at(landmarks, Pose.identity()), 0.05, CFG)
+        aided_step(state, Pose.identity(), scan_at(landmarks, Pose.identity()), CFG)
         truth = Pose(rot_z(0.05), np.array([0.25, 0.0, 0.0]))
         biased = truth @ exp_se3(np.array([0, 0, 0.01, 0.02, -0.01, 0.0]))
-        meas = aided_step(state, biased, scan_at(landmarks, truth), 0.05, CFG)
+        meas = aided_step(state, biased, scan_at(landmarks, truth), CFG)
         assert meas.measured_pose.is_close(truth, tol=1e-6)
 
     def test_featureless_scene_still_advances(self, rng):
@@ -85,28 +87,29 @@ class TestAided:
         lattice = np.array([[i * 0.5, y, z] for i in range(-8, 9) for y in (-1.0, 1.0) for z in (0.0, 0.4)])
         cloud = PointCloud(lattice, BODY)
         state = MatcherState(mode=AIDED)
-        aided_step(state, Pose.identity(), cloud, 0.05, LATTICE_CFG)
+        aided_step(state, Pose.identity(), cloud, LATTICE_CFG)
         predicted = Pose(np.eye(3), np.array([0.5, 0.0, 0.0]))  # one lattice period
-        meas = aided_step(state, predicted, cloud, 0.05, LATTICE_CFG)
+        meas = aided_step(state, predicted, cloud, LATTICE_CFG)
         assert meas.measured_pose.is_close(predicted, tol=1e-6)
         assert np.linalg.norm(meas.measured_pose.translation) > 0.49
 
     def test_covariance_is_body_cloud_covariance(self, rng):
         landmarks = landmark_points(rng)
         state = MatcherState(mode=AIDED)
-        aided_step(state, Pose.identity(), scan_at(landmarks, Pose.identity()), 0.05, CFG)
+        aided_step(state, Pose.identity(), scan_at(landmarks, Pose.identity()), CFG)
         truth = Pose(np.eye(3), np.array([0.1, 0.0, 0.0]))
         scan = scan_at(landmarks, truth)
-        meas = aided_step(state, truth, scan, 0.05, CFG)
+        meas = aided_step(state, truth, scan, CFG)
         assert np.allclose(meas.covariance, icp_covariance(scan, 0.05), atol=1e-15)
 
     def test_covariance_uses_the_callers_sigma(self, rng):
         landmarks = landmark_points(rng)
         state = MatcherState(mode=AIDED)
-        aided_step(state, Pose.identity(), scan_at(landmarks, Pose.identity()), 0.2, CFG)
+        cfg = replace(CFG, sigma=0.2)
+        aided_step(state, Pose.identity(), scan_at(landmarks, Pose.identity()), cfg)
         truth = Pose(np.eye(3), np.array([0.1, 0.0, 0.0]))
         scan = scan_at(landmarks, truth)
-        meas = aided_step(state, truth, scan, 0.2, CFG)
+        meas = aided_step(state, truth, scan, cfg)
         assert CFG.sigma != 0.2
         assert np.array_equal(meas.covariance, icp_covariance(scan, 0.2))
 
@@ -117,9 +120,9 @@ class TestAided:
         naive = MatcherState(mode=NAIVE)
         aided = MatcherState(mode=AIDED)
         naive_step(naive, cloud, LATTICE_CFG)
-        aided_step(aided, Pose.identity(), cloud, 0.05, LATTICE_CFG)
+        aided_step(aided, Pose.identity(), cloud, LATTICE_CFG)
         increment = Pose(np.eye(3), np.array([0.5, 0.0, 0.0]))
         naive_pose = naive_step(naive, cloud, LATTICE_CFG)
-        aided_pose = aided_step(aided, increment, cloud, 0.05, LATTICE_CFG).measured_pose
+        aided_pose = aided_step(aided, increment, cloud, LATTICE_CFG).measured_pose
         assert naive_pose.is_close(Pose.identity(), tol=1e-9)
         assert (naive_pose.inverse() @ aided_pose).is_close(increment, tol=1e-6)
