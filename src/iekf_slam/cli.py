@@ -11,11 +11,10 @@ import numpy as np
 
 from . import config as cfgmod
 from .errors import ConfigError, SlamError
-from .icp import icp_align, icp_covariance, information_matrix
-from .logio import load_estimates, load_ground_truth, load_log, save_estimates, save_log
-from .metrics import evaluate_series, ground_truth_planar, report_text, save_error_series
+from .icp import icp_align, information_matrix
+from .logio import load_estimates, load_ground_truth, load_log, load_xyz, save_error_series, save_estimates, save_log
+from .metrics import evaluate_series, ground_truth_planar, report_text
 from .pipeline import MODES, noise_from_meta, run_pipeline
-from .pointcloud import load_xyz
 from .se3 import Pose
 from .simulator import run_scenario
 
@@ -102,7 +101,7 @@ def cmd_icp_debug(args):
     print("delta pose (12 numbers, row-major R then p):")
     print("  " + " ".join(repr(float(v)) for v in total.to_row()))
     print("covariance:")
-    for row in icp_covariance(source, args.sigma):
+    for row in result.covariance:
         print("  " + " ".join(f"{v: .6e}" for v in row))
     print(f"information matrix condition number: {np.linalg.cond(info):.6e}")
     return 0

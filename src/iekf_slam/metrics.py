@@ -86,10 +86,3 @@ def report_text(report: MetricsReport) -> str:
         f"samples = {report.count}",
     ]
     return "\n".join(lines) + "\n"
-
-
-def save_error_series(path, report: MetricsReport):
-    with open(path, "w") as fh:
-        fh.write("t,err_x,err_y,err_psi\n")
-        for t, ex, ey, ep in zip(report.times, report.err_x, report.err_y, report.err_psi):
-            fh.write(f"{float(t)!r},{float(ex)!r},{float(ey)!r},{float(ep)!r}\n")

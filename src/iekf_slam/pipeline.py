@@ -61,44 +61,51 @@ def run_aided_matcher(odometry, scans, icp_cfg: IcpConfig, initial_pose: Pose):
 
 def run_naive_matcher(odometry, scans, icp_cfg: IcpConfig, initial_pose: Pose):
     """Naive chained scan matching from ``initial_pose`` over the events of
-    :func:`schedule`; odometry events only hold the last pose."""
+    :func:`schedule`; odometry events only hold the last pose.
+
+    Returns (rows, matched): one (t, pose) row per event and the number of
+    scans matched against a reference.
+    """
     events, _, _ = schedule(odometry, scans, 0.0)
     matcher = MatcherState(mode=NAIVE, pose_estimate=initial_pose)
+    matched = 0
     rows = []
     for _, t, scan in events:
         if scan is not None:
+            has_reference = matcher.reference_cloud is not None
             try:
                 naive_step(matcher, scan, icp_cfg)
+                matched += has_reference
             except (DegenerateGeometryError, NumericalFailureError):
                 pass
         rows.append((t, matcher.pose_estimate))
-    return rows
+    return rows, matched
 
 
 def run_pipeline(log, mode, noise: NoiseConfig, init: FilterState, icp_cfg: IcpConfig):
     """Replay a ScenarioLog through one estimation mode.
 
-    Returns rows of (t, Pose, covariance-or-None), one per event. In the
-    modes that use the aided matcher, a log in which no scan gives a pose
-    measurement raises DegenerateGeometryError.
+    Returns rows of (t, Pose, covariance-or-None), one per event. In every
+    mode but dead reckoning, a log in which no scan gives a pose measurement
+    raises DegenerateGeometryError.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; choose from {', '.join(MODES)}")
 
     initial_pose = log.ground_truth[0][1]
-    if mode == "naive-scan-match":
-        rows = run_naive_matcher(log.odometry, log.scans, icp_cfg, initial_pose)
-        return [(t, pose, None) for t, pose in rows]
-
     measurements = []
     if mode != "dead-reckoning":
-        rows, measurements = run_aided_matcher(log.odometry, log.scans, icp_cfg, initial_pose)
-        if not measurements:
+        if mode == "naive-scan-match":
+            rows, matched = run_naive_matcher(log.odometry, log.scans, icp_cfg, initial_pose)
+        else:
+            rows, measurements = run_aided_matcher(log.odometry, log.scans, icp_cfg, initial_pose)
+            matched = len(measurements)
+        if not matched:
             raise DegenerateGeometryError(
                 f"no scan matched in {mode} mode: none of the log's "
                 f"{len(log.scans)} scans gave a pose measurement"
             )
-        if mode == "scan-match-only":
+        if mode != "iekf":
             return [(t, pose, None) for t, pose in rows]
 
     return [

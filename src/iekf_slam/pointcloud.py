@@ -1,4 +1,4 @@
-"""Point-cloud container, frame bookkeeping and the line-oriented .xyz format."""
+"""Point-cloud container and frame bookkeeping (the .xyz file format is in ``logio``)."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParseError
 from .se3 import Pose
 
 BODY = "body"
@@ -49,27 +48,3 @@ class PointCloud:
 
 def transform_cloud(pose: Pose, cloud: PointCloud) -> PointCloud:
     return cloud.transformed(pose)
-
-
-def save_xyz(cloud: PointCloud, path):
-    with open(path, "w") as fh:
-        for x, y, z in cloud.points:
-            fh.write(f"{float(x)!r} {float(y)!r} {float(z)!r}\n")
-
-
-def load_xyz(path, frame=BODY, timestamp=0.0) -> PointCloud:
-    """Read a cloud from text: one `x y z` per line, `#` comments, blanks ok."""
-    points = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 3 values, got {len(parts)}")
-            try:
-                points.append([float(p) for p in parts])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-    return PointCloud(np.array(points).reshape(-1, 3), frame, timestamp)

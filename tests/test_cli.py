@@ -11,9 +11,10 @@ from iekf_slam.logio import (
     load_log,
     save_estimates,
     save_ground_truth,
+    save_xyz,
 )
 from iekf_slam.metrics import ground_truth_planar
-from iekf_slam.pointcloud import PointCloud, save_xyz
+from iekf_slam.pointcloud import PointCloud
 from iekf_slam.se3 import Pose
 
 
@@ -145,7 +146,8 @@ class TestRun:
         out_dir = str(tmp_path / "report")
         gt = os.path.join(log_dir, "ground_truth.csv")
         assert main(["evaluate", est, gt, "--out", out_dir]) == 0
-        report = open(os.path.join(out_dir, "report.txt")).read()
+        with open(os.path.join(out_dir, "report.txt")) as fh:
+            report = fh.read()
         values = dict(
             line.split(" = ") for line in report.splitlines() if not line.startswith("#")
         )
@@ -197,16 +199,29 @@ class TestRun:
         assert "out-of-order" in capsys.readouterr().err
         assert not os.path.exists(est)
 
-    @pytest.mark.parametrize("mode", ["iekf", "scan-match-only"])
-    def test_no_scan_matched_exit_4(self, tmp_path, capsys, mode):
+    @pytest.mark.parametrize(
+        "mode,no_scans",
+        [
+            pytest.param(mode, no_scans, id=mode + ("-no-scans" if no_scans else ""))
+            for no_scans in (False, True)
+            for mode in ("iekf", "scan-match-only", "naive-scan-match")
+        ],
+    )
+    def test_no_scan_matched_exit_4(self, tmp_path, capsys, mode, no_scans):
         # A 1 m range leaves one point per scan, so every match fails; the
-        # run must say so rather than write dead reckoning.
+        # run must say so rather than write dead reckoning. A log whose scan
+        # index holds only its header is refused the same way.
         cfg = write_config(tmp_path, SHORT_RANGE_SCENARIO)
         log_dir = str(tmp_path / "log")
         main(["simulate", "--config", cfg, "--out", log_dir])
+        if no_scans:
+            (tmp_path / "log" / "scans" / "index.csv").write_text("id,t\n")
         scans = load_log(log_dir).scans
         n_scans = len(scans)
-        assert n_scans > 1 and max(len(scan) for scan in scans) < 3
+        if no_scans:
+            assert n_scans == 0
+        else:
+            assert n_scans > 1 and max(len(scan) for scan in scans) < 3
         capsys.readouterr()
         est = str(tmp_path / "est.csv")
         assert main(["run", log_dir, "--mode", mode, "--out", est]) == 4
@@ -240,10 +255,12 @@ class TestEvaluate:
         est, gt = self.make_pair(tmp_path, offset=0.1)
         out_dir = str(tmp_path / "report")
         assert main(["evaluate", est, gt, "--out", out_dir]) == 0
-        report = open(os.path.join(out_dir, "report.txt")).read()
+        with open(os.path.join(out_dir, "report.txt")) as fh:
+            report = fh.read()
         rms_x = float(report.split("rms_x = ")[1].splitlines()[0])
         assert rms_x == pytest.approx(0.1, abs=1e-12)
-        errors = open(os.path.join(out_dir, "errors.csv")).read().splitlines()
+        with open(os.path.join(out_dir, "errors.csv")) as fh:
+            errors = fh.read().splitlines()
         assert errors[0] == "t,err_x,err_y,err_psi"
         assert len(errors) == 12
 
@@ -251,7 +268,8 @@ class TestEvaluate:
         est, gt = self.make_pair(tmp_path, offset=0.1)
         out_dir = str(tmp_path / "report")
         assert main(["evaluate", est, gt, "--out", out_dir]) == 0
-        lines = open(os.path.join(out_dir, "report.txt")).read().splitlines()
+        with open(os.path.join(out_dir, "report.txt")) as fh:
+            lines = fh.read().splitlines()
         pairs = [line.split(" = ") for line in lines if not line.startswith("#")]
         assert len(pairs) == 9
         for key, value in pairs:
@@ -305,6 +323,20 @@ class TestIcpDebug:
         row_line = out.split("row-major R then p):\n")[1].splitlines()[0]
         values = [float(v) for v in row_line.split()]
         assert np.allclose(values[9:], [0.05, -0.02, 0.0], atol=1e-6)
+
+    def test_covariance_uses_config_sigma(self, tmp_path, rng, capsys):
+        # Doubling icp.sigma must quadruple the printed covariance: it is the
+        # covariance the alignment itself reported.
+        a, b = self.clouds(tmp_path, rng, shift=(0.05, -0.02, 0.0))
+
+        def covariance(*extra):
+            assert main(["icp-debug", a, b, *extra]) == 0
+            block = capsys.readouterr().out.split("covariance:\n")[1].splitlines()[:6]
+            return np.array([[float(v) for v in line.split()] for line in block])
+
+        default = covariance()
+        cfg = write_config(tmp_path, "icp.sigma = 0.1\n", name="icp.cfg")
+        assert covariance("--config", cfg) == pytest.approx(4.0 * default, rel=1e-5)
 
     def test_collinear_exit_4(self, tmp_path, capsys):
         pts = np.outer(np.linspace(0, 1, 15), [1.0, 0, 0])

@@ -3,7 +3,8 @@ import pytest
 
 from conftest import random_pose
 from iekf_slam.errors import ParseError
-from iekf_slam.pointcloud import BODY, GROUND, PointCloud, load_xyz, save_xyz, transform_cloud
+from iekf_slam.logio import load_xyz, save_xyz
+from iekf_slam.pointcloud import BODY, GROUND, PointCloud, transform_cloud
 from iekf_slam.se3 import Pose
 
 
