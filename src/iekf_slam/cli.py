@@ -34,7 +34,7 @@ def _load_config(path):
 
 def cmd_simulate(args):
     cfg = _load_config(args.config)
-    seed = args.seed if args.seed is not None else cfgmod.get_int(cfg, "seed", 0)
+    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     log = run_scenario(
         cfgmod.make_world(cfg),
         cfgmod.make_spec(cfg),
@@ -53,11 +53,7 @@ def cmd_run(args):
     mode = args.mode or cfg.get("mode", "iekf")
     log = load_log(args.log_dir)
     noise = noise_from_meta(log.meta)
-    cloud_sigma = float(log.meta.get("cloud_sigma", "0.05"))
-    # Measurement covariances assume at least nominal sensor noise even on
-    # noise-free fixture logs.
-    sigma = cloud_sigma if cloud_sigma > 0 else 0.05
-    icp_cfg = cfgmod.make_icp_config(cfg, sigma=sigma)
+    icp_cfg = cfgmod.make_icp_config(cfg, cloud_sigma=float(log.meta.get("cloud_sigma", "0")))
     init = cfgmod.make_initial_state(cfg)
     rows = run_pipeline(log, mode, noise, init, icp_cfg)
     out = args.out or os.path.join(args.log_dir, f"estimates_{mode}.csv")
@@ -140,7 +136,7 @@ def build_parser():
     p.add_argument("cloud_a", help="source cloud (.xyz)")
     p.add_argument("cloud_b", help="target cloud (.xyz)")
     p.add_argument("--initial", help="initial pose guess: 12 numbers, row-major R then p")
-    p.add_argument("--sigma", type=float, default=0.05, help="assumed point noise (m)")
+    p.add_argument("--sigma", type=float, help="assumed point noise (m); overrides icp.sigma")
     p.add_argument("--config", help="key = value config file (icp.*)")
     p.set_defaults(func=cmd_icp_debug)
 

@@ -1,7 +1,15 @@
 """Flat `key = value` run configuration with dotted section keys.
 
 Lines are `key = value`, `#` starts a comment, blank lines are ignored.
-Unknown keys are rejected with the offending key and line number.
+``KEYS`` maps every accepted key to the converter for its text, and each
+value is converted as it is read: an unknown key or a value that does not
+convert is refused at ``path:line``, whether or not the command reads it.
+
+Defaults live only in the objects the sections build (``TrajectorySpec``,
+``SensorRates``, ``IcpConfig``, ``NoiseConfig.from_sigmas``,
+``corridor_world`` and ``FilterState.initial``): each ``make_*`` passes only
+the keys the config sets. The objects check their own ranges; a value they
+refuse becomes a ConfigError naming the keys of its section.
 """
 
 from __future__ import annotations
@@ -14,43 +22,50 @@ from .iekf import FilterState, NoiseConfig
 from .se3 import Pose
 from .simulator import SensorRates, TrajectorySpec, WorldModel, corridor_world, default_world
 
-KNOWN_KEYS = {
-    "seed",
-    "mode",
-    "scenario.kind",
-    "scenario.speed",
-    "scenario.duration",
-    "scenario.length",
-    "scenario.radius",
-    "scenario.turns",
-    "scenario.veer_rate",
-    "scenario.waypoints",
-    "world.kind",
-    "world.corridor_spacing",
-    "world.corridor_half_width",
-    "world.corridor_length",
-    "world.corridor_height",
-    "rates.odometry_hz",
-    "rates.scan_hz",
-    "rates.cloud_sigma",
-    "rates.range_max",
-    "rates.fov",
-    "noise.gyro_sigma",
-    "noise.velocity_sigma",
-    "filter.init_x",
-    "filter.init_y",
-    "filter.init_heading_deg",
-    "filter.p0_rot",
-    "filter.p0_pos",
-    "icp.max_iterations",
-    "icp.convergence_tol",
-    "icp.max_correspondence_dist",
-    "icp.min_points",
-    "icp.sigma",
+
+def _waypoints(text):
+    """``x y; x y; ...`` as a tuple of coordinate tuples."""
+    return tuple(tuple(float(v) for v in part.split()) for part in text.split(";") if part.strip())
+
+
+KEYS = {
+    "seed": int,
+    "mode": str,
+    "scenario.kind": str,
+    "scenario.speed": float,
+    "scenario.duration": float,
+    "scenario.length": float,
+    "scenario.radius": float,
+    "scenario.turns": float,
+    "scenario.veer_rate": float,
+    "scenario.waypoints": _waypoints,
+    "world.kind": str,
+    "world.corridor_spacing": float,
+    "world.corridor_half_width": float,
+    "world.corridor_length": float,
+    "world.corridor_height": float,
+    "rates.odometry_hz": float,
+    "rates.scan_hz": float,
+    "rates.cloud_sigma": float,
+    "rates.range_max": float,
+    "rates.fov": float,
+    "noise.gyro_sigma": float,
+    "noise.velocity_sigma": float,
+    "filter.init_x": float,
+    "filter.init_y": float,
+    "filter.init_heading_deg": float,
+    "filter.p0_rot": float,
+    "filter.p0_pos": float,
+    "icp.max_iterations": int,
+    "icp.convergence_tol": float,
+    "icp.max_correspondence_dist": float,
+    "icp.min_points": int,
+    "icp.sigma": float,
 }
 
 
 def parse_config(path) -> dict:
+    """The config file at ``path`` as a dict of converted values."""
     try:
         fh = open(path)
     except OSError as exc:
@@ -64,28 +79,28 @@ def parse_config(path) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in KNOWN_KEYS:
+            if key not in KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = value
+            try:
+                values[key] = KEYS[key](value)
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from exc
     return values
 
 
-def _get(cfg, key, default, convert):
-    raw = cfg.get(key)
-    if raw is None:
-        return default
+def _section(cfg, prefix):
+    """The keys of ``cfg`` under ``prefix``, named by the rest of the key."""
+    return {key[len(prefix):]: value for key, value in cfg.items() if key.startswith(prefix)}
+
+
+def _build(cfg, prefix, factory, **kwargs):
+    """``factory(**kwargs)``; a value it refuses becomes a ConfigError that
+    names the keys ``cfg`` sets under ``prefix``."""
     try:
-        return convert(raw)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
-
-
-def get_float(cfg, key, default=None):
-    return _get(cfg, key, default, float)
-
-
-def get_int(cfg, key, default=None):
-    return _get(cfg, key, default, int)
+        return factory(**kwargs)
+    except (ConfigError, ValueError) as exc:
+        given = ", ".join(f"{key} = {value!r}" for key, value in cfg.items() if key.startswith(prefix))
+        raise ConfigError(f"{given or prefix + '*'}: {exc}") from exc
 
 
 def make_world(cfg) -> WorldModel:
@@ -93,76 +108,39 @@ def make_world(cfg) -> WorldModel:
     if kind == "default":
         return default_world()
     if kind == "corridor":
-        return corridor_world(
-            length=get_float(cfg, "world.corridor_length", 30.0),
-            half_width=get_float(cfg, "world.corridor_half_width", 1.0),
-            spacing=get_float(cfg, "world.corridor_spacing", 0.05),
-            height=get_float(cfg, "world.corridor_height", 0.4),
-        )
+        return _build(cfg, "world.", corridor_world, **_section(cfg, "world.corridor_"))
     raise ConfigError(f"unknown world.kind {kind!r}")
 
 
 def make_spec(cfg) -> TrajectorySpec:
-    waypoints = ()
-    raw = cfg.get("scenario.waypoints")
-    if raw:
-        try:
-            waypoints = tuple(
-                tuple(float(v) for v in part.split()) for part in raw.split(";") if part.strip()
-            )
-        except ValueError as exc:
-            raise ConfigError(f"bad scenario.waypoints: {raw!r}") from exc
-    return TrajectorySpec(
-        kind=cfg.get("scenario.kind", "straight"),
-        speed=get_float(cfg, "scenario.speed", 0.25),
-        duration=get_float(cfg, "scenario.duration", None),
-        length=get_float(cfg, "scenario.length", 8.0),
-        radius=get_float(cfg, "scenario.radius", 1.5),
-        turns=get_float(cfg, "scenario.turns", 2.0),
-        veer_rate=get_float(cfg, "scenario.veer_rate", 0.0),
-        waypoints=waypoints,
-    )
+    return _build(cfg, "scenario.", TrajectorySpec, **_section(cfg, "scenario."))
 
 
 def make_rates(cfg) -> SensorRates:
-    return SensorRates(
-        odometry_hz=get_float(cfg, "rates.odometry_hz", 50.0),
-        scan_hz=get_float(cfg, "rates.scan_hz", 5.0),
-        cloud_sigma=get_float(cfg, "rates.cloud_sigma", 0.05),
-        range_max=get_float(cfg, "rates.range_max", 12.0),
-        fov=get_float(cfg, "rates.fov", 2.0 * np.pi),
-    )
+    return _build(cfg, "rates.", SensorRates, **_section(cfg, "rates."))
 
 
 def make_noise(cfg) -> NoiseConfig:
-    return NoiseConfig.from_sigmas(
-        gyro_sigma=get_float(cfg, "noise.gyro_sigma", 0.01),
-        velocity_sigma=get_float(cfg, "noise.velocity_sigma", 0.02),
-    )
+    return _build(cfg, "noise.", NoiseConfig.from_sigmas, **_section(cfg, "noise."))
 
 
-def make_icp_config(cfg, sigma=None) -> IcpConfig:
-    return IcpConfig(
-        max_iterations=get_int(cfg, "icp.max_iterations", 50),
-        convergence_tol=get_float(cfg, "icp.convergence_tol", 1e-6),
-        max_correspondence_dist=get_float(cfg, "icp.max_correspondence_dist", 0.5),
-        min_points=get_int(cfg, "icp.min_points", 10),
-        sigma=get_float(cfg, "icp.sigma", sigma if sigma is not None else 0.05),
-    )
+def make_icp_config(cfg, sigma=None, cloud_sigma=0.0) -> IcpConfig:
+    """IcpConfig from the icp.* keys. Its point noise is, in order: an
+    explicit ``sigma``, icp.sigma, a log's ``cloud_sigma`` when positive (a
+    noise-free log still needs nominal noise), then IcpConfig's default."""
+    settings = _section(cfg, "icp.")
+    if sigma is not None:
+        settings["sigma"] = sigma
+    elif "sigma" not in settings and cloud_sigma > 0:
+        settings["sigma"] = cloud_sigma
+    return _build(cfg, "icp.", IcpConfig, **settings)
 
 
 def make_initial_state(cfg, timestamp=0.0) -> FilterState:
-    psi = np.radians(get_float(cfg, "filter.init_heading_deg", 0.0))
+    psi = np.radians(cfg.get("filter.init_heading_deg", 0.0))
     c, s = np.cos(psi), np.sin(psi)
     rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    pose = Pose(rot, np.array([
-        get_float(cfg, "filter.init_x", 0.0),
-        get_float(cfg, "filter.init_y", 0.0),
-        0.0,
-    ]))
-    return FilterState.initial(
-        pose=pose,
-        rot_var=get_float(cfg, "filter.p0_rot", 1e-4),
-        pos_var=get_float(cfg, "filter.p0_pos", 1e-4),
-        timestamp=timestamp,
-    )
+    pose = Pose(rot, np.array([cfg.get("filter.init_x", 0.0), cfg.get("filter.init_y", 0.0), 0.0]))
+    # filter.p0_rot and filter.p0_pos set rot_var and pos_var.
+    variances = {f"{name}_var": value for name, value in _section(cfg, "filter.p0_").items()}
+    return _build(cfg, "filter.p0_", FilterState.initial, pose=pose, timestamp=timestamp, **variances)

@@ -33,8 +33,9 @@ class IcpConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.convergence_tol <= 0 or self.max_correspondence_dist <= 0:
-            raise ValueError("tolerances must be positive")
+        for name in ("convergence_tol", "max_correspondence_dist", "sigma"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)

@@ -94,6 +94,8 @@ class FilterState:
 
     @staticmethod
     def initial(pose=None, rot_var=1e-4, pos_var=1e-4, timestamp=0.0):
+        if not (rot_var >= 0 and pos_var >= 0):
+            raise ValueError("initial variances rot_var and pos_var must be >= 0")
         p0 = np.diag([rot_var] * 3 + [pos_var] * 3)
         return FilterState(pose if pose is not None else Pose.identity(), p0, timestamp)
 

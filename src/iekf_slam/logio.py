@@ -155,7 +155,13 @@ def _scan_id(text):
 
 
 def load_log(directory) -> ScenarioLog:
-    meta = load_meta(os.path.join(directory, "meta"))
+    meta_path = os.path.join(directory, "meta")
+    meta = load_meta(meta_path)
+    try:
+        seed = int(meta.get("seed", "0"))
+        float(meta.get("cloud_sigma", "0"))  # `run` takes its ICP point noise from it
+    except ValueError as exc:
+        raise ParseError(f"{meta_path}: {exc}") from exc
     ground_truth = load_ground_truth(os.path.join(directory, "ground_truth.csv"))
     odo = _read_table(os.path.join(directory, "odometry.csv"), ODOMETRY_HEADER, 7)
     odometry = [OdometrySample(row[1:4], row[4:7], float(row[0])) for row in odo]
@@ -166,6 +172,6 @@ def load_log(directory) -> ScenarioLog:
         ground_truth=ground_truth,
         odometry=odometry,
         scans=scans,
-        seed=int(meta.get("seed", "0")),
+        seed=seed,
         meta=meta,
     )

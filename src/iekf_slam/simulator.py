@@ -33,6 +33,12 @@ class WallSegment:
     def __post_init__(self):
         object.__setattr__(self, "start", np.asarray(self.start, dtype=float))
         object.__setattr__(self, "end", np.asarray(self.end, dtype=float))
+        if not np.linalg.norm(self.end - self.start) > 0:
+            raise ValueError("wall segment has zero length")
+        if not (self.spacing > 0 and self.z_spacing > 0):
+            raise ValueError("wall spacing must be positive")
+        if not self.height >= 0:
+            raise ValueError("wall height must be >= 0")
 
     def sample(self):
         delta = self.end - self.start
@@ -132,15 +138,18 @@ class TrajectorySpec:
     waypoints: tuple = ()  # sequence of (x, y), waypoints kind
 
     def __post_init__(self):
-        if self.speed <= 0:
-            raise ConfigError("scenario speed must be positive")
+        for name in ("speed", "length", "radius", "turns"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"scenario {name} must be positive")
+        if self.duration is not None and not 0 < self.duration < np.inf:
+            raise ConfigError("scenario duration must be positive and finite")
         if self.kind not in ("straight", "circle", "waypoints"):
             raise ConfigError(f"unknown trajectory kind {self.kind!r}")
+        if np.asarray(self.waypoints, dtype=float).size % 2:
+            raise ConfigError("scenario waypoints need an x and a y each")
 
     def resolved_duration(self):
         if self.duration is not None:
-            if self.duration <= 0:
-                raise ConfigError("scenario duration must be positive")
             return float(self.duration)
         if self.kind == "straight":
             return self.length / self.speed
@@ -290,6 +299,9 @@ def run_scenario(
     interval, and scans every odometry_hz/scan_hz steps starting at t = 0."""
     rng = np.random.default_rng(seed)
     dt = 1.0 / rates.odometry_hz
+    duration = spec.resolved_duration()
+    if round(duration / dt) < 1:
+        raise ConfigError(f"scenario duration {duration:g} s holds no odometry step of {dt:g} s")
     traj = generate_trajectory(spec, dt)
     stride = rates.scan_stride()
     noise_sqrt = odometry_noise_sqrt(noise)

@@ -107,6 +107,36 @@ class TestSimulate:
         assert "scenario.velocity" in err
         assert ":2" in err
 
+    @pytest.mark.parametrize(
+        "text,names",
+        [
+            ("world.kind = corridor\nworld.corridor_spacing = 0", "world.corridor_spacing"),
+            ("scenario.kind = circle\nscenario.radius = 0", "scenario.radius"),
+            ("scenario.kind = waypoints\nscenario.waypoints = 1 2 3", "scenario.waypoints"),
+            ("scenario.kind = circle\nscenario.turns = 0", "scenario.turns"),
+            ("scenario.duration = 0.001", "duration"),
+        ],
+        ids=["corridor_spacing", "radius", "waypoints", "turns", "duration"],
+    )
+    def test_bad_value_exit_2(self, tmp_path, capsys, text, names):
+        # Each of these used to end in a traceback or in a log with no
+        # odometry samples and no scans.
+        cfg = write_config(tmp_path, text + "\n")
+        out = tmp_path / "log"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and names in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def short_log(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("short")
+    cfg = write_config(tmp, SHORT_SCENARIO)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp / "log")]) == 0
+    return str(tmp / "log")
+
 
 class TestRun:
     def test_dead_reckoning_recovers_noise_free_truth(self, tmp_path):
@@ -181,6 +211,50 @@ class TestRun:
 
     def test_missing_log_dir_exit_3(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope")]) == 3
+
+    @pytest.mark.parametrize(
+        "text,code",
+        [
+            ("icp.max_iterations = 0", 2),
+            ("icp.convergence_tol = 0", 2),
+            ("icp.max_correspondence_dist = -1", 2),
+            ("icp.sigma = 0", 2),
+            ("filter.p0_rot = -1", 2),
+            ("filter.p0_pos = 0", 0),
+        ],
+    )
+    def test_bad_value_exit_2(self, short_log, tmp_path, capsys, text, code):
+        # A value its settings object refuses is a config error naming the
+        # key, not a traceback or a numerical failure later in the filter.
+        cfg = write_config(tmp_path, text + "\n")
+        est = tmp_path / "est.csv"
+        capsys.readouterr()
+        assert main(["run", short_log, "--config", cfg, "--out", str(est)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("config error:") and text.split(" =")[0] in err
+            assert len(err.splitlines()) == 1
+            assert not est.exists()
+        else:
+            assert err == ""
+
+    def test_non_numeric_meta_exit_3(self, tmp_path, capsys):
+        # The log is outside input: a bad meta value is a parse error that
+        # names the file, like a bad row in any other log file.
+        cfg = write_config(tmp_path, SHORT_SCENARIO)
+        log_dir = tmp_path / "log"
+        main(["simulate", "--config", cfg, "--out", str(log_dir)])
+        meta = log_dir / "meta"
+        lines = [
+            "cloud_sigma = abc" if line.startswith("cloud_sigma") else line
+            for line in meta.read_text().splitlines()
+        ]
+        meta.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["run", str(log_dir), "--out", str(tmp_path / "est.csv")]) == 3
+        err = capsys.readouterr().err
+        assert str(meta) in err and "abc" in err
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("mode", MODES)
     def test_out_of_order_odometry_exit_1(self, tmp_path, capsys, mode):
@@ -337,6 +411,19 @@ class TestIcpDebug:
         default = covariance()
         cfg = write_config(tmp_path, "icp.sigma = 0.1\n", name="icp.cfg")
         assert covariance("--config", cfg) == pytest.approx(4.0 * default, rel=1e-5)
+
+    def test_sigma_flag_overrides_config_sigma(self, tmp_path, rng, capsys):
+        a, b = self.clouds(tmp_path, rng, shift=(0.05, -0.02, 0.0))
+
+        def covariance(*extra):
+            assert main(["icp-debug", a, b, *extra]) == 0
+            block = capsys.readouterr().out.split("covariance:\n")[1].splitlines()[:6]
+            return np.array([[float(v) for v in line.split()] for line in block])
+
+        cfg = write_config(tmp_path, "icp.sigma = 0.1\n", name="icp.cfg")
+        flag = covariance("--sigma", "0.2")
+        assert np.array_equal(covariance("--sigma", "0.2", "--config", cfg), flag)
+        assert covariance("--config", cfg) == pytest.approx(flag / 4.0, rel=1e-5)
 
     def test_collinear_exit_4(self, tmp_path, capsys):
         pts = np.outer(np.linspace(0, 1, 15), [1.0, 0, 0])
