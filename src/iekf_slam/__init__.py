@@ -12,7 +12,7 @@ Library layout:
 """
 
 from .icp import IcpConfig, IcpResult, icp_align, icp_covariance, nearest_neighbor, solve_linear_alignment
-from .iekf import FilterState, LinearizedMatrices, NoiseConfig, OdometrySample, linearize, predict, run_filter, update
+from .iekf import FilterState, NoiseConfig, OdometrySample, linearize, predict, run_filter, update
 from .pointcloud import PointCloud, transform_cloud
 from .scan_matching import MatcherState, PoseMeasurement, aided_step, naive_step
 from .se3 import Pose, exp_se3, hat, log_se3, planar_extract, project_pi, renormalize, skew, vee

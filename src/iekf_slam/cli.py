@@ -12,9 +12,10 @@ import numpy as np
 from . import config as cfgmod
 from .errors import ConfigError, SlamError
 from .icp import icp_align, information_matrix
-from .logio import load_estimates, load_ground_truth, load_log, load_xyz, save_error_series, save_estimates, save_log
+from .logio import load_estimates, load_ground_truth, load_log, load_xyz, noise_from_meta
+from .logio import save_error_series, save_estimates, save_log
 from .metrics import evaluate_series, ground_truth_planar, report_text
-from .pipeline import MODES, noise_from_meta, run_pipeline
+from .pipeline import MODES, run_pipeline
 from .se3 import Pose
 from .simulator import run_scenario
 

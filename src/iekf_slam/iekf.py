@@ -76,14 +76,6 @@ class NoiseConfig:
 
 
 @dataclass(frozen=True)
-class LinearizedMatrices:
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
-
-
-@dataclass(frozen=True)
 class FilterState:
     pose: Pose
     covariance: np.ndarray  # 6x6 symmetric PD
@@ -117,10 +109,10 @@ def _system_matrices(omega, mu):
     return a
 
 
-def linearize(sample: OdometrySample) -> LinearizedMatrices:
-    """State-independent linearization: a function of the odometry sample alone."""
-    a = _system_matrices(sample.omega, sample.mu)[0]
-    return LinearizedMatrices(A=a, B=-np.eye(6), C=np.eye(6), D=np.eye(6))
+def linearize(sample: OdometrySample) -> np.ndarray:
+    """A of the state-independent linearization: a function of the odometry
+    sample alone (B = -I, C = I and D = I are constant)."""
+    return _system_matrices(sample.omega, sample.mu)[0]
 
 
 def odometry_increments(dts, samples):
@@ -164,7 +156,7 @@ def predict(state: FilterState, sample: OdometrySample, dt: float, noise: NoiseC
     if dt <= 0:
         raise TimingError(f"non-positive prediction step dt={dt}")
     n_sub, h = _substeps(dt)
-    phi = np.eye(6) + h * linearize(sample).A
+    phi = np.eye(6) + h * linearize(sample)
     p = _propagate_covariance(state.covariance, phi, h * noise.q_block(), n_sub)
     pose = state.pose @ exp_se3(dt * sample.twist())
     _require_pd(p, "predict")

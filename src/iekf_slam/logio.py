@@ -14,7 +14,7 @@ import os
 import numpy as np
 
 from .errors import ParseError
-from .iekf import OdometrySample
+from .iekf import NoiseConfig, OdometrySample
 from .metrics import MetricsReport
 from .pointcloud import BODY, PointCloud
 from .se3 import Pose
@@ -146,6 +146,17 @@ def load_meta(path):
     return meta
 
 
+def noise_from_meta(meta) -> NoiseConfig:
+    """The process noise recorded in a log's meta; ValueError if it is missing or malformed."""
+    covariances = []
+    for key in ("gyro_cov_diag", "velocity_cov_diag"):
+        try:
+            covariances.append(np.diag(np.array([float(v) for v in meta[key].split()]).reshape(3)))
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"{key} needs 3 numbers, got {meta.get(key)!r}") from exc
+    return NoiseConfig(*covariances)
+
+
 def _scan_id(text):
     """An integer scan id, exact as a float64: at most 2**53 in magnitude."""
     scan_id = int(text)
@@ -160,6 +171,7 @@ def load_log(directory) -> ScenarioLog:
     try:
         seed = int(meta.get("seed", "0"))
         float(meta.get("cloud_sigma", "0"))  # `run` takes its ICP point noise from it
+        noise_from_meta(meta)  # and its process noise from these
     except ValueError as exc:
         raise ParseError(f"{meta_path}: {exc}") from exc
     ground_truth = load_ground_truth(os.path.join(directory, "ground_truth.csv"))

@@ -18,8 +18,6 @@ still receives correctly anchored measurements.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import ConfigError, DegenerateGeometryError, NumericalFailureError
 from .icp import IcpConfig
 from .iekf import FilterState, NoiseConfig, odometry_increments, run_filter, schedule
@@ -112,13 +110,3 @@ def run_pipeline(log, mode, noise: NoiseConfig, init: FilterState, icp_cfg: IcpC
         (state.timestamp, state.pose, state.covariance)
         for state in run_filter(log.odometry, measurements, noise, init)
     ]
-
-
-def noise_from_meta(meta) -> NoiseConfig:
-    """Reconstruct the process-noise config recorded in a log's meta file."""
-    try:
-        gyro = np.diag([float(v) for v in meta["gyro_cov_diag"].split()])
-        vel = np.diag([float(v) for v in meta["velocity_cov_diag"].split()])
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"log meta lacks usable noise covariances: {exc}") from exc
-    return NoiseConfig(gyro, vel)

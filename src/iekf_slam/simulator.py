@@ -7,6 +7,7 @@ noisy body-frame scans, all driven by a single seeded generator.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,7 +15,7 @@ import numpy as np
 from .errors import ConfigError
 from .iekf import NoiseConfig, OdometrySample
 from .pointcloud import BODY, PointCloud
-from .se3 import Pose, exp_se3, log_se3
+from .se3 import Pose, exp_se3, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -124,6 +125,14 @@ def corridor_world(length=30.0, half_width=1.0, spacing=0.05, height=0.4, z_spac
     return WorldModel(np.zeros((0, 3)), walls)
 
 
+TURN_RATE = np.pi / 4  # rad/s, the yaw rate of a waypoint path's in-place turns
+
+
+def _planar_twist(omega_z, speed):
+    """Body twist of a yaw rate and a forward speed, with no sideways or vertical motion."""
+    return np.array([0.0, 0.0, omega_z, speed, 0.0, 0.0])
+
+
 @dataclass(frozen=True)
 class TrajectorySpec:
     """Planar reference motion; z = 0, roll = pitch = 0 throughout."""
@@ -145,21 +154,41 @@ class TrajectorySpec:
             raise ConfigError("scenario duration must be positive and finite")
         if self.kind not in ("straight", "circle", "waypoints"):
             raise ConfigError(f"unknown trajectory kind {self.kind!r}")
-        if np.asarray(self.waypoints, dtype=float).size % 2:
-            raise ConfigError("scenario waypoints need an x and a y each")
+        points = np.asarray(self.waypoints, dtype=float)
+        if points.size % 2 or not np.all(np.isfinite(points)):
+            raise ConfigError("scenario waypoints need a finite x and y each")
+        if self.kind == "waypoints" and not np.any(points):
+            raise ConfigError("scenario waypoints need a leg of non-zero length")
 
-    def resolved_duration(self):
+    def segments(self, dt):
+        """The motion at step ``dt`` as (initial pose, [(body twist, steps), ...]).
+
+        Straight and circle are one segment. A waypoint path starts at the
+        origin facing its first leg, drives each leg at the speed that ends
+        it on its waypoint and turns in place between legs at up to
+        TURN_RATE; an explicit duration cuts it short or holds its last pose.
+        """
+        if self.kind != "waypoints":
+            omega_z = self.veer_rate if self.kind == "straight" else self.speed / self.radius
+            distance = self.length if self.kind == "straight" else self.turns * 2.0 * np.pi * self.radius
+            duration = distance / self.speed if self.duration is None else self.duration
+            return Pose.identity(), [(_planar_twist(omega_z, self.speed), int(round(duration / dt)))]
+        legs = np.diff(np.vstack([[0.0, 0.0], np.reshape(self.waypoints, (-1, 2))]), axis=0)
+        legs = legs[np.any(legs != 0.0, axis=1)]
+        lengths, headings = np.hypot(legs[:, 0], legs[:, 1]), np.arctan2(legs[:, 1], legs[:, 0])
+        segments = []
+        for turn, length in zip(wrap_angle(np.diff(headings, prepend=headings[0])), lengths):
+            if turn:
+                steps = math.ceil(abs(turn) / (TURN_RATE * dt))
+                segments.append((_planar_twist(turn / (steps * dt), 0.0), steps))
+            steps = math.ceil(length / (self.speed * dt))
+            segments.append((_planar_twist(0.0, length / (steps * dt)), steps))
         if self.duration is not None:
-            return float(self.duration)
-        if self.kind == "straight":
-            return self.length / self.speed
-        if self.kind == "circle":
-            return self.turns * 2.0 * np.pi * self.radius / self.speed
-        pts = np.asarray(self.waypoints, dtype=float).reshape(-1, 2)
-        if pts.shape[0] < 1:
-            raise ConfigError("waypoints trajectory needs at least one waypoint")
-        path = np.vstack([[0.0, 0.0], pts])
-        return float(np.linalg.norm(np.diff(path, axis=0), axis=1).sum()) / self.speed
+            n = int(round(self.duration / dt))
+            segments.append((_planar_twist(0.0, 0.0), n))
+            starts = np.cumsum([0] + [steps for _, steps in segments])
+            segments = [(twist, int(min(steps, n - start))) for (twist, steps), start in zip(segments, starts) if start < n]
+        return exp_se3(_planar_twist(headings[0], 0.0)), segments
 
 
 @dataclass(frozen=True)
@@ -171,10 +200,12 @@ class SensorRates:
     fov: float = 2.0 * np.pi  # rad, horizontal
 
     def __post_init__(self):
-        if not self.odometry_hz >= self.scan_hz > 0:
-            raise ConfigError("need odometry_hz >= scan_hz > 0")
+        if not np.inf > self.odometry_hz >= self.scan_hz > 0:
+            raise ConfigError("need a finite odometry_hz >= scan_hz > 0")
         if self.cloud_sigma < 0:
             raise ConfigError("cloud_sigma must be >= 0")
+        if not (self.range_max > 0 and self.fov > 0):
+            raise ConfigError("range_max and fov must be positive")
         ratio = self.odometry_hz / self.scan_hz
         if abs(ratio - round(ratio)) > 1e-9:
             raise ConfigError("odometry_hz must be an integer multiple of scan_hz")
@@ -190,48 +221,23 @@ class TrajectoryPoint:
     twist: np.ndarray  # (6,) body twist applied over [t, t + dt]
 
 
-def _waypoint_pose(path, cum_len, distance):
-    distance = min(distance, cum_len[-1])
-    j = int(np.searchsorted(cum_len[1:], distance, side="right"))
-    j = min(j, len(path) - 2)
-    seg = path[j + 1] - path[j]
-    seg_len = np.linalg.norm(seg)
-    frac = (distance - cum_len[j]) / seg_len
-    xy = path[j] + frac * seg
-    psi = np.arctan2(seg[1], seg[0])
-    c, s = np.cos(psi), np.sin(psi)
-    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    return Pose(rot, np.array([xy[0], xy[1], 0.0]))
-
-
 def generate_trajectory(spec: TrajectorySpec, dt: float):
-    """Ground-truth stream satisfying X_{k+1} = X_k * exp(dt * twist_k) exactly.
+    """Ground-truth stream satisfying X_{k+1} = X_k * exp(dt * twist_k) exactly,
+    composed segment by segment from ``spec.segments(dt)``.
 
-    Returns n + 1 TrajectoryPoints for a duration of n * dt; the final entry
+    Returns n + 1 TrajectoryPoints for n steps in all; the final entry
     repeats the last twist (it covers no interval).
     """
-    duration = spec.resolved_duration()
-    n = int(round(duration / dt))
-    if spec.kind in ("straight", "circle"):
-        omega_z = spec.veer_rate if spec.kind == "straight" else spec.speed / spec.radius
-        twist = np.array([0.0, 0.0, omega_z, spec.speed, 0.0, 0.0])
-        twists = [twist] * (n + 1)
+    pose, segments = spec.segments(dt)
+    poses = [pose]
+    twists = []
+    for twist, steps in segments:
         step = exp_se3(dt * twist)
-        poses = [Pose.identity()]
-        for _ in range(n):
+        for _ in range(steps):
             poses.append(poses[-1] @ step)
-    else:
-        path = np.vstack([[0.0, 0.0], np.asarray(spec.waypoints, dtype=float).reshape(-1, 2)])
-        cum_len = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(path, axis=0), axis=1))])
-        poses = [_waypoint_pose(path, cum_len, 0.0)]
-        twists = []
-        for k in range(n):
-            desired = _waypoint_pose(path, cum_len, spec.speed * (k + 1) * dt)
-            twist = log_se3(poses[-1].inverse() @ desired) / dt
-            twists.append(twist)
-            poses.append(poses[-1] @ exp_se3(dt * twist))
-        twists.append(twists[-1] if twists else np.zeros(6))
-    return [TrajectoryPoint(k * dt, poses[k], twists[k]) for k in range(n + 1)]
+        twists += [twist] * steps
+    twists.append(twists[-1] if twists else np.zeros(6))
+    return [TrajectoryPoint(k * dt, pose, twist) for k, (pose, twist) in enumerate(zip(poses, twists))]
 
 
 def _cov_sqrt(cov):
@@ -299,10 +305,9 @@ def run_scenario(
     interval, and scans every odometry_hz/scan_hz steps starting at t = 0."""
     rng = np.random.default_rng(seed)
     dt = 1.0 / rates.odometry_hz
-    duration = spec.resolved_duration()
-    if round(duration / dt) < 1:
-        raise ConfigError(f"scenario duration {duration:g} s holds no odometry step of {dt:g} s")
     traj = generate_trajectory(spec, dt)
+    if len(traj) < 2:
+        raise ConfigError(f"scenario duration holds no odometry step of {dt:g} s")
     stride = rates.scan_stride()
     noise_sqrt = odometry_noise_sqrt(noise)
     odometry = []

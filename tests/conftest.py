@@ -35,3 +35,17 @@ def rot_z(psi):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+# Waypoint paths as (waypoints, explicit duration or None), at speed 0.5:
+# U-turns, a reversal, a repeated point, a zero-length first leg, a first leg
+# along +y, and a U-turn cut short mid-turn or held beyond its end.
+WAYPOINT_GRID = {
+    "u-turn": (((2.0, 0.0), (0.0, 0.0)), None),
+    "there-and-back": (((1.0, 0.0), (0.0, 0.0), (1.0, 0.0)), None),
+    "repeated-point": (((1.0, 0.0), (1.0, 0.0), (2.0, 0.0)), None),
+    "zero-first-leg": (((0.0, 0.0), (1.0, 0.0)), None),
+    "y-first": (((0.0, 1.0), (1.0, 1.0)), None),
+    "u-turn-cut-short": (((2.0, 0.0), (0.0, 0.0)), 6.0),
+    "u-turn-held": (((2.0, 0.0), (0.0, 0.0)), 16.0),
+}

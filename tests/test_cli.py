@@ -1,9 +1,11 @@
 import filecmp
+import hashlib
 import os
 
 import numpy as np
 import pytest
 
+from conftest import WAYPOINT_GRID
 from iekf_slam.cli import main
 from iekf_slam.logio import (
     load_estimates,
@@ -58,6 +60,18 @@ seed = 0
 """
 
 
+def log_digest(log_dir):
+    """sha256 over ground_truth.csv, odometry.csv and every file under scans/,
+    each as its relative path, a NUL byte and its bytes, in sorted order."""
+    names = ["ground_truth.csv", "odometry.csv"]
+    names += sorted(os.path.join("scans", name) for name in os.listdir(os.path.join(log_dir, "scans")))
+    digest = hashlib.sha256()
+    for name in names:
+        with open(os.path.join(log_dir, name), "rb") as fh:
+            digest.update(name.encode() + b"\0" + fh.read())
+    return digest.hexdigest()
+
+
 class TestHelp:
     def test_epilog_documents_exit_codes(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -93,6 +107,41 @@ class TestSimulate:
                 os.path.join(a, "scans", name), os.path.join(b, "scans", name), shallow=False
             )
 
+    @pytest.mark.parametrize(
+        "text,digest",
+        [
+            (
+                "scenario.kind = straight\nscenario.speed = 0.25\nscenario.duration = 1.0\n"
+                "scenario.veer_rate = 0.1\nseed = 3\n",
+                "4e340ebdd89167b805de344525e6688d72043b98f7050b3b4e7427f37afa34f2",
+            ),
+            (
+                "scenario.kind = straight\nscenario.speed = 0.25\nscenario.length = 0.3\nseed = 4\n",
+                "1a1c126bd46fc17b1116445426e654ca179e23fb5160299b1f3760a37c725573",
+            ),
+            (
+                "scenario.kind = circle\nscenario.speed = 0.3\nscenario.radius = 1.5\n"
+                "scenario.duration = 1.0\nseed = 5\n",
+                "fdc987b06cdf2d18d12c40534dc635ad3d0d5f009cb819e6d8567a4fa9a1b4dc",
+            ),
+            (
+                "scenario.kind = circle\nscenario.speed = 0.3\nscenario.radius = 1.5\n"
+                "scenario.turns = 0.03\nseed = 6\n",
+                "7938f1ffa06e334bacd21b8ac86b305f132c67535ad8fc3adda818bd9f75f50b",
+            ),
+        ],
+        ids=["straight-veer", "straight-length", "circle", "circle-turns"],
+    )
+    def test_straight_and_circle_bytes_pinned(self, tmp_path, text, digest):
+        # Straight and circle logs, with an explicit duration and with one
+        # derived from the geometry, are pinned to the bytes the simulator
+        # wrote before waypoint paths became twist segments. The digests
+        # assume IEEE doubles and numpy's sin, cos and sqrt as of numpy 2.
+        cfg = write_config(tmp_path, text)
+        out = str(tmp_path / "log")
+        assert main(["simulate", "--config", cfg, "--out", out]) == 0
+        assert log_digest(out) == digest
+
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path, SHORT_SCENARIO)
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -115,12 +164,21 @@ class TestSimulate:
             ("scenario.kind = waypoints\nscenario.waypoints = 1 2 3", "scenario.waypoints"),
             ("scenario.kind = circle\nscenario.turns = 0", "scenario.turns"),
             ("scenario.duration = 0.001", "duration"),
+            ("scenario.kind = waypoints\nscenario.waypoints = 0 0; 0 0", "scenario.waypoints"),
+            ("scenario.kind = waypoints\nscenario.waypoints = 1 nan", "scenario.waypoints"),
+            ("rates.range_max = 0", "rates.range_max"),
+            ("rates.range_max = -1", "rates.range_max"),
+            ("rates.fov = 0", "rates.fov"),
+            ("rates.odometry_hz = inf", "rates.odometry_hz"),
         ],
-        ids=["corridor_spacing", "radius", "waypoints", "turns", "duration"],
+        ids=[
+            "corridor_spacing", "radius", "waypoints", "turns", "duration", "waypoints_no_leg",
+            "waypoints_nan", "range_max_zero", "range_max_negative", "fov_zero", "odometry_hz_inf",
+        ],
     )
     def test_bad_value_exit_2(self, tmp_path, capsys, text, names):
-        # Each of these used to end in a traceback or in a log with no
-        # odometry samples and no scans.
+        # Each of these used to end in a traceback, in a log with no
+        # odometry samples and no scans, or in a log with no scans.
         cfg = write_config(tmp_path, text + "\n")
         out = tmp_path / "log"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
@@ -186,9 +244,10 @@ class TestRun:
         assert float(values["rms_y"]) < 0.05
 
     def test_naive_matcher_anchors_at_true_initial_pose(self, tmp_path):
-        # Same +y-first scenario. Chained ICP without an odometry prior cannot
-        # follow the 90 deg turn in place at t = 2.0 s, so only the first leg
-        # is checked: the anchor alone must put it on the true heading.
+        # Same +y-first scenario. Chained ICP without an odometry prior need
+        # not follow the 90 deg turn in place from t = 2.0 to 4.0 s, so only
+        # the first leg is checked: the anchor alone must put it on the true
+        # heading.
         cfg = write_config(tmp_path, WAYPOINTS_Y_FIRST_SCENARIO)
         log_dir = str(tmp_path / "log")
         main(["simulate", "--config", cfg, "--out", log_dir])
@@ -208,6 +267,60 @@ class TestRun:
         for k in first_leg:
             err = np.angle(np.exp(1j * (psi[k] - gt_psi[lookup[round(t[k], 9)]])))
             assert abs(np.degrees(err)) < 1.0
+
+    @pytest.mark.parametrize("name", WAYPOINT_GRID)
+    def test_waypoint_path_iekf_beats_dead_reckoning(self, tmp_path, capsys, name):
+        # U-turns, reversals, repeated points and cut or held paths simulate
+        # and replay. The odometry noise is five times the default, so that
+        # dead reckoning drifts beyond the scan matcher's noise floor on
+        # these paths of at most 16 s, and the filter must do better. Both
+        # modes start at the path's true initial heading.
+        waypoints, duration = WAYPOINT_GRID[name]
+        text = "scenario.kind = waypoints\nscenario.speed = 0.5\n"
+        text += "scenario.waypoints = " + "; ".join(f"{x} {y}" for x, y in waypoints) + "\n"
+        if duration is not None:
+            text += f"scenario.duration = {duration}\n"
+        text += "noise.gyro_sigma = 0.05\nnoise.velocity_sigma = 0.1\nseed = 0\n"
+        log_dir = str(tmp_path / "log")
+        assert main(["simulate", "--config", write_config(tmp_path, text), "--out", log_dir]) == 0
+        x, y = next(point for point in waypoints if point != (0.0, 0.0))
+        run_cfg = write_config(tmp_path, f"filter.init_heading_deg = {np.degrees(np.arctan2(y, x))}\n", "run.cfg")
+        rms = {}
+        for mode in ("iekf", "dead-reckoning"):
+            est = str(tmp_path / f"{mode}.csv")
+            assert main(["run", log_dir, "--config", run_cfg, "--mode", mode, "--out", est]) == 0
+            out_dir = str(tmp_path / mode)
+            assert main(["evaluate", est, os.path.join(log_dir, "ground_truth.csv"), "--out", out_dir]) == 0
+            with open(os.path.join(out_dir, "report.txt")) as fh:
+                values = dict(line.split(" = ") for line in fh.read().splitlines() if not line.startswith("#"))
+            rms[mode] = np.hypot(float(values["rms_x"]), float(values["rms_y"])), float(values["rms_psi_deg"])
+        assert rms["iekf"][0] <= rms["dead-reckoning"][0]
+        assert rms["iekf"][1] <= rms["dead-reckoning"][1]
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("gyro_cov_diag", "abc"), ("velocity_cov_diag", "1e-4 1e-4"), ("velocity_cov_diag", None)],
+        ids=["non-numeric", "two-values", "missing"],
+    )
+    def test_bad_meta_covariance_exit_3(self, tmp_path, capsys, key, value):
+        # The recorded process noise is log content like cloud_sigma: a bad
+        # or missing covariance is a parse error naming the meta file and
+        # the key, not a config error.
+        cfg = write_config(tmp_path, SHORT_SCENARIO)
+        log_dir = tmp_path / "log"
+        main(["simulate", "--config", cfg, "--out", str(log_dir)])
+        meta = log_dir / "meta"
+        lines = [line for line in meta.read_text().splitlines() if not line.startswith(key)]
+        if value is not None:
+            lines.append(f"{key} = {value}")
+        meta.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["run", str(log_dir), "--out", str(tmp_path / "est.csv")]) == 3
+        err = capsys.readouterr().err
+        assert str(meta) in err and key in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "est.csv").exists()
 
     def test_missing_log_dir_exit_3(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope")]) == 3

@@ -67,6 +67,18 @@ class TestLinearAlignment:
         explicit = sum(block_matrix(a).T @ block_matrix(a) for a in pts)
         assert np.allclose(info, explicit, atol=1e-9)
 
+    @pytest.mark.parametrize("n", [3, 50, 64, 2050])
+    def test_bit_identical_to_np_cross_oracle(self, rng, n):
+        # The right-hand side computes the cross products per coordinate;
+        # np.cross gives the same bits.
+        for _ in range(20):
+            points = rng.uniform(-5.0, 5.0, (n, 3))
+            residuals = 0.1 * rng.standard_normal((n, 3))
+            x_hat, info = solve_linear_alignment(points, residuals)
+            rhs = np.concatenate([-np.cross(points, residuals).sum(axis=0), -residuals.sum(axis=0)])
+            assert np.array_equal(x_hat, np.linalg.solve(information_matrix(points), rhs))
+            assert np.array_equal(info, information_matrix(points))
+
     def test_single_point_at_origin_singular(self):
         with pytest.raises(DegenerateGeometryError):
             solve_linear_alignment(np.zeros((3, 3)), np.zeros((3, 3)))

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import rot_z
+from conftest import WAYPOINT_GRID, rot_z
 from iekf_slam.errors import ConfigError
 from iekf_slam.iekf import NoiseConfig
 from iekf_slam.se3 import Pose, exp_se3
 from iekf_slam.simulator import (
+    TURN_RATE,
     SensorRates,
     TrajectorySpec,
     WallSegment,
@@ -95,9 +96,10 @@ class TestTrajectory:
         assert np.allclose(rates, 0.3 / 1.5, atol=1e-9)
 
     def test_waypoints_traverse_corners(self):
+        # 4 m of legs at 1 m/s, plus the 90 deg corner turned in place at TURN_RATE
         spec = TrajectorySpec(kind="waypoints", speed=1.0, waypoints=((2.0, 0.0), (2.0, 2.0)))
         traj = generate_trajectory(spec, dt=0.1)
-        assert traj[-1].t == pytest.approx(4.0)
+        assert traj[-1].t == pytest.approx(4.0 + (np.pi / 2) / TURN_RATE)
         assert np.allclose(traj[-1].pose.translation[:2], [2.0, 2.0], atol=1e-9)
 
     def test_bad_specs_rejected(self):
@@ -106,7 +108,53 @@ class TestTrajectory:
         with pytest.raises(ConfigError):
             TrajectorySpec(kind="spiral")
         with pytest.raises(ConfigError):
-            TrajectorySpec(duration=-1.0).resolved_duration()
+            TrajectorySpec(duration=-1.0)
+
+
+class TestWaypoints:
+    @pytest.mark.parametrize("name", WAYPOINT_GRID)
+    def test_wheeled_motion_through_every_waypoint(self, name):
+        # Every step either turns in place at no more than TURN_RATE or
+        # drives forward at no more than the speed: never sideways, never
+        # both. The path without a duration passes each waypoint in order; a
+        # duration cuts it short or holds its last pose.
+        waypoints, duration = WAYPOINT_GRID[name]
+        dt = 0.02
+        spec = TrajectorySpec(kind="waypoints", speed=0.5, waypoints=waypoints, duration=duration)
+        traj = generate_trajectory(spec, dt)
+        twists = np.array([point.twist for point in traj])
+        assert np.all(twists[:, [0, 1, 4, 5]] == 0.0)
+        assert np.all(np.abs(twists[:, 2]) <= TURN_RATE)
+        assert np.all((twists[:, 3] >= 0.0) & (twists[:, 3] <= spec.speed))
+        assert np.all(twists[:, 2] * twists[:, 3] == 0.0)
+
+        path = generate_trajectory(TrajectorySpec(kind="waypoints", speed=0.5, waypoints=waypoints), dt)
+        xy = np.array([point.pose.translation[:2] for point in path])
+        k = 0
+        for waypoint in waypoints:
+            hits = np.flatnonzero(np.linalg.norm(xy[k:] - waypoint, axis=1) <= 1e-9)
+            assert hits.size, waypoint
+            k += hits[0]
+        assert np.linalg.norm(xy[-1] - waypoints[-1]) <= 1e-9
+
+        if duration is None:
+            assert len(traj) == len(path)
+        else:
+            assert len(traj) - 1 == round(duration / dt)
+        for k, point in enumerate(traj):
+            assert point.t == k * dt
+            assert point.pose.is_close(path[min(k, len(path) - 1)].pose, tol=0.0)
+
+    def test_initial_heading_is_the_first_legs(self):
+        spec = TrajectorySpec(kind="waypoints", waypoints=((0.0, 0.0), (0.0, 0.0), (-1.0, 1.0)))
+        pose, _ = spec.segments(0.02)
+        assert np.allclose(pose.rotation, rot_z(3 * np.pi / 4), atol=1e-15)
+        assert np.array_equal(pose.translation, np.zeros(3))
+
+    @pytest.mark.parametrize("waypoints", [(), ((0.0, 0.0),), ((0.0, 0.0), (-0.0, 0.0))])
+    def test_path_without_a_leg_rejected(self, waypoints):
+        with pytest.raises(ConfigError, match="non-zero length"):
+            TrajectorySpec(kind="waypoints", waypoints=waypoints)
 
 
 class TestSensors:
