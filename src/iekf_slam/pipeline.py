@@ -9,14 +9,18 @@ merge odometry with scans, the filter merges it with the aided matcher's
 pose measurements. So all four modes share one zero-order hold, one tie
 rule and one out-of-order check.
 
-Both matchers start at the log's first ground-truth pose. The aided matcher
-integrates its own odometry stream (every increment in one batched
+Every mode starts at the log's first ground-truth pose: the matchers at
+that pose, the filter at that pose composed with its initial state's pose,
+which so acts as the initial error in the start frame. The aided
+matcher integrates its own odometry stream (every increment in one batched
 exponential) from there through the first scan; the filter only consumes
 the matcher's absolute pose measurements, so a badly initialized filter
 still receives correctly anchored measurements.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 from .errors import ConfigError, DegenerateGeometryError, NumericalFailureError
 from .icp import IcpConfig
@@ -83,6 +87,7 @@ def run_naive_matcher(odometry, scans, icp_cfg: IcpConfig, initial_pose: Pose):
 def run_pipeline(log, mode, noise: NoiseConfig, init: FilterState, icp_cfg: IcpConfig):
     """Replay a ScenarioLog through one estimation mode.
 
+    ``init.pose`` is taken relative to the log's first ground-truth pose.
     Returns rows of (t, Pose, covariance-or-None), one per event. In every
     mode but dead reckoning, a log in which no scan gives a pose measurement
     raises DegenerateGeometryError.
@@ -106,6 +111,7 @@ def run_pipeline(log, mode, noise: NoiseConfig, init: FilterState, icp_cfg: IcpC
         if mode != "iekf":
             return [(t, pose, None) for t, pose in rows]
 
+    init = replace(init, pose=initial_pose @ init.pose)
     return [
         (state.timestamp, state.pose, state.covariance)
         for state in run_filter(log.odometry, measurements, noise, init)

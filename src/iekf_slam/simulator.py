@@ -157,8 +157,20 @@ class TrajectorySpec:
         points = np.asarray(self.waypoints, dtype=float)
         if points.size % 2 or not np.all(np.isfinite(points)):
             raise ConfigError("scenario waypoints need a finite x and y each")
-        if self.kind == "waypoints" and not np.any(points):
-            raise ConfigError("scenario waypoints need a leg of non-zero length")
+        if self.kind == "waypoints":
+            lengths, _ = self._legs()
+            if not lengths.size:
+                raise ConfigError("scenario waypoints need a leg of non-zero length")
+            if not np.all(np.isfinite(lengths)):
+                raise ConfigError("scenario waypoints need legs of finite length")
+
+    def _legs(self):
+        """Length and heading of each non-zero leg of the waypoint path; a leg
+        too long for a float has length inf."""
+        with np.errstate(over="ignore"):
+            legs = np.diff(np.vstack([[0.0, 0.0], np.reshape(self.waypoints, (-1, 2))]), axis=0)
+            legs = legs[np.any(legs != 0.0, axis=1)]
+            return np.hypot(legs[:, 0], legs[:, 1]), np.arctan2(legs[:, 1], legs[:, 0])
 
     def segments(self, dt):
         """The motion at step ``dt`` as (initial pose, [(body twist, steps), ...]).
@@ -173,9 +185,7 @@ class TrajectorySpec:
             distance = self.length if self.kind == "straight" else self.turns * 2.0 * np.pi * self.radius
             duration = distance / self.speed if self.duration is None else self.duration
             return Pose.identity(), [(_planar_twist(omega_z, self.speed), int(round(duration / dt)))]
-        legs = np.diff(np.vstack([[0.0, 0.0], np.reshape(self.waypoints, (-1, 2))]), axis=0)
-        legs = legs[np.any(legs != 0.0, axis=1)]
-        lengths, headings = np.hypot(legs[:, 0], legs[:, 1]), np.arctan2(legs[:, 1], legs[:, 0])
+        lengths, headings = self._legs()
         segments = []
         for turn, length in zip(wrap_angle(np.diff(headings, prepend=headings[0])), lengths):
             if turn:

@@ -60,6 +60,15 @@ seed = 0
 """
 
 
+def evaluate_report(tmp_path, est, log_dir, name="report"):
+    """``evaluate`` of ``est`` against the log's ground truth, as a dict of
+    the report's values."""
+    out_dir = str(tmp_path / name)
+    assert main(["evaluate", est, os.path.join(log_dir, "ground_truth.csv"), "--out", out_dir]) == 0
+    with open(os.path.join(out_dir, "report.txt")) as fh:
+        return dict(line.split(" = ") for line in fh.read().splitlines() if not line.startswith("#"))
+
+
 def log_digest(log_dir):
     """sha256 over ground_truth.csv, odometry.csv and every file under scans/,
     each as its relative path, a NUL byte and its bytes, in sorted order."""
@@ -166,6 +175,7 @@ class TestSimulate:
             ("scenario.duration = 0.001", "duration"),
             ("scenario.kind = waypoints\nscenario.waypoints = 0 0; 0 0", "scenario.waypoints"),
             ("scenario.kind = waypoints\nscenario.waypoints = 1 nan", "scenario.waypoints"),
+            ("scenario.kind = waypoints\nscenario.waypoints = 1e308 0; -1e308 0", "scenario.waypoints"),
             ("rates.range_max = 0", "rates.range_max"),
             ("rates.range_max = -1", "rates.range_max"),
             ("rates.fov = 0", "rates.fov"),
@@ -173,7 +183,7 @@ class TestSimulate:
         ],
         ids=[
             "corridor_spacing", "radius", "waypoints", "turns", "duration", "waypoints_no_leg",
-            "waypoints_nan", "range_max_zero", "range_max_negative", "fov_zero", "odometry_hz_inf",
+            "waypoints_nan", "waypoints_overflow", "range_max_zero", "range_max_negative", "fov_zero", "odometry_hz_inf",
         ],
     )
     def test_bad_value_exit_2(self, tmp_path, capsys, text, names):
@@ -222,26 +232,36 @@ class TestRun:
     @pytest.mark.parametrize("mode", ["iekf", "scan-match-only"])
     def test_waypoints_anchor_at_true_initial_pose(self, tmp_path, mode):
         # The first leg runs along +y, so the true initial heading is 90 deg;
-        # the matcher must start there rather than at the identity. The filter
-        # is given the true initial heading, so only the matcher's anchor is
-        # under test.
+        # the matcher and the filter must start there rather than at the
+        # identity.
         cfg = write_config(tmp_path, WAYPOINTS_Y_FIRST_SCENARIO)
         log_dir = str(tmp_path / "log")
         main(["simulate", "--config", cfg, "--out", log_dir])
-        run_cfg = write_config(tmp_path, "filter.init_heading_deg = 90\n", name="filter.cfg")
         est = str(tmp_path / "est.csv")
-        assert main(["run", log_dir, "--config", run_cfg, "--mode", mode, "--out", est]) == 0
-        out_dir = str(tmp_path / "report")
-        gt = os.path.join(log_dir, "ground_truth.csv")
-        assert main(["evaluate", est, gt, "--out", out_dir]) == 0
-        with open(os.path.join(out_dir, "report.txt")) as fh:
-            report = fh.read()
-        values = dict(
-            line.split(" = ") for line in report.splitlines() if not line.startswith("#")
-        )
+        assert main(["run", log_dir, "--mode", mode, "--out", est]) == 0
+        values = evaluate_report(tmp_path, est, log_dir)
         assert float(values["rms_psi_deg"]) < 2.0
         assert float(values["rms_x"]) < 0.05
         assert float(values["rms_y"]) < 0.05
+
+    @pytest.mark.parametrize("mode", ["iekf", "dead-reckoning"])
+    def test_filter_starts_at_true_initial_pose(self, tmp_path, mode):
+        # Same +y-first scenario with the default filter.init_* (zero): they
+        # are the initial error in the start frame, so the filter's first row
+        # is the true initial pose, and dead reckoning alone keeps the heading.
+        cfg = write_config(tmp_path, WAYPOINTS_Y_FIRST_SCENARIO)
+        log_dir = str(tmp_path / "log")
+        main(["simulate", "--config", cfg, "--out", log_dir])
+        est = str(tmp_path / "est.csv")
+        assert main(["run", log_dir, "--mode", mode, "--out", est]) == 0
+        _, x, y, _, psi, _ = load_estimates(est)
+        _, gt_x, gt_y, gt_psi = ground_truth_planar(
+            load_ground_truth(os.path.join(log_dir, "ground_truth.csv"))
+        )
+        assert abs(x[0] - gt_x[0]) < 1e-9
+        assert abs(y[0] - gt_y[0]) < 1e-9
+        assert abs(psi[0] - gt_psi[0]) < 1e-9
+        assert float(evaluate_report(tmp_path, est, log_dir)["rms_psi_deg"]) < 1.0
 
     def test_naive_matcher_anchors_at_true_initial_pose(self, tmp_path):
         # Same +y-first scenario. Chained ICP without an odometry prior need
@@ -273,8 +293,7 @@ class TestRun:
         # U-turns, reversals, repeated points and cut or held paths simulate
         # and replay. The odometry noise is five times the default, so that
         # dead reckoning drifts beyond the scan matcher's noise floor on
-        # these paths of at most 16 s, and the filter must do better. Both
-        # modes start at the path's true initial heading.
+        # these paths of at most 16 s, and the filter must do better.
         waypoints, duration = WAYPOINT_GRID[name]
         text = "scenario.kind = waypoints\nscenario.speed = 0.5\n"
         text += "scenario.waypoints = " + "; ".join(f"{x} {y}" for x, y in waypoints) + "\n"
@@ -283,16 +302,11 @@ class TestRun:
         text += "noise.gyro_sigma = 0.05\nnoise.velocity_sigma = 0.1\nseed = 0\n"
         log_dir = str(tmp_path / "log")
         assert main(["simulate", "--config", write_config(tmp_path, text), "--out", log_dir]) == 0
-        x, y = next(point for point in waypoints if point != (0.0, 0.0))
-        run_cfg = write_config(tmp_path, f"filter.init_heading_deg = {np.degrees(np.arctan2(y, x))}\n", "run.cfg")
         rms = {}
         for mode in ("iekf", "dead-reckoning"):
             est = str(tmp_path / f"{mode}.csv")
-            assert main(["run", log_dir, "--config", run_cfg, "--mode", mode, "--out", est]) == 0
-            out_dir = str(tmp_path / mode)
-            assert main(["evaluate", est, os.path.join(log_dir, "ground_truth.csv"), "--out", out_dir]) == 0
-            with open(os.path.join(out_dir, "report.txt")) as fh:
-                values = dict(line.split(" = ") for line in fh.read().splitlines() if not line.startswith("#"))
+            assert main(["run", log_dir, "--mode", mode, "--out", est]) == 0
+            values = evaluate_report(tmp_path, est, log_dir, name=mode)
             rms[mode] = np.hypot(float(values["rms_x"]), float(values["rms_y"])), float(values["rms_psi_deg"])
         assert rms["iekf"][0] <= rms["dead-reckoning"][0]
         assert rms["iekf"][1] <= rms["dead-reckoning"][1]

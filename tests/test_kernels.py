@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iekf_slam import kernels
+from iekf_slam.se3 import Pose
+from iekf_slam.simulator import SensorRates, corridor_world, render_scan
 
 
 def brute_force(src, tgt):
@@ -36,17 +38,21 @@ def reference_nearest(source, target, max_dist):
 
 
 def assert_matches_reference(src, tgt, max_dist):
+    """batch_nearest equals the oracle, which runs on 256 source rows at a
+    time (each row's result depends on that row alone) to bound memory."""
     idx, dist = kernels.batch_nearest(src, tgt, max_dist)
-    ref_idx, ref_dist = reference_nearest(src, tgt, max_dist)
     assert idx.dtype == np.int64 and dist.dtype == np.float64
-    assert np.array_equal(idx, ref_idx)
-    assert np.array_equal(dist, ref_dist)
+    rows = 256
+    for start in range(0, max(len(src), 1), rows):
+        ref_idx, ref_dist = reference_nearest(src[start : start + rows], tgt, max_dist)
+        assert np.array_equal(idx[start : start + rows], ref_idx)
+        assert np.array_equal(dist[start : start + rows], ref_dist)
     return idx, dist
 
 
 @pytest.fixture
-def grid_only(monkeypatch):
-    """Fail any brute-force search, so a passing call was served by the grid."""
+def sweep_only(monkeypatch):
+    """Fail any brute-force search, so a passing call was served by the sweep."""
 
     def refuse(source, target):
         raise AssertionError("brute-force path taken")
@@ -71,18 +77,18 @@ def test_matches_linear_scan(rng):
 
 def test_matches_unblocked_reference(rng):
     block = kernels.BLOCK_ROWS
-    # With 1,500 targets the larger sources pass GRID_MIN_PAIRS, so finite
-    # radii go through the grid; coordinates straddle zero.
+    # With 1,500 targets the larger sources pass SWEEP_MIN_PAIRS, so finite
+    # radii go through the sweep; coordinates straddle zero.
     for m in (300, 1500):
         tgt = rng.uniform(-5, 5, (m, 3))
         for n in (0, 1, block, 3 * block, 3 * block + 17):
             src = rng.uniform(-5, 5, (n, 3))
             for max_dist in (np.inf, 1.0, 0.2):
                 assert_matches_reference(src, tgt, max_dist)
-    assert 3 * block * 1500 >= kernels.GRID_MIN_PAIRS > (3 * block + 17) * 300
+    assert 3 * block * 1500 >= kernels.SWEEP_MIN_PAIRS > (3 * block + 17) * 300
 
 
-def test_grid_ties_across_block_boundary():
+def test_ties_across_block_boundary():
     # Cell centres of a unit grid are equidistant from four grid points, so
     # every query is an exact four-way tie; 121 queries fill one block and
     # part of the next.
@@ -103,8 +109,8 @@ def test_grid_ties_across_block_boundary():
 
 
 @pytest.mark.parametrize("max_dist", [0.05, 0.0354, 0.02])
-def test_grid_path_lattice_ties(grid_only, max_dist):
-    # Wall points on the 5 cm lattice of the corridor world, queried at cell
+def test_grid_path_lattice_ties(sweep_only, max_dist):
+    # Wall points on the 5 cm lattice of the corridor world, queried at square
     # centres (about 0.0354 m from four lattice points) and edge midpoints
     # (0.025 m from two). Rounding splits some of these ties, but hundreds
     # stay exact two- and four-way ties.
@@ -112,7 +118,7 @@ def test_grid_path_lattice_ties(grid_only, max_dist):
     centres = tgt[:, [0, 2]].reshape(40, 12, 2)[:-1, :-1].reshape(-1, 2) + 0.025
     src = np.column_stack([centres[:, 0], np.zeros(len(centres)), centres[:, 1]])
     src = np.vstack([src, tgt[:200] + [0.025, 0.0, 0.0]])
-    assert len(src) * len(tgt) >= kernels.GRID_MIN_PAIRS
+    assert len(src) * len(tgt) >= kernels.SWEEP_MIN_PAIRS
     idx, dist = assert_matches_reference(src, tgt, max_dist)
     ties = []
     for p, i in zip(src, idx):
@@ -124,45 +130,71 @@ def test_grid_path_lattice_ties(grid_only, max_dist):
     assert np.count_nonzero(idx >= 0) == {0.05: len(src), 0.0354: len(src), 0.02: 0}[max_dist]
 
 
-def test_grid_path_queries_at_exactly_max_dist(grid_only):
+def check_queries_at_exactly_max_dist(tgt):
     # Powers of two keep every coordinate and distance exact: each query is
     # exactly max_dist from a target along one axis, and after the x and z
     # offsets just as far from the next lattice point (a two-way tie).
     max_dist = 0.25
-    tgt = lattice(0.5, 30, 20)
     offsets = np.array([[max_dist, 0, 0], [0, max_dist, 0], [0, -max_dist, 0], [0, 0, max_dist]])
     src = (tgt[:, None, :] + offsets[None]).reshape(-1, 3)
-    assert len(src) * len(tgt) >= kernels.GRID_MIN_PAIRS
+    assert len(src) * len(tgt) >= kernels.SWEEP_MIN_PAIRS
     idx, dist = assert_matches_reference(src, tgt, max_dist)
     assert np.all(idx >= 0)
     assert np.all(dist == max_dist)
     _, dist = assert_matches_reference(src, tgt, np.nextafter(max_dist, 0))
     assert np.all(np.isinf(dist))
+    return src
+
+
+def test_queries_at_exactly_max_dist():
+    # A 30 x 20 wall is too square for the sweep: each query's slab holds one
+    # or two whole columns of 20 points, 60,000 candidates against a cap of
+    # 64 x 600, so the call falls back to brute force.
+    tgt = lattice(0.5, 30, 20)
+    src = check_queries_at_exactly_max_dist(tgt)
+    assert kernels._sweep_nearest(src, tgt, 0.25) is None
+
+
+def test_sweep_path_queries_at_exactly_max_dist(sweep_only):
+    # A 200 x 3 wall: slabs hold three to six candidates each.
+    check_queries_at_exactly_max_dist(lattice(0.5, 200, 3))
 
 
 @pytest.mark.parametrize("max_dist", [0.05, 0.1, 0.025])
-def test_grid_path_queries_offset_by_max_dist(rng, grid_only, max_dist):
+def test_grid_path_queries_offset_by_max_dist(rng, sweep_only, max_dist):
     # Lattice points off the origin, queried max_dist away along one axis:
     # the computed distances land within an ulp or two of max_dist, and the
-    # cell coordinates within rounding of a cell boundary.
+    # slab bounds within rounding of a target coordinate.
     tgt = 0.05 * rng.integers(-40, 40, (600, 3)) + 1.3
     axes = np.eye(3)[rng.integers(0, 3, 300)] * rng.choice([-1.0, 1.0], (300, 1))
     src = tgt[rng.integers(0, 600, 300)] + max_dist * axes
-    assert len(src) * len(tgt) >= kernels.GRID_MIN_PAIRS
+    assert len(src) * len(tgt) >= kernels.SWEEP_MIN_PAIRS
     idx, _ = assert_matches_reference(src, tgt, max_dist)
     assert np.count_nonzero(idx >= 0) > 100
 
 
-def test_grid_path_extreme_span_to_radius(rng, grid_only):
-    # 2e7 cells of 1 micron per axis: a linear cell key over the whole span
-    # would need about 8e21 values, beyond int64.
+def test_sweep_path_extreme_span_to_radius(rng, sweep_only):
+    # A 1 micron radius against a 20 m span (2e7 radii): q +- pad must still
+    # round within the margin.
     tgt = rng.uniform(-10, 10, (800, 3))
     src = np.vstack([tgt[:200] + rng.uniform(-4e-7, 4e-7, (200, 3)), rng.uniform(-10, 10, (200, 3))])
     assert np.ptp(tgt, axis=0).min() > 19
-    assert len(src) * len(tgt) >= kernels.GRID_MIN_PAIRS
+    assert len(src) * len(tgt) >= kernels.SWEEP_MIN_PAIRS
     idx, _ = assert_matches_reference(src, tgt, 1e-6)
     assert np.array_equal(idx[:200], np.arange(200))
     assert np.all(idx[200:] == -1)
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_sweep_path_walls_along_each_axis(rng, sweep_only, axis):
+    # A 5 cm wall long along ``axis``, queried by noisy copies of its points:
+    # the sweep must pick that axis, or the slabs would overfill.
+    wall = lattice(0.05, 200, 8)
+    tgt = wall[:, [[0, 1, 2], [1, 0, 2], [2, 1, 0]][axis]]
+    assert np.argmax(np.ptp(tgt, axis=0)) == axis
+    src = tgt[rng.permutation(len(tgt))] + rng.normal(0, 0.02, tgt.shape)
+    idx, _ = assert_matches_reference(src, tgt, 0.05)
+    assert np.count_nonzero(idx >= 0) > len(src) // 2
 
 
 @settings(max_examples=150, deadline=None)
@@ -171,20 +203,20 @@ def test_grid_path_extreme_span_to_radius(rng, grid_only):
     st.lists(st.tuples(*[st.integers(-8, 8)] * 3), min_size=1, max_size=40),
     st.sampled_from([0.25, 0.5, 0.75, 1.0, 1.5]),
 )
-def test_grid_matches_reference_on_small_lattices(target_cells, source_cells, max_dist):
+def test_sweep_matches_reference_on_small_lattices(target_cells, source_cells, max_dist):
     # Points on a quarter-unit lattice: exact ties and exact max_dist
-    # distances are common. GRID_MIN_PAIRS is lowered so the grid takes
+    # distances are common. SWEEP_MIN_PAIRS is lowered so the sweep takes
     # these small clouds.
     tgt = 0.25 * np.array(target_cells, dtype=float)
     src = 0.25 * np.array(source_cells, dtype=float).reshape(-1, 3)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernels, "GRID_MIN_PAIRS", 0)
+        mp.setattr(kernels, "SWEEP_MIN_PAIRS", 0)
         assert_matches_reference(src, tgt, max_dist)
 
 
 def test_dense_cube_falls_back_with_bounded_memory(rng):
-    # Cells as wide as the whole cloud: every target is a candidate of every
-    # query, so the grid would hold N x M candidates; brute force is used.
+    # Slabs as wide as the whole cloud: every target is a candidate of every
+    # query, so the sweep would hold N x M candidates; brute force is used.
     src = rng.uniform(0, 0.5, (2000, 3))
     tgt = rng.uniform(0, 0.5, (2000, 3))
     tracemalloc.start()
@@ -198,6 +230,13 @@ def test_dense_cube_falls_back_with_bounded_memory(rng):
         ref_idx, ref_dist = reference_nearest(src[start : start + 250], tgt, 0.5)
         assert np.array_equal(idx[start : start + 250], ref_idx)
         assert np.array_equal(dist[start : start + 250], ref_dist)
+
+
+def test_sweep_declines_dense_cube(rng):
+    # The decision comes from the slab counts, before any candidate exists.
+    src = rng.uniform(0, 0.5, (2000, 3))
+    tgt = rng.uniform(0, 0.5, (2000, 3))
+    assert kernels._sweep_nearest(src, tgt, 0.5) is None
 
 
 def test_memory_stays_bounded(rng):
@@ -229,3 +268,29 @@ def test_rejection():
 def test_empty_target():
     idx, dist = kernels.batch_nearest(np.zeros((2, 3)), np.zeros((0, 3)), np.inf)
     assert np.all(idx == -1)
+
+
+def corridor_scan_pair(cloud_sigma, range_max):
+    """Two simulated corridor scans 5 cm apart along the corridor, the second
+    moved into the first one's frame (source, target)."""
+    world, rng = corridor_world(), np.random.default_rng(0)
+    rates = SensorRates(cloud_sigma=cloud_sigma, range_max=range_max)
+    step = Pose(np.eye(3), np.array([0.05, 0.0, 0.0]))
+    target = render_scan(world, Pose.identity(), rates, rng).points
+    source = step.apply(render_scan(world, step, rates, rng).points)
+    return source, target
+
+
+def test_sweep_path_on_noise_free_corridor_scans(sweep_only):
+    src, tgt = corridor_scan_pair(cloud_sigma=0.0, range_max=12.0)
+    assert len(src) > 2000 and len(tgt) > 2000
+    idx, _ = assert_matches_reference(src, tgt, 0.02)
+    assert np.count_nonzero(idx >= 0) > len(src) // 2
+
+
+def test_noisy_corridor_scans_fall_back():
+    src, tgt = corridor_scan_pair(cloud_sigma=0.05, range_max=4.0)
+    assert len(src) * len(tgt) >= kernels.SWEEP_MIN_PAIRS
+    assert kernels._sweep_nearest(src, tgt, 0.5) is None
+    idx, _ = assert_matches_reference(src, tgt, 0.5)
+    assert np.all(idx >= 0)
