@@ -4,17 +4,17 @@ Library layout:
 
 - ``se3``: Lie-group primitives (hat/vee, exp, log, projection, renormalize)
 - ``pointcloud`` / ``icp``: clouds, ICP alignment and its covariance model
-- ``scan_matching``: naive and odometry-aided matching pipelines
-- ``iekf``: the left-invariant Kalman filter
+- ``scan_matching``: naive and odometry-aided matching steps
+- ``iekf``: the left-invariant Kalman filter and its pose measurements
 - ``simulator`` / ``logio``: synthetic scenarios and their on-disk format
 - ``pipeline`` / ``metrics`` / ``cli``: replay modes, RMS scoring, CLI harness
 - ``kernels``: exact nearest-neighbour correspondence search in numpy
 """
 
 from .icp import IcpConfig, IcpResult, icp_align, icp_covariance, nearest_neighbor, solve_linear_alignment
-from .iekf import FilterState, NoiseConfig, OdometrySample, linearize, predict, run_filter, update
-from .pointcloud import PointCloud, transform_cloud
-from .scan_matching import MatcherState, PoseMeasurement, aided_step, naive_step
+from .iekf import FilterState, NoiseConfig, OdometrySample, PoseMeasurement, linearize, predict, run_filter, update
+from .pointcloud import PointCloud
+from .scan_matching import aided_step, naive_step
 from .se3 import Pose, exp_se3, hat, log_se3, planar_extract, project_pi, renormalize, skew, vee
 from .simulator import ScenarioLog, SensorRates, TrajectorySpec, WorldModel, run_scenario
 

@@ -115,7 +115,7 @@ def build_parser():
 
     p = sub.add_parser("simulate", help="generate a scenario log directory")
     p.add_argument("--config", help="key = value config file")
-    p.add_argument("--seed", type=int, help="overrides the config seed")
+    p.add_argument("--seed", type=cfgmod.seed, help="overrides the config seed (>= 0)")
     p.add_argument("--out", required=True, help="output log directory")
     p.set_defaults(func=cmd_simulate)
 

@@ -28,8 +28,16 @@ def _waypoints(text):
     return tuple(tuple(float(v) for v in part.split()) for part in text.split(";") if part.strip())
 
 
+def seed(text):
+    """A seed for numpy's generator, which takes only a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"seed must be >= 0, got {value}")
+    return value
+
+
 KEYS = {
-    "seed": int,
+    "seed": seed,
     "mode": str,
     "scenario.kind": str,
     "scenario.speed": float,

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MeasurementRejectedError, NumericalFailureError, TimingError
-from .scan_matching import PoseMeasurement
 from .se3 import Pose, exp_se3, exp_se3_many, project_pi, skew_many
 
 MAX_PREDICT_SUBSTEP = 0.1  # s
@@ -50,6 +49,15 @@ class OdometrySample:
 
     def twist(self):
         return np.concatenate([self.omega, self.mu])
+
+
+@dataclass(frozen=True)
+class PoseMeasurement:
+    """Absolute pose measurement with the covariance of its body-frame twist noise."""
+
+    measured_pose: Pose
+    covariance: np.ndarray  # 6x6
+    timestamp: float = 0.0
 
 
 @dataclass(frozen=True)

@@ -174,8 +174,13 @@ def load_log(directory) -> ScenarioLog:
         noise_from_meta(meta)  # and its process noise from these
     except ValueError as exc:
         raise ParseError(f"{meta_path}: {exc}") from exc
-    ground_truth = load_ground_truth(os.path.join(directory, "ground_truth.csv"))
-    odo = _read_table(os.path.join(directory, "odometry.csv"), ODOMETRY_HEADER, 7)
+    ground_truth_path = os.path.join(directory, "ground_truth.csv")
+    ground_truth = load_ground_truth(ground_truth_path)
+    odometry_path = os.path.join(directory, "odometry.csv")
+    odo = _read_table(odometry_path, ODOMETRY_HEADER, 7)
+    for path, rows in ((ground_truth_path, ground_truth), (odometry_path, odo)):
+        if not len(rows):
+            raise ParseError(f"{path}: no rows after the header")
     odometry = [OdometrySample(row[1:4], row[4:7], float(row[0])) for row in odo]
     scans_dir = os.path.join(directory, "scans")
     index = _read_table(os.path.join(scans_dir, "index.csv"), "id,t", 2, converters={0: _scan_id}, header_strip=None)

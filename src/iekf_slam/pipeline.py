@@ -25,7 +25,7 @@ from dataclasses import replace
 from .errors import ConfigError, DegenerateGeometryError, NumericalFailureError
 from .icp import IcpConfig
 from .iekf import FilterState, NoiseConfig, odometry_increments, run_filter, schedule
-from .scan_matching import AIDED, NAIVE, MatcherState, aided_step, naive_step
+from .scan_matching import aided_step, naive_step
 from .se3 import Pose, exp_se3  # noqa: F401  (re-export: perfbench traces pipeline.exp_se3)
 
 MODES = ("iekf", "dead-reckoning", "naive-scan-match", "scan-match-only")
@@ -42,20 +42,23 @@ def run_aided_matcher(odometry, scans, icp_cfg: IcpConfig, initial_pose: Pose):
     """
     events, dts, samples = schedule(odometry, scans, 0.0)
     rotations, translations = odometry_increments(dts, samples)
-    matcher = MatcherState(mode=AIDED)
     pose = initial_pose
+    reference = None
     rows = []
     measurements = []
     for step, t, scan in events:
         if step >= 0:
             pose = pose @ Pose(rotations[step], translations[step])
-        if scan is not None:
+        if scan is not None and reference is None:
+            reference = scan.transformed(pose)
+        elif scan is not None:
             try:
-                meas = aided_step(matcher, pose, scan, icp_cfg)
+                meas = aided_step(reference, pose, scan, icp_cfg)
             except (DegenerateGeometryError, NumericalFailureError):
-                meas = None
-            if meas is not None:
+                pass
+            else:
                 pose = meas.measured_pose
+                reference = scan.transformed(pose)
                 measurements.append(meas)
         rows.append((t, pose))
     return rows, measurements
@@ -69,18 +72,22 @@ def run_naive_matcher(odometry, scans, icp_cfg: IcpConfig, initial_pose: Pose):
     scans matched against a reference.
     """
     events, _, _ = schedule(odometry, scans, 0.0)
-    matcher = MatcherState(mode=NAIVE, pose_estimate=initial_pose)
+    pose = initial_pose
+    reference = None
     matched = 0
     rows = []
     for _, t, scan in events:
-        if scan is not None:
-            has_reference = matcher.reference_cloud is not None
+        if scan is not None and reference is None:
+            reference = scan
+        elif scan is not None:
             try:
-                naive_step(matcher, scan, icp_cfg)
-                matched += has_reference
+                pose = pose @ naive_step(reference, scan, icp_cfg)
             except (DegenerateGeometryError, NumericalFailureError):
                 pass
-        rows.append((t, matcher.pose_estimate))
+            else:
+                reference = scan
+                matched += 1
+        rows.append((t, pose))
     return rows, matched
 
 

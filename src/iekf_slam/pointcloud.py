@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,3 @@ class PointCloud:
         if frame is None:
             frame = GROUND if self.frame == BODY else BODY
         return PointCloud(pose.apply(self.points), frame, self.timestamp)
-
-
-def transform_cloud(pose: Pose, cloud: PointCloud) -> PointCloud:
-    return cloud.transformed(pose)

@@ -7,7 +7,6 @@ noisy body-frame scans, all driven by a single seeded generator.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,6 +125,16 @@ def corridor_world(length=30.0, half_width=1.0, spacing=0.05, height=0.4, z_spac
 
 
 TURN_RATE = np.pi / 4  # rad/s, the yaw rate of a waypoint path's in-place turns
+# The most odometry steps a scenario may take: a simulated log holds about
+# 1.6 KB per step in memory (41 MB for 3,142 steps, 87 MB for 31,416), so
+# 10^6 steps is about 1.6 GB.
+MAX_STEPS = 10**6
+# The keys that set the length of each kind of path, when no duration is given.
+_PATH_KEYS = {
+    "straight": "scenario.length, scenario.speed",
+    "circle": "scenario.radius, scenario.turns, scenario.speed",
+    "waypoints": "scenario.waypoints, scenario.speed",
+}
 
 
 def _planar_twist(omega_z, speed):
@@ -179,26 +188,35 @@ class TrajectorySpec:
         origin facing its first leg, drives each leg at the speed that ends
         it on its waypoint and turns in place between legs at up to
         TURN_RATE; an explicit duration cuts it short or holds its last pose.
+        Step counts are floats until their total is checked against MAX_STEPS.
         """
         if self.kind != "waypoints":
             omega_z = self.veer_rate if self.kind == "straight" else self.speed / self.radius
             distance = self.length if self.kind == "straight" else self.turns * 2.0 * np.pi * self.radius
             duration = distance / self.speed if self.duration is None else self.duration
-            return Pose.identity(), [(_planar_twist(omega_z, self.speed), int(round(duration / dt)))]
-        lengths, headings = self._legs()
-        segments = []
-        for turn, length in zip(wrap_angle(np.diff(headings, prepend=headings[0])), lengths):
-            if turn:
-                steps = math.ceil(abs(turn) / (TURN_RATE * dt))
-                segments.append((_planar_twist(turn / (steps * dt), 0.0), steps))
-            steps = math.ceil(length / (self.speed * dt))
-            segments.append((_planar_twist(0.0, length / (steps * dt)), steps))
-        if self.duration is not None:
-            n = int(round(self.duration / dt))
-            segments.append((_planar_twist(0.0, 0.0), n))
-            starts = np.cumsum([0] + [steps for _, steps in segments])
-            segments = [(twist, int(min(steps, n - start))) for (twist, steps), start in zip(segments, starts) if start < n]
-        return exp_se3(_planar_twist(headings[0], 0.0)), segments
+            pose, segments = Pose.identity(), [(_planar_twist(omega_z, self.speed), np.round(duration / dt))]
+        else:
+            lengths, headings = self._legs()
+            pose, segments = exp_se3(_planar_twist(headings[0], 0.0)), []
+            with np.errstate(over="ignore", divide="ignore"):
+                for turn, length in zip(wrap_angle(np.diff(headings, prepend=headings[0])), lengths):
+                    if turn:
+                        steps = np.ceil(abs(turn) / (TURN_RATE * dt))
+                        segments.append((_planar_twist(turn / (steps * dt), 0.0), steps))
+                    steps = np.ceil(length / (self.speed * dt))
+                    segments.append((_planar_twist(0.0, length / (steps * dt)), steps))
+            if self.duration is not None:
+                n = np.round(self.duration / dt)
+                segments.append((_planar_twist(0.0, 0.0), n))
+                starts = np.cumsum([0.0] + [steps for _, steps in segments])
+                segments = [(twist, min(steps, n - start)) for (twist, steps), start in zip(segments, starts) if start < n]
+        total = sum(steps for _, steps in segments)
+        if not total <= MAX_STEPS:
+            keys = "scenario.duration" if self.duration is not None else _PATH_KEYS[self.kind]
+            raise ConfigError(
+                f"{keys} and rates.odometry_hz ask for {total:.3g} odometry steps, more than MAX_STEPS = {MAX_STEPS}"
+            )
+        return pose, [(twist, int(steps)) for twist, steps in segments]
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,10 @@ from conftest import random_twist, rot_z
 from iekf_slam.cli import main as cli_main
 from iekf_slam.errors import DegenerateGeometryError
 from iekf_slam.icp import IcpConfig, icp_align, icp_covariance, information_matrix, solve_linear_alignment
-from iekf_slam.iekf import FilterState, NoiseConfig, OdometrySample, linearize, predict, update
+from iekf_slam.iekf import FilterState, NoiseConfig, OdometrySample, PoseMeasurement, linearize, predict, update
 from iekf_slam.metrics import evaluate_series, ground_truth_planar
 from iekf_slam.pipeline import run_pipeline
 from iekf_slam.pointcloud import BODY, PointCloud
-from iekf_slam.scan_matching import PoseMeasurement
 from iekf_slam.se3 import Pose, exp_se3, log_se3, planar_extract, project_pi, wrap_angle
 from iekf_slam.simulator import (
     SensorRates,

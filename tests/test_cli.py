@@ -158,6 +158,15 @@ class TestSimulate:
         main(["simulate", "--config", cfg, "--seed", "99", "--out", b])
         assert not filecmp.cmp(os.path.join(a, "odometry.csv"), os.path.join(b, "odometry.csv"), shallow=False)
 
+    def test_negative_seed_flag_exit_2(self, tmp_path, capsys):
+        # numpy's generator refuses a negative seed with a traceback.
+        out = tmp_path / "log"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--seed", "-1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_key_exit_2_names_key_and_line(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "scenario.kind = straight\nscenario.velocity = 1\n")
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
@@ -180,10 +189,12 @@ class TestSimulate:
             ("rates.range_max = -1", "rates.range_max"),
             ("rates.fov = 0", "rates.fov"),
             ("rates.odometry_hz = inf", "rates.odometry_hz"),
+            ("scenario.duration = 1e10\nrates.odometry_hz = 1e300\nrates.scan_hz = 1e300", "scenario.duration"),
         ],
         ids=[
             "corridor_spacing", "radius", "waypoints", "turns", "duration", "waypoints_no_leg",
             "waypoints_nan", "waypoints_overflow", "range_max_zero", "range_max_negative", "fov_zero", "odometry_hz_inf",
+            "steps_overflow",
         ],
     )
     def test_bad_value_exit_2(self, tmp_path, capsys, text, names):
@@ -382,6 +393,25 @@ class TestRun:
         err = capsys.readouterr().err
         assert str(meta) in err and "abc" in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("name", ["ground_truth.csv", "odometry.csv"])
+    def test_header_only_table_exit_3(self, tmp_path, capsys, name):
+        # A header-only ground truth used to end in an IndexError traceback; a
+        # header-only odometry table exited 0 with an estimate file of no rows
+        # (dead-reckoning) or of rows at the scan times only (iekf).
+        cfg = write_config(tmp_path, SHORT_SCENARIO)
+        log_dir = tmp_path / "log"
+        main(["simulate", "--config", cfg, "--out", str(log_dir)])
+        path = log_dir / name
+        path.write_text(path.read_text().splitlines(keepends=True)[0])
+        est = tmp_path / "est.csv"
+        for mode in ("iekf", "dead-reckoning"):
+            capsys.readouterr()
+            assert main(["run", str(log_dir), "--mode", mode, "--out", str(est)]) == 3
+            err = capsys.readouterr().err
+            assert str(path) in err and "no rows" in err
+            assert len(err.splitlines()) == 1
+        assert not est.exists()
 
     @pytest.mark.parametrize("mode", MODES)
     def test_out_of_order_odometry_exit_1(self, tmp_path, capsys, mode):

@@ -122,7 +122,7 @@ class TestEveryKeyReachesItsField:
 class TestBadValues:
     @pytest.mark.parametrize(
         "text",
-        ["icp.max_iterations = 2.5", "rates.fov = wide", "seed = x", "scenario.waypoints = 0 a"],
+        ["icp.max_iterations = 2.5", "rates.fov = wide", "seed = x", "seed = -3", "scenario.waypoints = 0 a"],
     )
     def test_reported_at_path_and_line(self, tmp_path, text):
         # Even for a key the command does not read, a value that does not

@@ -7,13 +7,13 @@ from iekf_slam.iekf import (
     FilterState,
     NoiseConfig,
     OdometrySample,
+    PoseMeasurement,
     innovation,
     linearize,
     predict,
     run_filter,
     update,
 )
-from iekf_slam.scan_matching import PoseMeasurement
 from iekf_slam.se3 import Pose, exp_se3, skew
 
 

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from iekf_slam import pipeline, scan_matching
 from iekf_slam.errors import DegenerateGeometryError, NumericalFailureError, TimingError
 from iekf_slam.icp import IcpConfig
 from iekf_slam.iekf import FilterState, NoiseConfig, OdometrySample, odometry_increments, run_filter
 from iekf_slam.pipeline import run_aided_matcher, run_naive_matcher
 from iekf_slam.pointcloud import BODY, PointCloud
-from iekf_slam.scan_matching import AIDED, NAIVE, MatcherState, aided_step, naive_step
+from iekf_slam.scan_matching import aided_step, naive_step
 from iekf_slam.se3 import Pose, exp_se3
 from iekf_slam.simulator import SensorRates, TrajectorySpec, default_world, run_scenario
 
@@ -29,22 +30,24 @@ def _reference_merge_events(odometry, scans):
             si += 1
 
 
-def reference_matcher_rows(odometry, scans, icp_cfg, initial_pose, mode):
+def reference_matcher_rows(odometry, scans, icp_cfg, initial_pose, aided):
     """Oracle: the matchers' own event merge and zero-order-hold pass, which
     ``iekf.schedule`` replaced. Returns (rows, measurements); row times are
     the event timestamps (held at 0 before the first positive one in the
     aided pass). Measurements are empty for the naive matcher."""
     events = list(_reference_merge_events(odometry, scans))
-    if mode == NAIVE:
-        matcher = MatcherState(mode=NAIVE, pose_estimate=initial_pose)
+    if not aided:
+        pose, reference = initial_pose, None
         rows = []
         for kind, event in events:
             if kind == "scan":
                 try:
-                    naive_step(matcher, event, icp_cfg)
+                    if reference is not None:
+                        pose = pose @ naive_step(reference, event, icp_cfg)
+                    reference = event
                 except (DegenerateGeometryError, NumericalFailureError):
                     pass
-            rows.append((event.timestamp, matcher.pose_estimate))
+            rows.append((event.timestamp, pose))
         return rows, []
 
     times, steps, dts, held = [], [], [], []
@@ -63,8 +66,7 @@ def reference_matcher_rows(odometry, scans, icp_cfg, initial_pose, mode):
             last_sample = event
     rotations, translations = odometry_increments(dts, held)
 
-    matcher = MatcherState(mode=AIDED)
-    pose = initial_pose
+    pose, reference = initial_pose, None
     rows = []
     measurements = []
     for (kind, event), t, step in zip(events, times, steps):
@@ -72,12 +74,13 @@ def reference_matcher_rows(odometry, scans, icp_cfg, initial_pose, mode):
             pose = pose @ Pose(rotations[step], translations[step])
         if kind == "scan":
             try:
-                meas = aided_step(matcher, pose, event, icp_cfg)
+                if reference is not None:
+                    meas = aided_step(reference, pose, event, icp_cfg)
+                    pose = meas.measured_pose
+                    measurements.append(meas)
+                reference = event.transformed(pose)
             except (DegenerateGeometryError, NumericalFailureError):
-                meas = None
-            if meas is not None:
-                pose = meas.measured_pose
-                measurements.append(meas)
+                pass
         rows.append((t, pose))
     return rows, measurements
 
@@ -92,7 +95,7 @@ def assert_rows_equal(got, want):
 
 def assert_matches_reference(odometry, scans, initial_pose):
     rows, measurements = run_aided_matcher(odometry, scans, CFG, initial_pose)
-    want_rows, want_measurements = reference_matcher_rows(odometry, scans, CFG, initial_pose, AIDED)
+    want_rows, want_measurements = reference_matcher_rows(odometry, scans, CFG, initial_pose, aided=True)
     assert_rows_equal(rows, want_rows)
     assert len(measurements) == len(want_measurements)
     for g, w in zip(measurements, want_measurements):
@@ -102,7 +105,7 @@ def assert_matches_reference(odometry, scans, initial_pose):
         assert np.array_equal(g.measured_pose.translation, w.measured_pose.translation)
 
     naive, _ = run_naive_matcher(odometry, scans, CFG, initial_pose)
-    want_naive, _ = reference_matcher_rows(odometry, scans, CFG, initial_pose, NAIVE)
+    want_naive, _ = reference_matcher_rows(odometry, scans, CFG, initial_pose, aided=False)
     assert_rows_equal(naive, want_naive)
     return measurements
 
@@ -175,3 +178,25 @@ def test_out_of_order_scans_raise(rng, runner):
     odometry, scans = hand_built_log(rng, [0.02 * k for k in range(10)], [0.1, 0.05])
     with pytest.raises(TimingError, match="out-of-order"):
         runner(odometry, scans, CFG, Pose.identity())
+
+
+def test_aided_matcher_calls_through_module_globals(rng, monkeypatch):
+    # perfbench traces aided_step as pipeline.aided_step and icp_align as
+    # scan_matching.icp_align: both must be looked up there at call time
+    calls = {"aided_step": 0, "icp_align": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(pipeline, "aided_step")
+    counting(scan_matching, "icp_align")
+    odometry, scans = hand_built_log(rng, [0.02 * k for k in range(30)], [0.0, 0.2, 0.4])
+    _, measurements = run_aided_matcher(odometry, scans, CFG, Pose.identity())
+    assert len(measurements) == 2
+    assert calls == {"aided_step": 2, "icp_align": 2}

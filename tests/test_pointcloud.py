@@ -4,7 +4,7 @@ import pytest
 from conftest import random_pose
 from iekf_slam.errors import ParseError
 from iekf_slam.logio import load_xyz, save_xyz
-from iekf_slam.pointcloud import BODY, GROUND, PointCloud, transform_cloud
+from iekf_slam.pointcloud import BODY, GROUND, PointCloud
 from iekf_slam.se3 import Pose
 
 
@@ -20,7 +20,7 @@ def test_rejects_bad_frame():
 
 def test_identity_transform_keeps_points(rng):
     cloud = PointCloud(rng.standard_normal((20, 3)), BODY)
-    out = transform_cloud(Pose.identity(), cloud)
+    out = cloud.transformed(Pose.identity())
     assert np.array_equal(out.points, cloud.points)
     assert out.frame == GROUND
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from iekf_slam.errors import ConfigError
 from iekf_slam.iekf import NoiseConfig
 from iekf_slam.se3 import Pose, exp_se3
 from iekf_slam.simulator import (
+    MAX_STEPS,
     TURN_RATE,
     SensorRates,
     TrajectorySpec,
@@ -155,6 +158,34 @@ class TestWaypoints:
     def test_path_without_a_leg_rejected(self, waypoints):
         with pytest.raises(ConfigError, match="non-zero length"):
             TrajectorySpec(kind="waypoints", waypoints=waypoints)
+
+
+class TestStepBound:
+    @pytest.mark.parametrize(
+        "spec,dt,keys",
+        [
+            (TrajectorySpec(duration=1e10), 1e-300, "scenario.duration"),
+            (TrajectorySpec(length=1e300), 0.02, "scenario.length"),
+            (TrajectorySpec(kind="circle", turns=1e300), 0.02, "scenario.turns"),
+            (TrajectorySpec(kind="waypoints", waypoints=((1e300, 0.0),)), 0.02, "scenario.waypoints"),
+            (TrajectorySpec(kind="waypoints", waypoints=((1.0, 0.0), (0.0, 0.0))), 1e-308, "scenario.waypoints"),
+        ],
+        ids=["duration_overflow", "length", "turns", "waypoints", "turn_overflow"],
+    )
+    def test_runaway_scenario_rejected(self, spec, dt, keys):
+        # These overflowed, or asked for about 1e302 steps and ran until
+        # memory ran out.
+        with pytest.raises(ConfigError, match="MAX_STEPS") as exc:
+            spec.segments(dt)
+        assert keys in str(exc.value) and "rates.odometry_hz" in str(exc.value)
+
+    @pytest.mark.parametrize("kind", ["straight", "waypoints"])
+    def test_bound_is_inclusive(self, kind):
+        spec = TrajectorySpec(kind=kind, duration=float(MAX_STEPS), waypoints=((1.0, 0.0),))
+        _, segments = spec.segments(1.0)
+        assert sum(steps for _, steps in segments) == MAX_STEPS
+        with pytest.raises(ConfigError, match="scenario.duration"):
+            replace(spec, duration=MAX_STEPS + 1.0).segments(1.0)
 
 
 class TestSensors:
