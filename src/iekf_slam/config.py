@@ -36,39 +36,49 @@ def seed(text):
     return value
 
 
+def finite(text):
+    """A float that is neither infinite nor NaN."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"value must be finite, got {value}")
+    return value
+
+
+# Every float key is finite but three, where inf means "no limit" and the
+# settings objects refuse NaN.
 KEYS = {
     "seed": seed,
     "mode": str,
     "scenario.kind": str,
-    "scenario.speed": float,
-    "scenario.duration": float,
-    "scenario.length": float,
-    "scenario.radius": float,
-    "scenario.turns": float,
-    "scenario.veer_rate": float,
+    "scenario.speed": finite,
+    "scenario.duration": finite,
+    "scenario.length": finite,
+    "scenario.radius": finite,
+    "scenario.turns": finite,
+    "scenario.veer_rate": finite,
     "scenario.waypoints": _waypoints,
     "world.kind": str,
-    "world.corridor_spacing": float,
-    "world.corridor_half_width": float,
-    "world.corridor_length": float,
-    "world.corridor_height": float,
-    "rates.odometry_hz": float,
-    "rates.scan_hz": float,
-    "rates.cloud_sigma": float,
+    "world.corridor_spacing": finite,
+    "world.corridor_half_width": finite,
+    "world.corridor_length": finite,
+    "world.corridor_height": finite,
+    "rates.odometry_hz": finite,
+    "rates.scan_hz": finite,
+    "rates.cloud_sigma": finite,
     "rates.range_max": float,
     "rates.fov": float,
-    "noise.gyro_sigma": float,
-    "noise.velocity_sigma": float,
-    "filter.init_x": float,
-    "filter.init_y": float,
-    "filter.init_heading_deg": float,
-    "filter.p0_rot": float,
-    "filter.p0_pos": float,
+    "noise.gyro_sigma": finite,
+    "noise.velocity_sigma": finite,
+    "filter.init_x": finite,
+    "filter.init_y": finite,
+    "filter.init_heading_deg": finite,
+    "filter.p0_rot": finite,
+    "filter.p0_pos": finite,
     "icp.max_iterations": int,
-    "icp.convergence_tol": float,
+    "icp.convergence_tol": finite,
     "icp.max_correspondence_dist": float,
     "icp.min_points": int,
-    "icp.sigma": float,
+    "icp.sigma": finite,
 }
 
 

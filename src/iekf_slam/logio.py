@@ -89,6 +89,8 @@ def save_ground_truth(path, stream):
 
 def load_ground_truth(path):
     data = _read_table(path, GROUND_TRUTH_HEADER, 13)
+    if not len(data):
+        raise ParseError(f"{path}: no rows after the header")
     return [(float(row[0]), Pose.from_row(row[1:])) for row in data]
 
 
@@ -174,13 +176,11 @@ def load_log(directory) -> ScenarioLog:
         noise_from_meta(meta)  # and its process noise from these
     except ValueError as exc:
         raise ParseError(f"{meta_path}: {exc}") from exc
-    ground_truth_path = os.path.join(directory, "ground_truth.csv")
-    ground_truth = load_ground_truth(ground_truth_path)
+    ground_truth = load_ground_truth(os.path.join(directory, "ground_truth.csv"))
     odometry_path = os.path.join(directory, "odometry.csv")
     odo = _read_table(odometry_path, ODOMETRY_HEADER, 7)
-    for path, rows in ((ground_truth_path, ground_truth), (odometry_path, odo)):
-        if not len(rows):
-            raise ParseError(f"{path}: no rows after the header")
+    if not len(odo):
+        raise ParseError(f"{odometry_path}: no rows after the header")
     odometry = [OdometrySample(row[1:4], row[4:7], float(row[0])) for row in odo]
     scans_dir = os.path.join(directory, "scans")
     index = _read_table(os.path.join(scans_dir, "index.csv"), "id,t", 2, converters={0: _scan_id}, header_strip=None)

@@ -17,69 +17,58 @@ from .pointcloud import BODY, PointCloud
 from .se3 import Pose, exp_se3, wrap_angle
 
 
-@dataclass(frozen=True)
-class WallSegment:
-    """Vertical wall sampled into a point grid anchored at ``start``.
+# The most points one wall may be sampled into. A `simulate` of one scan
+# that sees every point of a corridor peaked at about 90 B of RSS per world
+# point (124 MB for 10^6 points, 210 MB for 2 * 10^6), so a corridor of two
+# such walls takes about 1.8 GB. Each further scan that sees every point
+# adds about 24 B per point more.
+MAX_WALL_POINTS = 10**7
 
-    Grid spacing is ``spacing`` along the segment and ``z_spacing`` in height.
-    """
 
-    start: np.ndarray  # (2,) ground x, y
-    end: np.ndarray  # (2,)
-    height: float = 1.0
-    spacing: float = 0.25
-    z_spacing: float = 0.25
-
-    def __post_init__(self):
-        object.__setattr__(self, "start", np.asarray(self.start, dtype=float))
-        object.__setattr__(self, "end", np.asarray(self.end, dtype=float))
-        if not np.linalg.norm(self.end - self.start) > 0:
-            raise ValueError("wall segment has zero length")
-        if not (self.spacing > 0 and self.z_spacing > 0):
-            raise ValueError("wall spacing must be positive")
-        if not self.height >= 0:
-            raise ValueError("wall height must be >= 0")
-
-    def sample(self):
-        delta = self.end - self.start
+def wall_points(start, end, height=1.0, spacing=0.25, z_spacing=0.25):
+    """Vertical wall from ``start`` to ``end`` (ground x, y) sampled into an
+    (N, 3) point grid anchored at ``start``: ``spacing`` apart along the wall
+    and ``z_spacing`` apart in height, from z = 0 up to ``height``, in rows of
+    increasing height along the wall. Grid counts are floats until their
+    product is checked against MAX_WALL_POINTS."""
+    if not (spacing > 0 and z_spacing > 0):
+        raise ValueError("wall spacing must be positive")
+    if not height >= 0:
+        raise ValueError("wall height must be >= 0")
+    start, end = np.asarray(start, dtype=float), np.asarray(end, dtype=float)
+    delta = end - start
+    with np.errstate(over="ignore"):  # a wall too long for a float has length inf
         length = float(np.linalg.norm(delta))
-        direction = delta / length
-        n_s = int(np.floor(length / self.spacing + 1e-9)) + 1
-        n_z = int(np.floor(self.height / self.z_spacing + 1e-9)) + 1
-        offsets = self.spacing * np.arange(n_s)
-        heights = self.z_spacing * np.arange(n_z)
-        xy = self.start[None, :] + offsets[:, None] * direction[None, :]
-        pts = np.empty((n_s * n_z, 3))
-        pts[:, :2] = np.repeat(xy, n_z, axis=0)
-        pts[:, 2] = np.tile(heights, n_s)
-        return pts
+        n_s = np.floor(length / spacing + 1e-9) + 1
+        n_z = np.floor(height / z_spacing + 1e-9) + 1
+    if not length > 0:
+        raise ValueError("wall segment has zero length")
+    if not n_s * n_z <= MAX_WALL_POINTS:
+        raise ValueError(f"a wall of {n_s * n_z:.3g} points, more than MAX_WALL_POINTS = {MAX_WALL_POINTS}")
+    n_s, n_z = int(n_s), int(n_z)
+    xy = start[None, :] + (spacing * np.arange(n_s))[:, None] * (delta / length)[None, :]
+    points = np.empty((n_s * n_z, 3))
+    points[:, :2] = np.repeat(xy, n_z, axis=0)
+    points[:, 2] = np.tile(z_spacing * np.arange(n_z), n_s)
+    return points
 
 
 @dataclass(frozen=True)
 class WorldModel:
-    """Ground-frame scene: discrete landmarks plus sampled wall segments."""
+    """Ground-frame scene: its points as one (N, 3) array, N >= 1, all finite."""
 
-    landmarks: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
-    walls: tuple = ()
+    points: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "landmarks", np.asarray(self.landmarks, dtype=float).reshape(-1, 3)
-        )
-        object.__setattr__(self, "walls", tuple(self.walls))
-
-    def sampled_points(self):
-        """All world points in a stable order: landmarks first, walls in order."""
-        parts = [self.landmarks] + [w.sample() for w in self.walls]
-        pts = np.concatenate(parts, axis=0)
-        if pts.shape[0] < 1:
-            raise ValueError("world has no points after sampling")
-        if not np.all(np.isfinite(pts)):
+        points = np.asarray(self.points, dtype=float).reshape(-1, 3)
+        if points.shape[0] < 1:
+            raise ValueError("world has no points")
+        if not np.all(np.isfinite(points)):
             raise ValueError("world contains non-finite coordinates")
-        return pts
+        object.__setattr__(self, "points", points)
 
     def digest(self):
-        return hashlib.sha256(np.ascontiguousarray(self.sampled_points()).tobytes()).hexdigest()[:16]
+        return hashlib.sha256(np.ascontiguousarray(self.points).tobytes()).hexdigest()[:16]
 
 
 def default_world() -> WorldModel:
@@ -117,11 +106,10 @@ def default_world() -> WorldModel:
 def corridor_world(length=30.0, half_width=1.0, spacing=0.05, height=0.4, z_spacing=0.2) -> WorldModel:
     """Long featureless corridor along +x: two parallel walls on a uniform
     grid, so scans taken a whole number of grid steps apart are identical."""
-    walls = (
-        WallSegment([-5.0, -half_width], [length - 5.0, -half_width], height, spacing, z_spacing),
-        WallSegment([-5.0, half_width], [length - 5.0, half_width], height, spacing, z_spacing),
-    )
-    return WorldModel(np.zeros((0, 3)), walls)
+    walls = [
+        wall_points([-5.0, y], [length - 5.0, y], height, spacing, z_spacing) for y in (-half_width, half_width)
+    ]
+    return WorldModel(np.concatenate(walls))
 
 
 TURN_RATE = np.pi / 4  # rad/s, the yaw rate of a waypoint path's in-place turns
@@ -242,19 +230,12 @@ class SensorRates:
         return int(round(self.odometry_hz / self.scan_hz))
 
 
-@dataclass(frozen=True)
-class TrajectoryPoint:
-    t: float
-    pose: Pose
-    twist: np.ndarray  # (6,) body twist applied over [t, t + dt]
-
-
 def generate_trajectory(spec: TrajectorySpec, dt: float):
-    """Ground-truth stream satisfying X_{k+1} = X_k * exp(dt * twist_k) exactly,
+    """Ground truth satisfying X_{k+1} = X_k * exp(dt * twist_k) exactly,
     composed segment by segment from ``spec.segments(dt)``.
 
-    Returns n + 1 TrajectoryPoints for n steps in all; the final entry
-    repeats the last twist (it covers no interval).
+    Returns (poses, twists) for n steps in all: the n + 1 poses at t = k * dt
+    and the n body twists, twist k applied over [k * dt, (k + 1) * dt].
     """
     pose, segments = spec.segments(dt)
     poses = [pose]
@@ -264,8 +245,7 @@ def generate_trajectory(spec: TrajectorySpec, dt: float):
         for _ in range(steps):
             poses.append(poses[-1] @ step)
         twists += [twist] * steps
-    twists.append(twists[-1] if twists else np.zeros(6))
-    return [TrajectoryPoint(k * dt, pose, twist) for k, (pose, twist) in enumerate(zip(poses, twists))]
+    return poses, twists
 
 
 def _cov_sqrt(cov):
@@ -279,14 +259,13 @@ def odometry_noise_sqrt(noise: NoiseConfig):
     return _cov_sqrt(noise.gyro_cov), _cov_sqrt(noise.velocity_cov)
 
 
-def sample_odometry(twist, noise: NoiseConfig, rng, timestamp=0.0, noise_sqrt=None) -> OdometrySample:
+def sample_odometry(twist, noise_sqrt, rng, timestamp) -> OdometrySample:
     """Additive Gaussian noise on the true body twist; exact when covariances are zero.
 
-    ``noise_sqrt`` is ``odometry_noise_sqrt(noise)``, passed in by callers that
-    draw many samples; it is computed here when omitted.
+    ``noise_sqrt`` is ``odometry_noise_sqrt(noise)`` of the process noise.
     """
     twist = np.asarray(twist, dtype=float)
-    gyro_sqrt, velocity_sqrt = odometry_noise_sqrt(noise) if noise_sqrt is None else noise_sqrt
+    gyro_sqrt, velocity_sqrt = noise_sqrt
     nu_omega = gyro_sqrt @ rng.standard_normal(3)
     nu_mu = velocity_sqrt @ rng.standard_normal(3)
     return OdometrySample(twist[:3] + nu_omega, twist[3:] + nu_mu, timestamp)
@@ -298,7 +277,7 @@ def render_scan(world: WorldModel, true_pose: Pose, rates: SensorRates, rng, tim
     Points keep world index order; each is perturbed by isotropic Gaussian
     noise of cloud_sigma. Returns None when nothing is visible.
     """
-    body = true_pose.inverse().apply(world.sampled_points())
+    body = true_pose.inverse().apply(world.points)
     visible = np.linalg.norm(body, axis=1) <= rates.range_max
     if rates.fov < 2.0 * np.pi:
         bearing = np.abs(np.arctan2(body[:, 1], body[:, 0]))
@@ -333,17 +312,17 @@ def run_scenario(
     interval, and scans every odometry_hz/scan_hz steps starting at t = 0."""
     rng = np.random.default_rng(seed)
     dt = 1.0 / rates.odometry_hz
-    traj = generate_trajectory(spec, dt)
-    if len(traj) < 2:
+    poses, twists = generate_trajectory(spec, dt)
+    if not twists:
         raise ConfigError(f"scenario duration holds no odometry step of {dt:g} s")
     stride = rates.scan_stride()
     noise_sqrt = odometry_noise_sqrt(noise)
     odometry = []
     scans = []
-    for k, point in enumerate(traj[:-1]):
-        odometry.append(sample_odometry(point.twist, noise, rng, point.t, noise_sqrt))
+    for k, (pose, twist) in enumerate(zip(poses, twists)):
+        odometry.append(sample_odometry(twist, noise_sqrt, rng, k * dt))
         if k % stride == 0:
-            scan = render_scan(world, point.pose, rates, rng, point.t)
+            scan = render_scan(world, pose, rates, rng, k * dt)
             if scan is not None:
                 scans.append(scan)
     meta = {
@@ -355,12 +334,12 @@ def run_scenario(
         "fov": repr(float(rates.fov)),
         "gyro_cov_diag": " ".join(repr(float(v)) for v in np.diag(noise.gyro_cov)),
         "velocity_cov_diag": " ".join(repr(float(v)) for v in np.diag(noise.velocity_cov)),
-        "world_points": str(world.sampled_points().shape[0]),
+        "world_points": str(world.points.shape[0]),
         "world_hash": world.digest(),
         "scenario_kind": spec.kind,
     }
     return ScenarioLog(
-        ground_truth=[(p.t, p.pose) for p in traj],
+        ground_truth=[(k * dt, pose) for k, pose in enumerate(poses)],
         odometry=odometry,
         scans=scans,
         seed=seed,

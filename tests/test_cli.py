@@ -138,14 +138,26 @@ class TestSimulate:
                 "scenario.turns = 0.03\nseed = 6\n",
                 "7938f1ffa06e334bacd21b8ac86b305f132c67535ad8fc3adda818bd9f75f50b",
             ),
+            (
+                "world.kind = corridor\nworld.corridor_spacing = 0.1\nworld.corridor_height = 0.6\n"
+                "scenario.kind = straight\nscenario.duration = 1.0\nscenario.veer_rate = 0.05\n"
+                "rates.range_max = 4\nseed = 7\n",
+                "fa5ce59bf798412b970853545b3826c46ca8e3fc812a8dbfbbe32bd23a976238",
+            ),
+            (
+                "scenario.kind = waypoints\nscenario.waypoints = 0.5 0; 0 0\nscenario.speed = 0.5\nseed = 8\n",
+                "c0c41ab7445551b3b086f1a179a2d9e842d38393474023c9308e2c5d3b973881",
+            ),
         ],
-        ids=["straight-veer", "straight-length", "circle", "circle-turns"],
+        ids=["straight-veer", "straight-length", "circle", "circle-turns", "corridor-noisy", "waypoints-u-turn"],
     )
-    def test_straight_and_circle_bytes_pinned(self, tmp_path, text, digest):
+    def test_simulator_bytes_pinned(self, tmp_path, text, digest):
         # Straight and circle logs, with an explicit duration and with one
         # derived from the geometry, are pinned to the bytes the simulator
-        # wrote before waypoint paths became twist segments. The digests
-        # assume IEEE doubles and numpy's sin, cos and sqrt as of numpy 2.
+        # wrote before waypoint paths became twist segments; a noisy corridor
+        # of non-default spacing and height and a U-turn waypoint path to the
+        # bytes it wrote while worlds were sampled from wall objects. The
+        # digests assume IEEE doubles and numpy's sin, cos and sqrt as of numpy 2.
         cfg = write_config(tmp_path, text)
         out = str(tmp_path / "log")
         assert main(["simulate", "--config", cfg, "--out", out]) == 0
@@ -190,16 +202,29 @@ class TestSimulate:
             ("rates.fov = 0", "rates.fov"),
             ("rates.odometry_hz = inf", "rates.odometry_hz"),
             ("scenario.duration = 1e10\nrates.odometry_hz = 1e300\nrates.scan_hz = 1e300", "scenario.duration"),
+            ("noise.gyro_sigma = inf", "noise.gyro_sigma"),
+            ("noise.gyro_sigma = nan", "noise.gyro_sigma"),
+            ("rates.cloud_sigma = inf", "rates.cloud_sigma"),
+            ("rates.cloud_sigma = nan", "rates.cloud_sigma"),
+            ("scenario.speed = inf\nscenario.duration = 1.0", "scenario.speed"),
+            ("world.kind = corridor\nworld.corridor_spacing = inf", "world.corridor_spacing"),
+            ("world.kind = corridor\nworld.corridor_length = inf", "world.corridor_length"),
+            ("world.kind = corridor\nworld.corridor_height = inf", "world.corridor_height"),
+            ("world.kind = corridor\nworld.corridor_length = 1e300", "world.corridor_length = 1e+300"),
+            ("world.kind = corridor\nworld.corridor_spacing = 1e-9", "world.corridor_spacing = 1e-09"),
         ],
         ids=[
             "corridor_spacing", "radius", "waypoints", "turns", "duration", "waypoints_no_leg",
             "waypoints_nan", "waypoints_overflow", "range_max_zero", "range_max_negative", "fov_zero", "odometry_hz_inf",
-            "steps_overflow",
+            "steps_overflow", "gyro_sigma_inf", "gyro_sigma_nan", "cloud_sigma_inf", "cloud_sigma_nan", "speed_inf",
+            "corridor_spacing_inf", "corridor_length_inf", "corridor_height_inf", "corridor_length_huge",
+            "corridor_spacing_tiny",
         ],
     )
     def test_bad_value_exit_2(self, tmp_path, capsys, text, names):
         # Each of these used to end in a traceback, in a log with no
-        # odometry samples and no scans, or in a log with no scans.
+        # odometry samples and no scans, in a log with no scans, in a log of
+        # NaN ground truth or NaN meta, or in a world of gigabytes.
         cfg = write_config(tmp_path, text + "\n")
         out = tmp_path / "log"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
@@ -359,11 +384,17 @@ class TestRun:
             ("icp.sigma = 0", 2),
             ("filter.p0_rot = -1", 2),
             ("filter.p0_pos = 0", 0),
+            ("filter.init_x = inf", 2),
+            ("filter.init_heading_deg = nan", 2),
+            ("filter.p0_rot = inf", 2),
+            ("icp.sigma = inf", 2),
         ],
     )
     def test_bad_value_exit_2(self, short_log, tmp_path, capsys, text, code):
         # A value its settings object refuses is a config error naming the
         # key, not a traceback or a numerical failure later in the filter.
+        # The non-finite ones exited 0 with NaN estimates, inf covariances,
+        # or (icp.sigma) every update lost.
         cfg = write_config(tmp_path, text + "\n")
         est = tmp_path / "est.csv"
         capsys.readouterr()
@@ -522,6 +553,18 @@ class TestEvaluate:
         rms_psi = float(out.split("rms_psi = ")[1].splitlines()[0])
         # -psi vs psi near pi wraps to a small 2*(pi - psi) error
         assert rms_psi == pytest.approx(0.02, abs=1e-9)
+
+    def test_header_only_ground_truth_exit_3(self, tmp_path, capsys):
+        # This ended in an IndexError traceback with exit 1.
+        est, gt = self.make_pair(tmp_path)
+        with open(gt) as fh:
+            header = fh.readline()
+        with open(gt, "w") as fh:
+            fh.write(header)
+        assert main(["evaluate", est, gt]) == 3
+        err = capsys.readouterr().err
+        assert gt in err and "no rows" in err
+        assert len(err.splitlines()) == 1
 
     def test_disjoint_time_ranges_exit_3(self, tmp_path, capsys):
         est, _ = self.make_pair(tmp_path)

@@ -60,11 +60,13 @@ FIELDS = [
         lambda c: config.make_spec(c).waypoints,
         ((0.0, 1.0), (1.0, 1.0)),
     ),
-    ("world.kind", "corridor", lambda c: len(config.make_world(c).walls), 2),
-    ("world.corridor_spacing", "0.1", lambda c: config.make_world(c).walls[0].spacing, 0.1),
-    ("world.corridor_half_width", "1.5", lambda c: float(config.make_world(c).walls[0].start[1]), -1.5),
-    ("world.corridor_length", "20", lambda c: float(config.make_world(c).walls[0].end[0]), 15.0),
-    ("world.corridor_height", "0.6", lambda c: config.make_world(c).walls[0].height, 0.6),
+    # The corridor's settings, read back from its points: the wall count from
+    # the distinct y values, the spacing from the x steps, the rest from the extremes.
+    ("world.kind", "corridor", lambda c: len(np.unique(config.make_world(c).points[:, 1])), 2),
+    ("world.corridor_spacing", "0.1", lambda c: float(np.diff(np.unique(config.make_world(c).points[:, 0]))[0]), 0.1),
+    ("world.corridor_half_width", "1.5", lambda c: float(config.make_world(c).points[:, 1].min()), -1.5),
+    ("world.corridor_length", "20", lambda c: float(config.make_world(c).points[:, 0].max()), 15.0),
+    ("world.corridor_height", "0.6", lambda c: float(config.make_world(c).points[:, 2].max()), 0.6),
     ("rates.odometry_hz", "100", lambda c: config.make_rates(c).odometry_hz, 100.0),
     ("rates.scan_hz", "10", lambda c: config.make_rates(c).scan_hz, 10.0),
     ("rates.cloud_sigma", "0.02", lambda c: config.make_rates(c).cloud_sigma, 0.02),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import WAYPOINT_GRID, rot_z
+from iekf_slam import simulator
 from iekf_slam.errors import ConfigError
 from iekf_slam.iekf import NoiseConfig
 from iekf_slam.se3 import Pose, exp_se3
@@ -12,14 +13,15 @@ from iekf_slam.simulator import (
     TURN_RATE,
     SensorRates,
     TrajectorySpec,
-    WallSegment,
     WorldModel,
     corridor_world,
     default_world,
     generate_trajectory,
+    odometry_noise_sqrt,
     render_scan,
     run_scenario,
     sample_odometry,
+    wall_points,
 )
 
 ZERO_NOISE = NoiseConfig(np.zeros((3, 3)), np.zeros((3, 3)))
@@ -27,14 +29,13 @@ ZERO_NOISE = NoiseConfig(np.zeros((3, 3)), np.zeros((3, 3)))
 
 class TestWorld:
     def test_wall_grid_counts_and_bounds(self):
-        wall = WallSegment([0.0, 0.0], [1.0, 0.0], height=0.5, spacing=0.25, z_spacing=0.25)
-        pts = wall.sample()
+        pts = wall_points([0.0, 0.0], [1.0, 0.0], height=0.5, spacing=0.25, z_spacing=0.25)
         assert pts.shape == (5 * 3, 3)
         assert pts[:, 0].min() == 0.0 and pts[:, 0].max() == 1.0
         assert pts[:, 2].min() == 0.0 and pts[:, 2].max() == 0.5
 
     def test_default_world_point_count(self):
-        pts = default_world().sampled_points()
+        pts = default_world().points
         assert pts.shape == (50, 3)
         # perimeter landmarks sit on the room boundary
         on_edge = (
@@ -47,7 +48,7 @@ class TestWorld:
 
     def test_corridor_grid_alignment(self):
         world = corridor_world(spacing=0.05)
-        pts = world.sampled_points()
+        pts = world.points
         assert np.allclose(np.abs(pts[:, 1]), 1.0)
         # x coordinates all land on the absolute 0.05 m lattice
         steps = (pts[:, 0] + 5.0) / 0.05
@@ -60,50 +61,77 @@ class TestWorld:
         assert a.digest() == b.digest() != c.digest()
 
     def test_empty_world_rejected(self):
-        with pytest.raises(ValueError):
-            WorldModel().sampled_points()
+        with pytest.raises(ValueError, match="no points"):
+            WorldModel(np.zeros((0, 3)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_world_rejected(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            WorldModel(np.array([[0.0, 0.0, 1.0], [value, 0.0, 0.0]]))
+
+    @pytest.mark.parametrize(
+        "start,end,height,spacing,match",
+        [
+            ([0.0, 0.0], [0.0, 0.0], 1.0, 0.25, "zero length"),
+            ([0.0, 0.0], [1.0, 0.0], 1.0, 0.0, "spacing"),
+            ([0.0, 0.0], [1.0, 0.0], -1.0, 0.25, "height"),
+            ([0.0, 0.0], [1e300, 0.0], 1.0, 0.25, "MAX_WALL_POINTS"),
+            ([0.0, 0.0], [30.0, 0.0], 0.4, 1e-9, "MAX_WALL_POINTS"),
+            ([0.0, 0.0], [30.0, 0.0], 1e300, 0.25, "MAX_WALL_POINTS"),
+        ],
+        ids=["zero-length", "zero-spacing", "negative-height", "length-overflow", "tiny-spacing", "height"],
+    )
+    def test_bad_wall_rejected(self, start, end, height, spacing, match):
+        # The MAX_WALL_POINTS cases overflowed, or asked for gigabytes, before
+        # the grid counts were checked.
+        with pytest.raises(ValueError, match=match):
+            wall_points(start, end, height, spacing)
+
+    def test_wall_bound_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(simulator, "MAX_WALL_POINTS", 12)
+        assert wall_points([0.0, 0.0], [3.0, 0.0], height=2.0, spacing=1.0, z_spacing=1.0).shape == (12, 3)
+        with pytest.raises(ValueError, match="MAX_WALL_POINTS = 12"):
+            wall_points([0.0, 0.0], [4.0, 0.0], height=2.0, spacing=1.0, z_spacing=1.0)
 
 
 class TestTrajectory:
     def test_straight_endpoint(self):
         spec = TrajectorySpec(kind="straight", speed=0.2, duration=10.0)
-        traj = generate_trajectory(spec, dt=0.02)
-        assert len(traj) == 501
-        final = traj[-1]
-        assert final.t == pytest.approx(10.0)
-        assert np.allclose(final.pose.translation, [2.0, 0.0, 0.0], atol=1e-9)
-        assert np.allclose(final.pose.rotation, np.eye(3), atol=1e-12)
+        poses, twists = generate_trajectory(spec, dt=0.02)
+        assert len(poses) == 501 and len(twists) == 500
+        final = poses[-1]
+        assert np.allclose(final.translation, [2.0, 0.0, 0.0], atol=1e-9)
+        assert np.allclose(final.rotation, np.eye(3), atol=1e-12)
 
     def test_exact_group_recursion(self):
         spec = TrajectorySpec(kind="circle", speed=0.3, radius=1.5, duration=4.0)
-        traj = generate_trajectory(spec, dt=0.02)
-        for prev, cur in zip(traj[:50], traj[1:51]):
-            step = prev.pose @ exp_se3(0.02 * prev.twist)
-            assert cur.pose.is_close(step, tol=1e-13)
+        poses, twists = generate_trajectory(spec, dt=0.02)
+        for prev, twist, cur in zip(poses[:50], twists, poses[1:51]):
+            assert cur.is_close(prev @ exp_se3(0.02 * twist), tol=1e-13)
 
     def test_circle_closes(self):
         spec = TrajectorySpec(kind="circle", speed=0.3, radius=1.5, turns=1.0)
-        traj = generate_trajectory(spec, dt=1.0 / 50.0)
+        poses, _ = generate_trajectory(spec, dt=1.0 / 50.0)
         # duration is not an exact multiple of dt; compare against the pose at
         # the rounded step count instead of demanding exact closure
-        n = len(traj) - 1
+        n = len(poses) - 1
         angle = 0.3 / 1.5 * n / 50.0
         expected = Pose(rot_z(angle), 1.5 * np.array([np.sin(angle), 1.0 - np.cos(angle), 0.0]))
-        assert traj[-1].pose.is_close(expected, tol=1e-9)
+        assert poses[-1].is_close(expected, tol=1e-9)
 
     def test_circle_yaw_rate_finite_difference(self):
         spec = TrajectorySpec(kind="circle", speed=0.3, radius=1.5, duration=5.0)
-        traj = generate_trajectory(spec, dt=0.02)
-        psi = np.unwrap([np.arctan2(p.pose.rotation[1, 0], p.pose.rotation[0, 0]) for p in traj])
+        poses, _ = generate_trajectory(spec, dt=0.02)
+        psi = np.unwrap([np.arctan2(pose.rotation[1, 0], pose.rotation[0, 0]) for pose in poses])
         rates = np.diff(psi) / 0.02
         assert np.allclose(rates, 0.3 / 1.5, atol=1e-9)
 
     def test_waypoints_traverse_corners(self):
         # 4 m of legs at 1 m/s, plus the 90 deg corner turned in place at TURN_RATE
         spec = TrajectorySpec(kind="waypoints", speed=1.0, waypoints=((2.0, 0.0), (2.0, 2.0)))
-        traj = generate_trajectory(spec, dt=0.1)
-        assert traj[-1].t == pytest.approx(4.0 + (np.pi / 2) / TURN_RATE)
-        assert np.allclose(traj[-1].pose.translation[:2], [2.0, 2.0], atol=1e-9)
+        poses, twists = generate_trajectory(spec, dt=0.1)
+        assert len(twists) * 0.1 == pytest.approx(4.0 + (np.pi / 2) / TURN_RATE)
+        assert np.allclose(poses[-1].translation[:2], [2.0, 2.0], atol=1e-9)
 
     def test_bad_specs_rejected(self):
         with pytest.raises(ConfigError):
@@ -124,15 +152,16 @@ class TestWaypoints:
         waypoints, duration = WAYPOINT_GRID[name]
         dt = 0.02
         spec = TrajectorySpec(kind="waypoints", speed=0.5, waypoints=waypoints, duration=duration)
-        traj = generate_trajectory(spec, dt)
-        twists = np.array([point.twist for point in traj])
+        poses, twists = generate_trajectory(spec, dt)
+        twists = np.array(twists)
+        assert len(poses) == len(twists) + 1
         assert np.all(twists[:, [0, 1, 4, 5]] == 0.0)
         assert np.all(np.abs(twists[:, 2]) <= TURN_RATE)
         assert np.all((twists[:, 3] >= 0.0) & (twists[:, 3] <= spec.speed))
         assert np.all(twists[:, 2] * twists[:, 3] == 0.0)
 
-        path = generate_trajectory(TrajectorySpec(kind="waypoints", speed=0.5, waypoints=waypoints), dt)
-        xy = np.array([point.pose.translation[:2] for point in path])
+        path, _ = generate_trajectory(TrajectorySpec(kind="waypoints", speed=0.5, waypoints=waypoints), dt)
+        xy = np.array([pose.translation[:2] for pose in path])
         k = 0
         for waypoint in waypoints:
             hits = np.flatnonzero(np.linalg.norm(xy[k:] - waypoint, axis=1) <= 1e-9)
@@ -141,12 +170,11 @@ class TestWaypoints:
         assert np.linalg.norm(xy[-1] - waypoints[-1]) <= 1e-9
 
         if duration is None:
-            assert len(traj) == len(path)
+            assert len(poses) == len(path)
         else:
-            assert len(traj) - 1 == round(duration / dt)
-        for k, point in enumerate(traj):
-            assert point.t == k * dt
-            assert point.pose.is_close(path[min(k, len(path) - 1)].pose, tol=0.0)
+            assert len(poses) - 1 == round(duration / dt)
+        for k, pose in enumerate(poses):
+            assert pose.is_close(path[min(k, len(path) - 1)], tol=0.0)
 
     def test_initial_heading_is_the_first_legs(self):
         spec = TrajectorySpec(kind="waypoints", waypoints=((0.0, 0.0), (0.0, 0.0), (-1.0, 1.0)))
@@ -200,10 +228,11 @@ class TestSensors:
         rng = np.random.default_rng(7)
         noise = NoiseConfig.from_sigmas(0.01, 0.02)
         twist = np.array([0.0, 0.0, 0.1, 0.25, 0.0, 0.0])
+        noise_sqrt = odometry_noise_sqrt(noise)
         n = 100_000
         draws = np.empty((n, 6))
         for k in range(n):
-            s = sample_odometry(twist, noise, rng)
+            s = sample_odometry(twist, noise_sqrt, rng, 0.0)
             draws[k] = s.twist()
         mean = draws.mean(axis=0)
         std = draws.std(axis=0)
@@ -214,7 +243,7 @@ class TestSensors:
     def test_zero_noise_is_exact(self):
         rng = np.random.default_rng(0)
         twist = np.array([0.0, 0.0, 0.1, 0.25, 0.0, 0.0])
-        s = sample_odometry(twist, ZERO_NOISE, rng)
+        s = sample_odometry(twist, odometry_noise_sqrt(ZERO_NOISE), rng, 0.0)
         assert np.array_equal(s.twist(), twist)
 
     def test_scan_rotated_landmark(self):
@@ -244,7 +273,7 @@ class TestScenario:
     def test_stream_counts(self):
         spec = TrajectorySpec(kind="straight", speed=0.25, duration=10.0)
         log = run_scenario(default_world(), spec, SensorRates(), NoiseConfig(), seed=3)
-        assert len(log.ground_truth) == 501
+        assert [t for t, _ in log.ground_truth] == [k * 0.02 for k in range(501)]
         assert len(log.odometry) == 500
         assert len(log.scans) == 50
         assert log.scans[0].timestamp == 0.0
