@@ -67,7 +67,7 @@ def cmd_evaluate(args):
     est_t, est_x, est_y, _, est_psi, _ = load_estimates(args.estimates)
     gt = load_ground_truth(args.ground_truth)
     gt_t, gt_x, gt_y, gt_psi = ground_truth_planar(gt)
-    max_dt = float(args.max_dt) if args.max_dt is not None else (
+    max_dt = args.max_dt if args.max_dt is not None else (
         (gt_t[1] - gt_t[0]) / 2.0 if gt_t.size > 1 else np.inf
     )
     report = evaluate_series(est_t, est_x, est_y, est_psi, gt_t, gt_x, gt_y, gt_psi, max_dt)
@@ -130,14 +130,14 @@ def build_parser():
     p.add_argument("estimates", help="estimates CSV")
     p.add_argument("ground_truth", help="ground truth CSV")
     p.add_argument("--out", help="directory for report.txt and errors.csv")
-    p.add_argument("--max-dt", type=float, help="timestamp match tolerance (s)")
+    p.add_argument("--max-dt", type=cfgmod.non_negative, help="timestamp match tolerance (s, >= 0)")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("icp-debug", help="align two cloud files and report diagnostics")
     p.add_argument("cloud_a", help="source cloud (.xyz)")
     p.add_argument("cloud_b", help="target cloud (.xyz)")
     p.add_argument("--initial", help="initial pose guess: 12 numbers, row-major R then p")
-    p.add_argument("--sigma", type=float, help="assumed point noise (m); overrides icp.sigma")
+    p.add_argument("--sigma", type=cfgmod.finite, help="assumed point noise (m); overrides icp.sigma")
     p.add_argument("--config", help="key = value config file (icp.*)")
     p.set_defaults(func=cmd_icp_debug)
 

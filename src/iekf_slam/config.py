@@ -44,6 +44,14 @@ def finite(text):
     return value
 
 
+def non_negative(text):
+    """A float that is >= 0 (inf included) and not NaN."""
+    value = float(text)
+    if not value >= 0:  # False for NaN too
+        raise ValueError(f"value must be >= 0, got {value}")
+    return value
+
+
 # Every float key is finite but three, where inf means "no limit" and the
 # settings objects refuse NaN.
 KEYS = {

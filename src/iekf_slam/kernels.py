@@ -8,7 +8,8 @@
   within a hair more than ``max_dist`` of its own, found with two
   ``searchsorted`` calls. Every target within ``max_dist`` of the point is
   in that slab, so whatever brute force would accept is among the
-  candidates.
+  candidates. Both clouds are copied to one contiguous array per
+  coordinate first, so the candidate pairs are gathered with 1-D takes.
 - Brute force: everything else, including every ``max_dist = inf`` call,
   non-finite or far-off coordinates, and slabs that would hold more than
   BLOCK_ROWS * M candidates in total. The source cloud is processed
@@ -108,12 +109,15 @@ def _sweep_nearest(source, target, max_dist):
     # The comparisons are False for NaN, so non-finite inputs fail them too.
     if not (np.all(np.abs(source) < limit) and np.all(np.abs(target) < limit)):
         return None
-    axis = int(np.argmax(np.ptp(target, axis=0)))
-    order = np.argsort(target[:, axis], kind="stable")
-    keys = target[order, axis]
+    # One contiguous array per coordinate, so the gathers below are 1-D takes.
+    source_cols = source.T.copy()
+    target_cols = target.T.copy()
+    axis = int(np.argmax(target_cols.max(axis=1) - target_cols.min(axis=1)))
+    order = np.argsort(target_cols[axis], kind="stable")
+    keys = target_cols[axis][order]
     pad = max_dist * (1.0 + MARGIN)
-    starts = np.searchsorted(keys, source[:, axis] - pad, side="left")
-    counts = np.searchsorted(keys, source[:, axis] + pad, side="right") - starts
+    starts = np.searchsorted(keys, source_cols[axis] - pad, side="left")
+    counts = np.searchsorted(keys, source_cols[axis] + pad, side="right") - starts
     total = int(counts.sum())
     if total > BLOCK_ROWS * m:
         return None
@@ -123,14 +127,9 @@ def _sweep_nearest(source, target, max_dist):
     firsts = np.cumsum(counts) - counts
     candidates = order[np.arange(total) + np.repeat(starts - firsts, counts)]
     query = np.repeat(np.arange(n), counts)
-    d2 = _squared_distances(
-        source[query, 0],
-        source[query, 1],
-        source[query, 2],
-        target[candidates, 0],
-        target[candidates, 1],
-        target[candidates, 2],
-    )
+    sx, sy, sz = source_cols
+    tx, ty, tz = target_cols
+    d2 = _squared_distances(sx[query], sy[query], sz[query], tx[candidates], ty[candidates], tz[candidates])
 
     indices = np.full(n, -1, dtype=np.int64)
     distances = np.full(n, np.inf)

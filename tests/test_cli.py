@@ -573,6 +573,22 @@ class TestEvaluate:
         save_ground_truth(gt_path, gt)
         assert main(["evaluate", est, gt_path, "--max-dt", "0.5"]) == 3
 
+    @pytest.mark.parametrize("max_dt", ["-1", "-inf", "nan"])
+    def test_bad_max_dt_exit_2(self, tmp_path, capsys, max_dt):
+        # These exited 3 with "time ranges do not overlap", a wrong reason:
+        # the pair scores with the default tolerance.
+        est, gt = self.make_pair(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", est, gt, f"--max-dt={max_dt}"])
+        assert exc.value.code == 2
+        assert "--max-dt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("max_dt", ["0", "inf"])
+    def test_zero_and_inf_max_dt_accepted(self, tmp_path, capsys, max_dt):
+        est, gt = self.make_pair(tmp_path)
+        assert main(["evaluate", est, gt, "--max-dt", max_dt]) == 0
+        assert "rms_x = 0.0" in capsys.readouterr().out
+
 
 class TestIcpDebug:
     def clouds(self, tmp_path, rng, shift=(0.0, 0.0, 0.0)):
@@ -624,6 +640,18 @@ class TestIcpDebug:
         flag = covariance("--sigma", "0.2")
         assert np.array_equal(covariance("--sigma", "0.2", "--config", cfg), flag)
         assert covariance("--config", cfg) == pytest.approx(flag / 4.0, rel=1e-5)
+
+    @pytest.mark.parametrize("sigma", ["inf", "-inf", "nan"])
+    def test_non_finite_sigma_flag_exit_2(self, tmp_path, rng, capsys, sigma):
+        # `--sigma inf` exited 0 and printed a covariance of inf/-inf
+        # entries, where icp.sigma = inf in a config exits 2.
+        a, b = self.clouds(tmp_path, rng, shift=(0.05, -0.02, 0.0))
+        with pytest.raises(SystemExit) as exc:
+            main(["icp-debug", a, b, f"--sigma={sigma}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--sigma" in captured.err
+        assert captured.out == ""
 
     def test_collinear_exit_4(self, tmp_path, capsys):
         pts = np.outer(np.linspace(0, 1, 15), [1.0, 0, 0])

@@ -1,10 +1,13 @@
 """Contract of the on-disk text tables: the header check, `path:line` in
 every parse error, blank lines, the integer scan ids, the comment and
-separator rules, and bit-exact save/load round trips."""
+separator rules, bit-exact save/load round trips, and the bulk blocks of
+CHUNK_LINES lines that the reader parses at once."""
 
+import glob
 import os
 import re
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +15,8 @@ import pytest
 from iekf_slam.cli import main
 from iekf_slam.errors import ParseError
 from iekf_slam.iekf import NoiseConfig
-from iekf_slam.logio import load_estimates, load_log, load_xyz, save_estimates, save_log, save_xyz
+from iekf_slam import logio
+from iekf_slam.logio import CHUNK_LINES, load_estimates, load_log, load_xyz, save_estimates, save_log, save_xyz
 from iekf_slam.pointcloud import BODY, PointCloud
 from iekf_slam.se3 import Pose, exp_se3, planar_extract
 from iekf_slam.simulator import SensorRates, TrajectorySpec, default_world, run_scenario
@@ -284,3 +288,185 @@ class TestRoundTrip:
         path = tmp_path / "cloud.xyz"
         save_xyz(PointCloud(points), path)
         assert_bits_equal(load_xyz(path).points, points)
+
+    def test_symmetric_estimates_file_is_the_full_table(self, tmp_path, rng):
+        # Bit-symmetric covariances take the path that formats each mirrored
+        # pair once; the file must still be every value's repr, in order.
+        rows = []
+        for k in range(40):
+            a = rng.standard_normal((6, 6))
+            rows.append((0.1 * k, exp_se3(rng.uniform(-2, 2, 6)), None if k % 7 == 0 else (a + a.T) / 2))
+        path = str(tmp_path / "est.csv")
+        save_estimates(path, rows)
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        assert lines[0] == logio.ESTIMATES_HEADER
+        for line, (t, pose, cov) in zip(lines[1:], rows, strict=True):
+            x, y, psi = planar_extract(pose)
+            cov = np.zeros((6, 6)) if cov is None else cov
+            values = [t, x, y, float(pose.translation[2]), psi, *cov.ravel().tolist()]
+            assert line == ",".join(map(repr, values))
+
+    @pytest.mark.parametrize("asymmetry", ["signed-zero", "one-entry", "nan"])
+    def test_asymmetric_covariance_bit_identical(self, tmp_path, rng, asymmetry):
+        # One row whose P is not bit-symmetric sends the whole stack to the
+        # 36-value path: -0.0 against 0.0 compares equal but writes apart.
+        rows = []
+        for k in range(5):
+            a = rng.standard_normal((6, 6))
+            rows.append((0.1 * k, exp_se3(rng.uniform(-2, 2, 6)), (a + a.T) / 2))
+        cov = rows[3][2].copy()
+        if asymmetry == "signed-zero":
+            cov[1, 4], cov[4, 1] = 0.0, -0.0
+        elif asymmetry == "one-entry":
+            cov[0, 5] = np.nextafter(cov[5, 0], np.inf)
+        else:
+            cov[2, 3] = np.nan
+        rows[3] = (rows[3][0], rows[3][1], cov)
+        path = str(tmp_path / "est.csv")
+        save_estimates(path, rows)
+        assert_bits_equal(load_estimates(path)[5], [r[2] for r in rows])
+
+
+def read_reference(path, header, n_cols, sep=",", comments=None):
+    """The line-by-line reader, as an oracle: each non-blank line's fields
+    through ``float()``."""
+    rows = []
+    with open(path) as fh:
+        if header is not None:
+            fh.readline()
+        for line in fh:
+            if comments is not None:
+                line = line.split(comments, 1)[0]
+            line = line.strip()
+            if line:
+                parts = line.split(sep)
+                assert len(parts) == n_cols
+                rows.append([float(part) for part in parts])
+    return np.array(rows, dtype=float).reshape(-1, n_cols)
+
+
+def write_xyz_text(path, lines, newline="\n"):
+    with open(path, "w", newline="") as fh:
+        fh.write(newline.join(lines) + newline)
+
+
+def xyz_lines(rng, n):
+    return [" ".join(map(repr, row)) for row in rng.standard_normal((n, 3)).tolist()]
+
+
+class TestBlocks:
+    """The reader parses CHUNK_LINES lines at a time in bulk and sends a
+    block that fails to the line loop; rows near and past a block boundary
+    must read as if the file were parsed line by line."""
+
+    @pytest.mark.parametrize(
+        "offset", [0, 1, CHUNK_LINES - 1, CHUNK_LINES, CHUNK_LINES + 1, 2 * CHUNK_LINES + 7],
+        ids=["first", "second", "block-end", "block-2-start", "block-2-second", "block-3"],
+    )
+    @pytest.mark.parametrize("fault", ["short", "non-numeric"])
+    def test_bad_row_named_at_its_line(self, tmp_path, rng, offset, fault):
+        lines = xyz_lines(rng, 3 * CHUNK_LINES)
+        lines[offset] = lines[offset].rsplit(" ", 1)[0] + ("" if fault == "short" else " abc")
+        path = tmp_path / "cloud.xyz"
+        write_xyz_text(path, lines)
+        with pytest.raises(ParseError, match=error_at("cloud.xyz", offset + 1)):
+            load_xyz(path)
+
+    @pytest.mark.parametrize("offset", [CHUNK_LINES - 1, CHUNK_LINES, CHUNK_LINES + 1])
+    def test_bad_csv_row_after_header_named_at_its_line(self, tmp_path, offset):
+        # The header is line 1, so the first block holds data lines 2 to CHUNK_LINES + 1.
+        rows = [f"{0.02 * k!r},0.0,0.0,0.1,0.25,0.0,0.0" for k in range(2 * CHUNK_LINES)]
+        rows[offset] = rows[offset].replace("0.25", "0.2.5")
+        path = tmp_path / "odometry.csv"
+        path.write_text(logio.ODOMETRY_HEADER + "\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ParseError, match=error_at("odometry.csv", offset + 2)):
+            logio._read_table(path, logio.ODOMETRY_HEADER, 7)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_line_endings(self, tmp_path, rng, newline):
+        lines = xyz_lines(rng, 2 * CHUNK_LINES + 3)
+        lf, other = tmp_path / "lf.xyz", tmp_path / "other.xyz"
+        write_xyz_text(lf, lines)
+        write_xyz_text(other, lines, newline)
+        assert_bits_equal(load_xyz(other).points, load_xyz(lf).points)
+        lines[CHUNK_LINES + 2] += " 1.0"
+        write_xyz_text(other, lines, newline)
+        with pytest.raises(ParseError, match=error_at("other.xyz", CHUNK_LINES + 3)):
+            load_xyz(other)
+
+    def test_comment_in_one_block_only(self, tmp_path, rng):
+        lines = xyz_lines(rng, 3 * CHUNK_LINES)
+        plain = tmp_path / "plain.xyz"
+        write_xyz_text(plain, lines)
+        commented = list(lines)
+        commented[CHUNK_LINES + 10] += "  # a note"
+        commented.insert(CHUNK_LINES + 20, "# " + lines[0])
+        path = tmp_path / "commented.xyz"
+        write_xyz_text(path, commented)
+        assert_bits_equal(load_xyz(path).points, load_xyz(plain).points)
+
+    def test_tabs_and_repeated_spaces(self, tmp_path, rng):
+        lines = xyz_lines(rng, 2 * CHUNK_LINES)
+        plain = tmp_path / "plain.xyz"
+        write_xyz_text(plain, lines)
+        spaced = [
+            ("\t" if k % 3 == 0 else "   ").join(line.split()) + (" \t " if k % 2 else "")
+            for k, line in enumerate(lines)
+        ]
+        path = tmp_path / "spaced.xyz"
+        write_xyz_text(path, spaced)
+        assert_bits_equal(load_xyz(path).points, load_xyz(plain).points)
+
+    def test_tokens_parse_as_float_does(self, tmp_path, rng):
+        # Read with _read_table: a PointCloud refuses non-finite points.
+        tokens = ["1_0", "inf", "nan", "-inf", "-nan", "+1e-400", "1E5", "-0", ".5"]
+        lines = xyz_lines(rng, CHUNK_LINES + 5)
+        rows = [3, CHUNK_LINES + 1, CHUNK_LINES + 2]
+        for row, k in zip(rows, (0, 3, 6)):
+            lines[row] = " ".join(tokens[k : k + 3])
+        path = tmp_path / "tokens.xyz"
+        write_xyz_text(path, lines)
+        table = logio._read_table(path, None, 3, sep=None, comments="#")
+        want = np.array([[float(token) for token in tokens[k : k + 3]] for k in (0, 3, 6)])
+        assert_bits_equal(table[rows], want)
+        assert_bits_equal(table, read_reference(path, None, 3, sep=None, comments="#"))
+
+    def test_every_log_table_matches_the_line_reader(self, tmp_path):
+        # A log long enough that its odometry and ground truth span several
+        # blocks; every table must read bit-identical to the oracle.
+        spec = TrajectorySpec(kind="straight", speed=0.25, duration=12.0)
+        log = run_scenario(default_world(), spec, SensorRates(), NoiseConfig(), 11)
+        directory = tmp_path / "log"
+        save_log(log, directory)
+        save_estimates(directory / "estimates.csv", estimate_rows(np.random.default_rng(3), n=2 * CHUNK_LINES + 9))
+        tables = [
+            ("ground_truth.csv", logio.GROUND_TRUTH_HEADER, 13, ",", None),
+            ("odometry.csv", logio.ODOMETRY_HEADER, 7, ",", None),
+            ("estimates.csv", logio.ESTIMATES_HEADER, 41, ",", None),
+        ] + [
+            (os.path.relpath(path, directory), None, 3, None, "#")
+            for path in sorted(glob.glob(str(directory / "scans" / "*.xyz")))
+        ]
+        assert len(log.odometry) > 2 * CHUNK_LINES
+        assert len(tables) == 3 + len(log.scans)
+        for name, header, n_cols, sep, comments in tables:
+            path = directory / name
+            got = logio._read_table(path, header, n_cols, sep=sep, comments=comments)
+            assert_bits_equal(got, read_reference(path, header, n_cols, sep=sep, comments=comments))
+
+    def test_load_estimates_memory_is_bounded(self, tmp_path):
+        # The line reader peaked at about 6 MB on a 3,456-row table, and one
+        # bulk parse of the whole file at about 16 MB. Blocks hold the peak to
+        # the result, its blocks before they are joined, and one block's text.
+        rows = estimate_rows(np.random.default_rng(5), n=3500)
+        path = str(tmp_path / "est.csv")
+        save_estimates(path, rows)
+        result_bytes = 3500 * 41 * 8
+        tracemalloc.start()
+        try:
+            load_estimates(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * result_bytes
