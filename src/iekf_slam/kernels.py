@@ -127,9 +127,11 @@ def _sweep_nearest(source, target, max_dist):
     firsts = np.cumsum(counts) - counts
     candidates = order[np.arange(total) + np.repeat(starts - firsts, counts)]
     query = np.repeat(np.arange(n), counts)
-    sx, sy, sz = source_cols
-    tx, ty, tz = target_cols
-    d2 = _squared_distances(sx[query], sy[query], sz[query], tx[candidates], ty[candidates], tz[candidates])
+    pairs = [column[query] for column in source_cols] + [column[candidates] for column in target_cols]
+    # The column copies and the query rows are not needed past the gathers;
+    # freed here, the sweep peaks no higher than gathering from the clouds.
+    del source_cols, target_cols, query
+    d2 = _squared_distances(*pairs)
 
     indices = np.full(n, -1, dtype=np.int64)
     distances = np.full(n, np.inf)

@@ -9,14 +9,14 @@ and no comments; ``.xyz`` clouds have neither header nor commas, but allow
 ``_read_table`` parses CHUNK_LINES lines at a time in bulk, one
 ``np.fromiter`` of ``float`` over the block's fields, and hands a block that
 has a row of the wrong width or a bad value to the line loop, which names
-the row's ``path:line``; memory beyond the result is about one block's text.
+the row's ``path:line``. The reader's peak is the result, its blocks before
+they are joined, and one block's text.
 """
 
 from __future__ import annotations
 
 import os
 from itertools import chain, islice
-from operator import itemgetter
 
 import numpy as np
 
@@ -30,16 +30,9 @@ from .simulator import ScenarioLog
 GROUND_TRUTH_HEADER = "t,r00,r01,r02,r10,r11,r12,r20,r21,r22,x,y,z"
 ODOMETRY_HEADER = "t,wx,wy,wz,vx,vy,vz"
 ESTIMATES_HEADER = "t,x,y,z,psi," + ",".join(f"P{i}{j}" for i in range(6) for j in range(6))
-# Lines parsed per bulk block: the reader's own memory is about one block's
-# strings and floats, whatever the table's length.
-CHUNK_LINES = 256
-
-
-# P's 21 upper-triangle entries (i <= j), row by row, as flat indices into its
-# 36. An estimates row's 41 fields are picked from its t, x, y, z, psi and
-# these 21, P[j][i] reusing the text of P[i][j].
-_UPPER = [6 * i + j for i in range(6) for j in range(i, 6)]
-_FROM_UPPER = itemgetter(*range(5), *(5 + _UPPER.index(6 * min(i, j) + max(i, j)) for i in range(6) for j in range(6)))
+# Lines parsed per bulk block: besides the result and its blocks, the reader
+# holds one block's strings and floats.
+CHUNK_LINES = 512
 
 
 def _read_table(path, header, n_cols, sep=",", comments=None, converters=None, header_strip="\n"):
@@ -48,8 +41,8 @@ def _read_table(path, header, n_cols, sep=",", comments=None, converters=None, h
     (None: of all surrounding whitespace); ``sep=None`` splits on whitespace. Each
     value is ``float()`` (or ``converters[column]``, which must return a number
     exact as a float64) of its text; a bad row raises ParseError at ``path:line``.
-    The file is read CHUNK_LINES lines at a time, so memory beyond the result
-    stays bounded by one block."""
+    The file is read CHUNK_LINES lines at a time, so the peak is the result,
+    its blocks before they are joined, and one block's text."""
     convert = [converters.get(col, float) for col in range(n_cols)] if converters else [float] * n_cols
     blocks = []
     try:
@@ -104,21 +97,16 @@ def _parse_lines(path, lines, first, n_cols, sep, convert):
     return np.array(rows, dtype=float).reshape(-1, n_cols)
 
 
-def _write_table(path, header, rows, sep=",", fields=None):
+def _write_table(path, header, rows, sep=","):
     """Write ``header`` (unless None), then each row as ``sep.join(map(repr, row))``.
     Rows of Python numbers: an array's rows go through ``tolist`` one at a time, since
-    numpy scalars repr as ``np.float64(...)`` and a whole table of floats takes 3x the memory.
-    ``fields`` (None: all, in order) picks the written texts from a row's tuple of
-    reprs, so a value written twice in a row is formatted once."""
+    numpy scalars repr as ``np.float64(...)`` and a whole table of floats takes 3x the memory."""
     with open(path, "w") as fh:
         if header is not None:
             fh.write(header + "\n")
         if isinstance(rows, np.ndarray):
             rows = map(np.ndarray.tolist, rows)
-        if fields is None:
-            fh.writelines(sep.join(map(repr, row)) + "\n" for row in rows)
-        else:
-            fh.writelines(sep.join(fields(tuple(map(repr, row)))) + "\n" for row in rows)
+        fh.writelines(sep.join(map(repr, row)) + "\n" for row in rows)
 
 
 def save_xyz(cloud: PointCloud, path):
@@ -149,19 +137,9 @@ def save_estimates(path, rows):
     rows = list(rows)
     poses = np.reshape([pose.to_row() for _, pose, _ in rows], (-1, 12))  # R row-major, then p
     psi = np.arctan2(poses[:, 3], poses[:, 0])  # planar_extract's atan2(R10, R00)
-    covariances = np.array([np.zeros((6, 6)) if cov is None else cov for _, _, cov in rows], dtype=float)
-    covariances = covariances.reshape(-1, 36)
-    # The filter's covariances are bit-symmetric (and the matchers' zero), so
-    # each mirrored pair is formatted once; -0.0 against 0.0 or any other
-    # asymmetry takes the full 36 values.
-    bits = covariances.view(np.uint64).reshape(-1, 6, 6)
-    if np.array_equal(bits, bits.transpose(0, 2, 1)):
-        values, fields = covariances[:, _UPPER], _FROM_UPPER
-    else:
-        values, fields = covariances, None
-    del covariances, bits  # the 21 values need not share the peak with all 36
-    table = np.column_stack([[t for t, _, _ in rows], poses[:, 9:], psi, values])
-    _write_table(path, ESTIMATES_HEADER, table, fields=fields)
+    covariances = np.reshape([np.zeros((6, 6)) if cov is None else cov for _, _, cov in rows], (-1, 36))
+    table = np.column_stack([[t for t, _, _ in rows], poses[:, 9:], psi, covariances])
+    _write_table(path, ESTIMATES_HEADER, table)
 
 
 def load_estimates(path):

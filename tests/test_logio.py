@@ -289,44 +289,6 @@ class TestRoundTrip:
         save_xyz(PointCloud(points), path)
         assert_bits_equal(load_xyz(path).points, points)
 
-    def test_symmetric_estimates_file_is_the_full_table(self, tmp_path, rng):
-        # Bit-symmetric covariances take the path that formats each mirrored
-        # pair once; the file must still be every value's repr, in order.
-        rows = []
-        for k in range(40):
-            a = rng.standard_normal((6, 6))
-            rows.append((0.1 * k, exp_se3(rng.uniform(-2, 2, 6)), None if k % 7 == 0 else (a + a.T) / 2))
-        path = str(tmp_path / "est.csv")
-        save_estimates(path, rows)
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-        assert lines[0] == logio.ESTIMATES_HEADER
-        for line, (t, pose, cov) in zip(lines[1:], rows, strict=True):
-            x, y, psi = planar_extract(pose)
-            cov = np.zeros((6, 6)) if cov is None else cov
-            values = [t, x, y, float(pose.translation[2]), psi, *cov.ravel().tolist()]
-            assert line == ",".join(map(repr, values))
-
-    @pytest.mark.parametrize("asymmetry", ["signed-zero", "one-entry", "nan"])
-    def test_asymmetric_covariance_bit_identical(self, tmp_path, rng, asymmetry):
-        # One row whose P is not bit-symmetric sends the whole stack to the
-        # 36-value path: -0.0 against 0.0 compares equal but writes apart.
-        rows = []
-        for k in range(5):
-            a = rng.standard_normal((6, 6))
-            rows.append((0.1 * k, exp_se3(rng.uniform(-2, 2, 6)), (a + a.T) / 2))
-        cov = rows[3][2].copy()
-        if asymmetry == "signed-zero":
-            cov[1, 4], cov[4, 1] = 0.0, -0.0
-        elif asymmetry == "one-entry":
-            cov[0, 5] = np.nextafter(cov[5, 0], np.inf)
-        else:
-            cov[2, 3] = np.nan
-        rows[3] = (rows[3][0], rows[3][1], cov)
-        path = str(tmp_path / "est.csv")
-        save_estimates(path, rows)
-        assert_bits_equal(load_estimates(path)[5], [r[2] for r in rows])
-
 
 def read_reference(path, header, n_cols, sep=",", comments=None):
     """The line-by-line reader, as an oracle: each non-blank line's fields
@@ -435,7 +397,7 @@ class TestBlocks:
     def test_every_log_table_matches_the_line_reader(self, tmp_path):
         # A log long enough that its odometry and ground truth span several
         # blocks; every table must read bit-identical to the oracle.
-        spec = TrajectorySpec(kind="straight", speed=0.25, duration=12.0)
+        spec = TrajectorySpec(kind="straight", speed=0.25, duration=24.0)
         log = run_scenario(default_world(), spec, SensorRates(), NoiseConfig(), 11)
         directory = tmp_path / "log"
         save_log(log, directory)
