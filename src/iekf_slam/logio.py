@@ -6,17 +6,17 @@ bit-identical and seeded runs write byte-identical files. CSVs have a header
 and no comments; ``.xyz`` clouds have neither header nor commas, but allow
 ``#`` comments. The ``meta`` file is ``key = value`` text, not a table.
 
-``_read_table`` parses CHUNK_LINES lines at a time in bulk, one
-``np.fromiter`` of ``float`` over the block's fields, and hands a block that
-has a row of the wrong width or a bad value to the line loop, which names
-the row's ``path:line``. The reader's peak is the result, its blocks before
-they are joined, and one block's text.
+``_read_table`` parses a table with numpy's C text reader (``np.loadtxt`` on
+the open file), which gives ``float()``'s bits for every value it accepts; a
+table it refuses, or reads at the wrong width, goes through the Python line
+loop, which names the bad row's ``path:line``. The C reader's peak is about
+the result: 1.26 MB for a 3,456-row estimates table of 1.13 MB.
 """
 
 from __future__ import annotations
 
 import os
-from itertools import chain, islice
+import warnings
 
 import numpy as np
 
@@ -30,9 +30,6 @@ from .simulator import ScenarioLog
 GROUND_TRUTH_HEADER = "t,r00,r01,r02,r10,r11,r12,r20,r21,r22,x,y,z"
 ODOMETRY_HEADER = "t,wx,wy,wz,vx,vy,vz"
 ESTIMATES_HEADER = "t,x,y,z,psi," + ",".join(f"P{i}{j}" for i in range(6) for j in range(6))
-# Lines parsed per bulk block: besides the result and its blocks, the reader
-# holds one block's strings and floats.
-CHUNK_LINES = 512
 
 
 def _read_table(path, header, n_cols, sep=",", comments=None, converters=None, header_strip="\n"):
@@ -41,10 +38,12 @@ def _read_table(path, header, n_cols, sep=",", comments=None, converters=None, h
     (None: of all surrounding whitespace); ``sep=None`` splits on whitespace. Each
     value is ``float()`` (or ``converters[column]``, which must return a number
     exact as a float64) of its text; a bad row raises ParseError at ``path:line``.
-    The file is read CHUNK_LINES lines at a time, so the peak is the result,
-    its blocks before they are joined, and one block's text."""
-    convert = [converters.get(col, float) for col in range(n_cols)] if converters else [float] * n_cols
-    blocks = []
+    Without converters, ``np.loadtxt`` reads the rows; if it refuses them or
+    reads other than ``n_cols`` columns (as it does a table with no rows), the
+    line loop reads them again from the first data line, and also takes
+    ``float()``'s extra spellings (``1_0``, non-ASCII digits). The one text the
+    C reader takes and ``float()`` refuses is a CSV value with the ASCII
+    separators ``\x1c``-``\x1f`` around it, which it strips as whitespace."""
     try:
         fh = open(path)
     except OSError as exc:
@@ -55,28 +54,20 @@ def _read_table(path, header, n_cols, sep=",", comments=None, converters=None, h
             if fh.readline().strip(header_strip) != header:
                 raise ParseError(f"{path}:1: expected header {header!r}")
             first = 2
-        while lines := list(islice(fh, CHUNK_LINES)):
-            if comments is not None:
-                lines = [line.split(comments, 1)[0] for line in lines]
-            block = None if converters else _parse_block(lines, n_cols, sep)
-            if block is None:
-                block = _parse_lines(path, lines, first, n_cols, sep, convert)
-            blocks.append(block)
-            first += len(lines)
-    return np.concatenate(blocks) if blocks else np.empty((0, n_cols))
-
-
-def _parse_block(lines, n_cols, sep):
-    """The non-blank ``lines`` as an (n, n_cols) array of ``float()`` values,
-    parsed in bulk; None if a row has the wrong width or a bad value."""
-    rows = [line.split(sep) for line in map(str.strip, lines) if line]
-    if any(len(parts) != n_cols for parts in rows):
-        return None
-    try:
-        values = np.fromiter(map(float, chain.from_iterable(rows)), float, len(rows) * n_cols)
-    except ValueError:
-        return None
-    return values.reshape(-1, n_cols)
+        if not converters:
+            start = fh.tell()
+            try:
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                    data = np.loadtxt(fh, dtype=float, delimiter=sep, comments=comments, ndmin=2)
+                if data.shape[1] == n_cols:
+                    return data
+            except ValueError:
+                pass
+            fh.seek(start)
+        lines = fh if comments is None else (line.split(comments, 1)[0] for line in fh)
+        convert = [converters.get(col, float) for col in range(n_cols)] if converters else [float] * n_cols
+        return _parse_lines(path, lines, first, n_cols, sep, convert)
 
 
 def _parse_lines(path, lines, first, n_cols, sep, convert):
@@ -129,7 +120,8 @@ def load_ground_truth(path):
     data = _read_table(path, GROUND_TRUTH_HEADER, 13)
     if not len(data):
         raise ParseError(f"{path}: no rows after the header")
-    return [(float(row[0]), Pose.from_row(row[1:])) for row in data]
+    rotations = data[:, 1:10].reshape(-1, 3, 3)
+    return [(t, Pose(rotation, p)) for t, rotation, p in zip(data[:, 0].tolist(), rotations, data[:, 10:])]
 
 
 def save_estimates(path, rows):

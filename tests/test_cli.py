@@ -299,6 +299,25 @@ class TestRun:
         assert abs(psi[0] - gt_psi[0]) < 1e-9
         assert float(evaluate_report(tmp_path, est, log_dir)["rms_psi_deg"]) < 1.0
 
+    def test_covariance_independent_of_initial_estimate(self, tmp_path, short_log):
+        # The paper's claim, end to end: the invariant filter linearizes on
+        # the odometry alone and its error is defined in the body frame, so
+        # P, and hence every gain, is the same whatever the estimate. Only the
+        # estimate itself differs with the initial error.
+        runs = []
+        for heading in (0, 90, 179):
+            cfg = write_config(tmp_path, f"filter.init_heading_deg = {heading}\n"
+                               "filter.init_x = 0.7\nfilter.p0_rot = 2.5\n")
+            est = str(tmp_path / f"est_{heading}.csv")
+            assert main(["run", short_log, "--mode", "iekf", "--config", cfg, "--out", est]) == 0
+            runs.append(load_estimates(est))
+        (t, *_, psi, P), *others = runs
+        assert len(np.unique(P[:, 0, 0])) > 10  # P moves: predictions and updates
+        for t_other, *_, psi_other, P_other in others:
+            assert np.array_equal(t_other, t)
+            assert np.array_equal(P_other, P)
+            assert not np.array_equal(psi_other, psi)
+
     def test_naive_matcher_anchors_at_true_initial_pose(self, tmp_path):
         # Same +y-first scenario. Chained ICP without an odometry prior need
         # not follow the 90 deg turn in place from t = 2.0 to 4.0 s, so only

@@ -1,13 +1,15 @@
 """Contract of the on-disk text tables: the header check, `path:line` in
 every parse error, blank lines, the integer scan ids, the comment and
-separator rules, bit-exact save/load round trips, and the bulk blocks of
-CHUNK_LINES lines that the reader parses at once."""
+separator rules, bit-exact save/load round trips, and the split between
+numpy's C reader, which parses clean tables, and the line loop, which
+names a bad row's line and takes the spellings only ``float()`` accepts."""
 
 import glob
 import os
 import re
 import shutil
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from iekf_slam.cli import main
 from iekf_slam.errors import ParseError
 from iekf_slam.iekf import NoiseConfig
 from iekf_slam import logio
-from iekf_slam.logio import CHUNK_LINES, load_estimates, load_log, load_xyz, save_estimates, save_log, save_xyz
+from iekf_slam.logio import load_estimates, load_log, load_xyz, save_estimates, save_log, save_xyz
 from iekf_slam.pointcloud import BODY, PointCloud
 from iekf_slam.se3 import Pose, exp_se3, planar_extract
 from iekf_slam.simulator import SensorRates, TrajectorySpec, default_world, run_scenario
@@ -227,12 +229,21 @@ class TestAccepted:
             assert_bits_equal(got, expected)
 
     def test_empty_tables(self, tmp_path):
+        # np.loadtxt warns on a table with no rows; the reader must not.
         est = str(tmp_path / "est.csv")
         save_estimates(est, [])
-        assert [a.shape for a in load_estimates(est)] == [(0,)] * 5 + [(0, 6, 6)]
+        blank = tmp_path / "blank.csv"
+        blank.write_text(logio.ODOMETRY_HEADER + "\n\n  \n\t\n")
         xyz = tmp_path / "empty.xyz"
         xyz.write_text("# no points\n\n")
-        assert load_xyz(xyz).points.shape == (0, 3)
+        blank_xyz = tmp_path / "blank.xyz"
+        blank_xyz.write_text("\n \n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert [a.shape for a in load_estimates(est)] == [(0,)] * 5 + [(0, 6, 6)]
+            assert logio._read_table(blank, logio.ODOMETRY_HEADER, 7).shape == (0, 7)
+            assert load_xyz(xyz).points.shape == (0, 3)
+            assert load_xyz(blank_xyz).points.shape == (0, 3)
 
 
 class TestCliExit3:
@@ -318,27 +329,27 @@ def xyz_lines(rng, n):
 
 
 class TestBlocks:
-    """The reader parses CHUNK_LINES lines at a time in bulk and sends a
-    block that fails to the line loop; rows near and past a block boundary
-    must read as if the file were parsed line by line."""
+    """Long tables: a bad row deep in the file is named at its own line, and
+    every table reads as the line loop reads it. The positions around lines
+    512 and 1,024 are where an earlier reader split tables into blocks."""
 
     @pytest.mark.parametrize(
-        "offset", [0, 1, CHUNK_LINES - 1, CHUNK_LINES, CHUNK_LINES + 1, 2 * CHUNK_LINES + 7],
+        "offset", [0, 1, 511, 512, 513, 1031],
         ids=["first", "second", "block-end", "block-2-start", "block-2-second", "block-3"],
     )
     @pytest.mark.parametrize("fault", ["short", "non-numeric"])
     def test_bad_row_named_at_its_line(self, tmp_path, rng, offset, fault):
-        lines = xyz_lines(rng, 3 * CHUNK_LINES)
+        lines = xyz_lines(rng, 1536)
         lines[offset] = lines[offset].rsplit(" ", 1)[0] + ("" if fault == "short" else " abc")
         path = tmp_path / "cloud.xyz"
         write_xyz_text(path, lines)
         with pytest.raises(ParseError, match=error_at("cloud.xyz", offset + 1)):
             load_xyz(path)
 
-    @pytest.mark.parametrize("offset", [CHUNK_LINES - 1, CHUNK_LINES, CHUNK_LINES + 1])
+    @pytest.mark.parametrize("offset", [511, 512, 513])
     def test_bad_csv_row_after_header_named_at_its_line(self, tmp_path, offset):
-        # The header is line 1, so the first block holds data lines 2 to CHUNK_LINES + 1.
-        rows = [f"{0.02 * k!r},0.0,0.0,0.1,0.25,0.0,0.0" for k in range(2 * CHUNK_LINES)]
+        # The header is line 1, so data row k is line k + 2.
+        rows = [f"{0.02 * k!r},0.0,0.0,0.1,0.25,0.0,0.0" for k in range(1024)]
         rows[offset] = rows[offset].replace("0.25", "0.2.5")
         path = tmp_path / "odometry.csv"
         path.write_text(logio.ODOMETRY_HEADER + "\n" + "\n".join(rows) + "\n")
@@ -347,29 +358,29 @@ class TestBlocks:
 
     @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
     def test_line_endings(self, tmp_path, rng, newline):
-        lines = xyz_lines(rng, 2 * CHUNK_LINES + 3)
+        lines = xyz_lines(rng, 1027)
         lf, other = tmp_path / "lf.xyz", tmp_path / "other.xyz"
         write_xyz_text(lf, lines)
         write_xyz_text(other, lines, newline)
         assert_bits_equal(load_xyz(other).points, load_xyz(lf).points)
-        lines[CHUNK_LINES + 2] += " 1.0"
+        lines[514] += " 1.0"
         write_xyz_text(other, lines, newline)
-        with pytest.raises(ParseError, match=error_at("other.xyz", CHUNK_LINES + 3)):
+        with pytest.raises(ParseError, match=error_at("other.xyz", 515)):
             load_xyz(other)
 
     def test_comment_in_one_block_only(self, tmp_path, rng):
-        lines = xyz_lines(rng, 3 * CHUNK_LINES)
+        lines = xyz_lines(rng, 1536)
         plain = tmp_path / "plain.xyz"
         write_xyz_text(plain, lines)
         commented = list(lines)
-        commented[CHUNK_LINES + 10] += "  # a note"
-        commented.insert(CHUNK_LINES + 20, "# " + lines[0])
+        commented[522] += "  # a note"
+        commented.insert(532, "# " + lines[0])
         path = tmp_path / "commented.xyz"
         write_xyz_text(path, commented)
         assert_bits_equal(load_xyz(path).points, load_xyz(plain).points)
 
     def test_tabs_and_repeated_spaces(self, tmp_path, rng):
-        lines = xyz_lines(rng, 2 * CHUNK_LINES)
+        lines = xyz_lines(rng, 1024)
         plain = tmp_path / "plain.xyz"
         write_xyz_text(plain, lines)
         spaced = [
@@ -383,8 +394,8 @@ class TestBlocks:
     def test_tokens_parse_as_float_does(self, tmp_path, rng):
         # Read with _read_table: a PointCloud refuses non-finite points.
         tokens = ["1_0", "inf", "nan", "-inf", "-nan", "+1e-400", "1E5", "-0", ".5"]
-        lines = xyz_lines(rng, CHUNK_LINES + 5)
-        rows = [3, CHUNK_LINES + 1, CHUNK_LINES + 2]
+        lines = xyz_lines(rng, 517)
+        rows = [3, 513, 514]
         for row, k in zip(rows, (0, 3, 6)):
             lines[row] = " ".join(tokens[k : k + 3])
         path = tmp_path / "tokens.xyz"
@@ -395,13 +406,13 @@ class TestBlocks:
         assert_bits_equal(table, read_reference(path, None, 3, sep=None, comments="#"))
 
     def test_every_log_table_matches_the_line_reader(self, tmp_path):
-        # A log long enough that its odometry and ground truth span several
-        # blocks; every table must read bit-identical to the oracle.
+        # A log whose odometry and ground truth run past line 1,024; every
+        # table must read bit-identical to the oracle.
         spec = TrajectorySpec(kind="straight", speed=0.25, duration=24.0)
         log = run_scenario(default_world(), spec, SensorRates(), NoiseConfig(), 11)
         directory = tmp_path / "log"
         save_log(log, directory)
-        save_estimates(directory / "estimates.csv", estimate_rows(np.random.default_rng(3), n=2 * CHUNK_LINES + 9))
+        save_estimates(directory / "estimates.csv", estimate_rows(np.random.default_rng(3), n=1033))
         tables = [
             ("ground_truth.csv", logio.GROUND_TRUTH_HEADER, 13, ",", None),
             ("odometry.csv", logio.ODOMETRY_HEADER, 7, ",", None),
@@ -410,7 +421,7 @@ class TestBlocks:
             (os.path.relpath(path, directory), None, 3, None, "#")
             for path in sorted(glob.glob(str(directory / "scans" / "*.xyz")))
         ]
-        assert len(log.odometry) > 2 * CHUNK_LINES
+        assert len(log.odometry) > 1024
         assert len(tables) == 3 + len(log.scans)
         for name, header, n_cols, sep, comments in tables:
             path = directory / name
@@ -418,9 +429,9 @@ class TestBlocks:
             assert_bits_equal(got, read_reference(path, header, n_cols, sep=sep, comments=comments))
 
     def test_load_estimates_memory_is_bounded(self, tmp_path):
-        # The line reader peaked at about 6 MB on a 3,456-row table, and one
-        # bulk parse of the whole file at about 16 MB. Blocks hold the peak to
-        # the result, its blocks before they are joined, and one block's text.
+        # The line loop peaks at about 6 MB on a 3,456-row table, one Python
+        # float per value; numpy's C reader holds about 1.1x the result (at
+        # most 1.73x over 100-6,000 rows of 41 columns).
         rows = estimate_rows(np.random.default_rng(5), n=3500)
         path = str(tmp_path / "est.csv")
         save_estimates(path, rows)
@@ -431,4 +442,59 @@ class TestBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * result_bytes
+        assert peak < 2 * result_bytes
+
+
+# Spellings of a number, each read through the C reader and the line loop.
+# float() takes the last two, which np.loadtxt refuses; "0x10", "1d5" and
+# "nan(1)" neither takes.
+TOKENS = [
+    "inf", "-inf", "+Infinity", "nan", "-nan", "NaN", "+1e-400", "1e400", "-1e400",
+    "5e-324", "2.4703282292062328e-324", "2.2250738585072011e-308", "-0", "-0.0",
+    " 1.5 ", "1.", ".5", "1E5", "9007199254740993", "0.30000000000000004",
+    "0x10", "1d5", "nan(1)", "1_0", "\u0661",
+]
+
+
+class TestFastPath:
+    """np.loadtxt reads every clean table; the line loop reads a table it
+    refuses or reads at the wrong width, and must give float()'s values."""
+
+    @pytest.fixture
+    def line_loop_paths(self, monkeypatch):
+        """The files the line loop is asked to read, in order."""
+        paths = []
+        parse_lines = logio._parse_lines
+
+        def spy(path, *args):
+            paths.append(os.path.basename(path))
+            return parse_lines(path, *args)
+
+        monkeypatch.setattr(logio, "_parse_lines", spy)
+        return paths
+
+    @pytest.mark.parametrize("token", TOKENS)
+    def test_token_reads_as_float_does(self, tmp_path, token, line_loop_paths):
+        path = tmp_path / "t.csv"
+        path.write_text(f"a,b\n1.0,2.0\n3.0,{token}\n")
+        try:
+            want = float(token)
+        except ValueError:
+            with pytest.raises(ParseError, match=error_at("t.csv", 3)):
+                logio._read_table(path, "a,b", 2)
+            return
+        assert_bits_equal(logio._read_table(path, "a,b", 2), [[1.0, 2.0], [3.0, want]])
+        assert line_loop_paths == (["t.csv"] if token in ("1_0", "\u0661") else [])
+
+    def test_four_column_xyz_named_at_first_data_line(self, tmp_path, rng):
+        # np.loadtxt reads this file; only the width check refuses it.
+        path = tmp_path / "wide.xyz"
+        write_xyz_text(path, ["# four columns"] + [" ".join(map(repr, row)) for row in rng.random((5, 4)).tolist()])
+        with pytest.raises(ParseError, match=error_at("wide.xyz", 2) + " expected 3 columns, got 4"):
+            load_xyz(path)
+
+    def test_clean_log_never_reaches_the_line_loop(self, log_dir, line_loop_paths):
+        load_log(log_dir)
+        load_estimates(os.path.join(log_dir, "estimates.csv"))
+        # The scan index has integer ids, read by a converter.
+        assert line_loop_paths == ["index.csv"]
