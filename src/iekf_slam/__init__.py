@@ -11,7 +11,7 @@ Library layout:
 - ``kernels``: exact nearest-neighbour correspondence search in numpy
 """
 
-from .icp import IcpConfig, IcpResult, icp_align, icp_covariance, nearest_neighbor, solve_linear_alignment
+from .icp import IcpConfig, IcpResult, icp_align, icp_covariance, solve_linear_alignment
 from .iekf import FilterState, NoiseConfig, OdometrySample, PoseMeasurement, linearize, predict, run_filter, update
 from .pointcloud import PointCloud
 from .scan_matching import aided_step, naive_step

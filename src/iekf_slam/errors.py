@@ -44,10 +44,6 @@ class CorruptedPoseError(SlamError):
     exit_code = 5
 
 
-class EmptyCloudError(SlamError):
-    """Operation requires a non-empty point cloud."""
-
-
 class DegenerateGeometryError(SlamError):
     """Alignment information matrix is singular or ill-conditioned."""
 

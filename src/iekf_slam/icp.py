@@ -6,6 +6,12 @@ points a_i and residuals y_i = a_i - dX^-1 b_i, each pair contributes a
 is the correction twist. The same estimator yields the closed-form
 covariance of the alignment, rescaled by the number of points to account
 for correlated cloud noise.
+
+``icp_align`` builds what one alignment cannot change only once: the
+target, prepared for ``kernels.batch_nearest``, and the information matrix
+with its conditioning check, rebuilt only when the accepted source points
+change. ``solve_linear_alignment`` and ``icp_covariance`` take that matrix
+when the caller holds it, and build their own otherwise.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import DegenerateGeometryError, EmptyCloudError, NoOverlapError, NumericalFailureError
+from .errors import DegenerateGeometryError, NoOverlapError, NumericalFailureError
 from .pointcloud import PointCloud
 from .se3 import Pose, exp_se3, skew
 
@@ -45,18 +51,6 @@ class IcpResult:
     cost_history: list = field(default_factory=list)  # residual sums, m^2
     iterations: int = 0
     converged: bool = False
-
-
-def nearest_neighbor(query, cloud: PointCloud):
-    """Index and Euclidean distance of the cloud point closest to ``query``.
-
-    Ties break to the lowest index. Raises EmptyCloudError on an empty cloud.
-    """
-    if len(cloud) == 0:
-        raise EmptyCloudError("nearest_neighbor on empty cloud")
-    query = np.asarray(query, dtype=float).reshape(1, 3)
-    idx, dist = kernels.batch_nearest(query, cloud.points, np.inf)
-    return int(idx[0]), float(dist[0])
 
 
 def information_matrix(points):
@@ -89,37 +83,55 @@ def ill_conditioned(info):
     return not (lam[0] > 0 and lam[0] * MAX_CONDITION >= lam[-1])
 
 
-def solve_linear_alignment(points, residuals):
-    """Least-squares twist for paired source points and residual vectors.
+def _checked_information(points):
+    """Information matrix of paired source points, checked for the solve.
 
-    Minimizes sum ||y_i - B_i x||^2 and returns (x_hat, information matrix).
     Raises DegenerateGeometryError when fewer than 3 pairs are given or the
-    information matrix is singular/ill-conditioned (collinear geometry).
+    matrix is singular/ill-conditioned (collinear geometry).
     """
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
-    residuals = np.asarray(residuals, dtype=float).reshape(-1, 3)
     if points.shape[0] < 3:
         raise DegenerateGeometryError(f"need >= 3 pairs, got {points.shape[0]}")
     info = information_matrix(points)
     if ill_conditioned(info):
         raise DegenerateGeometryError("alignment information matrix ill-conditioned")
+    return info
+
+
+def solve_linear_alignment(points, residuals, info=None):
+    """Least-squares twist for paired source points and residual vectors.
+
+    Minimizes sum ||y_i - B_i x||^2 and returns (x_hat, information matrix).
+    ``info``, when given, is the points' ``_checked_information``, which the
+    caller already holds; otherwise it is built here and raises
+    DegenerateGeometryError as ``_checked_information`` does.
+    """
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    residuals = np.asarray(residuals, dtype=float).reshape(-1, 3)
+    if info is None:
+        info = _checked_information(points)
     # B_i^T y_i = [-a_i x y_i; -y_i], crossed per coordinate: np.cross's bits in half the time
     (a1, a2, a3), (y1, y2, y3) = points.T, residuals.T
-    cross = np.stack([a2 * y3 - a3 * y2, a3 * y1 - a1 * y3, a1 * y2 - a2 * y1], axis=1)
+    cross = np.empty_like(points)
+    cross[:, 0] = a2 * y3 - a3 * y2
+    cross[:, 1] = a3 * y1 - a1 * y3
+    cross[:, 2] = a1 * y2 - a2 * y1
     rhs = np.concatenate([-cross.sum(axis=0), -residuals.sum(axis=0)])
     return np.linalg.solve(info, rhs), info
 
 
-def icp_covariance(cloud: PointCloud, sigma, rescale=True):
+def icp_covariance(cloud: PointCloud, sigma, rescale=True, info=None):
     """Covariance of the alignment twist for a body-frame cloud.
 
     ``rescale=True`` returns N sigma^2 [sum B_i^T B_i]^-1 (the conservative
     form accounting for correlated cloud noise); ``rescale=False`` returns the
     plain independent-noise least-squares covariance sigma^2 [.]^-1.
+    ``info``, when given, is the whole cloud's information matrix, already
+    found well-conditioned.
     """
-    info = information_matrix(cloud.points)
-    if ill_conditioned(info):
-        raise DegenerateGeometryError("cloud geometry degenerate for covariance")
+    if info is None:
+        info = information_matrix(cloud.points)
+        if ill_conditioned(info):
+            raise DegenerateGeometryError("cloud geometry degenerate for covariance")
     cov = sigma**2 * np.linalg.inv(info)
     if rescale:
         cov = len(cloud) * cov
@@ -135,6 +147,14 @@ def icp_align(source: PointCloud, target: PointCloud, cfg: IcpConfig | None = No
     delta_pose <- delta_pose * exp(x_hat) until the inner twist norm falls
     below the tolerance. The correspondence-fixed cost must not increase
     across an inner step; a strict increase raises NumericalFailureError.
+
+    What cannot change within one alignment is built once: the target is
+    prepared for search before the first iteration, and the information
+    matrix (with its conditioning check) is rebuilt only when the accepted
+    source points differ from the previous iteration's. When the last
+    accepted set is the whole source, its matrix serves the covariance too.
+    The loop carries delta_pose as a rotation and a translation, with
+    ``Pose``'s own products, and builds the ``Pose`` once at the end.
     """
     if cfg is None:
         cfg = IcpConfig()
@@ -145,37 +165,53 @@ def icp_align(source: PointCloud, target: PointCloud, cfg: IcpConfig | None = No
             f"clouds need >= {cfg.min_points} points, got {len(source)}/{len(target)}"
         )
 
-    delta = Pose.identity()
+    points, target_points = source.points, target.points
+    n = len(points)
+    prepared = kernels.Target(target_points)
+    rotation, translation = np.eye(3), np.zeros(3)
+    accepted, count, info = None, 0, None
     cost_history = []
     iterations = 0
     converged = False
     for _ in range(cfg.max_iterations):
-        moved = delta.apply(source.points)
-        idx, dist = kernels.batch_nearest(moved, target.points, cfg.max_correspondence_dist)
+        # Pose.apply: p @ R.T + t
+        moved = points @ rotation.T + translation
+        idx, dist = kernels.batch_nearest(moved, prepared, cfg.max_correspondence_dist)
+        previous, previous_count = accepted, count
         accepted = idx >= 0
-        if not np.any(accepted):
+        count = np.count_nonzero(accepted)
+        if count == 0:
             raise NoOverlapError("all correspondences beyond max_correspondence_dist")
-        a = source.points[accepted]
-        b = target.points[idx[accepted]]
-        cost_before = float(np.sum(dist[accepted] ** 2))
-        residuals = a - delta.inverse().apply(b)
-        x_hat, _ = solve_linear_alignment(a, residuals)
-        delta = delta @ exp_se3(x_hat)
+        if count == n:  # every pair accepted: the masked gathers' values, without the gathers
+            a, b, d = points, target_points[idx], dist
+        else:
+            a, b, d = points[accepted], target_points[idx[accepted]], dist[accepted]
+        cost_before = float((d**2).sum())
+        if count != previous_count or (count < n and not np.array_equal(accepted, previous)):
+            info = _checked_information(a)
+        # Pose.inverse, then apply: b @ (R^T).T + (-R^T @ t)
+        inverse = rotation.T
+        residuals = a - (b @ inverse.T + -inverse @ translation)
+        x_hat, _ = solve_linear_alignment(a, residuals, info)
+        step = exp_se3(x_hat)
+        # Pose.compose: R1 R2, R1 t2 + t1
+        rotation, translation = rotation @ step.rotation, rotation @ step.translation + translation
         iterations += 1
-        cost_after = float(np.sum((delta.apply(a) - b) ** 2))
+        cost_after = float(((a @ rotation.T + translation - b) ** 2).sum())
         if cost_after > cost_before * (1 + 1e-9) + 1e-15:
             raise NumericalFailureError(
                 f"ICP cost increased at iteration {iterations}: "
                 f"{cost_before:.6e} -> {cost_after:.6e}"
             )
         cost_history.append(cost_after)
-        if np.linalg.norm(x_hat) < cfg.convergence_tol:
+        if np.sqrt(x_hat.dot(x_hat)) < cfg.convergence_tol:  # np.linalg.norm's arithmetic
             converged = True
             break
 
-    covariance = icp_covariance(source, cfg.sigma)
+    # The last accepted set's matrix is the covariance's when it is the whole source.
+    covariance = icp_covariance(source, cfg.sigma, info=info if count == n else None)
     return IcpResult(
-        delta_pose=delta,
+        delta_pose=Pose(rotation, translation),
         covariance=covariance,
         cost_history=cost_history,
         iterations=iterations,

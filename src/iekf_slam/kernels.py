@@ -1,5 +1,11 @@
 """Exact nearest-neighbour correspondence search in numpy.
 
+``batch_nearest`` searches a target for every point of a source cloud. The
+target may be a plain (M, 3) array or a ``Target``, the same cloud prepared
+for repeated searches: ICP prepares its target once per alignment and
+searches it once per iteration. A plain array is prepared on entry, so every
+call runs the same code. ``len(target)`` is M either way.
+
 ``batch_nearest`` chooses one of two exact paths from its inputs alone:
 
 - Sweep: taken when ``max_dist`` is finite and N * M >= SWEEP_MIN_PAIRS.
@@ -8,8 +14,10 @@
   within a hair more than ``max_dist`` of its own, found with two
   ``searchsorted`` calls. Every target within ``max_dist`` of the point is
   in that slab, so whatever brute force would accept is among the
-  candidates. Both clouds are copied to one contiguous array per
-  coordinate first, so the candidate pairs are gathered with 1-D takes.
+  candidates. Both clouds are held as one contiguous array per coordinate,
+  so the candidate pairs are gathered with 1-D takes. A ``Target`` sorts
+  itself, and finds its largest coordinate magnitude, on the first sweep
+  that searches it, and keeps both.
 - Brute force: everything else, including every ``max_dist = inf`` call,
   non-finite or far-off coordinates, and slabs that would hold more than
   BLOCK_ROWS * M candidates in total. The source cloud is processed
@@ -26,6 +34,8 @@ on a volumetric cloud (say, points filling a cube several radii wide) the
 slabs overfill and the call falls back to brute force, where a voxel grid
 would still prune.
 """
+
+from functools import cached_property
 
 import numpy as np
 
@@ -44,16 +54,42 @@ MARGIN = 1e-6
 MAX_SPAN = 2**30
 
 
+class Target:
+    """A target cloud prepared for repeated searches: its coordinates as one
+    contiguous float64 array each, ``columns`` (3, M)."""
+
+    def __init__(self, points):
+        self.columns = np.asarray(points, dtype=np.float64).T.copy()
+
+    def __len__(self):
+        return self.columns.shape[-1]
+
+    @cached_property
+    def max_abs(self):
+        """Largest coordinate magnitude; NaN when any coordinate is NaN."""
+        return np.max(np.abs(self.columns))
+
+    @cached_property
+    def sorted_axis(self):
+        """(axis of the largest extent, stable order along it, sorted keys)."""
+        cols = self.columns
+        axis = int(np.argmax(cols.max(axis=1) - cols.min(axis=1)))
+        order = np.argsort(cols[axis], kind="stable")
+        return axis, order, cols[axis][order]
+
+
 def batch_nearest(source, target, max_dist):
     """For each source point, index and distance of its nearest target point.
 
-    Ties break to the lowest target index. Points beyond ``max_dist`` get
-    index -1 and distance inf; ``np.inf`` disables rejection.
+    ``target`` is an (M, 3) array or a ``Target``. Ties break to the lowest
+    target index. Points beyond ``max_dist`` get index -1 and distance inf;
+    ``np.inf`` disables rejection.
     Returns (indices int64 (N,), distances float64 (N,)).
     """
     source = np.ascontiguousarray(source, dtype=np.float64)
-    target = np.ascontiguousarray(target, dtype=np.float64)
-    n, m = source.shape[0], target.shape[0]
+    if not isinstance(target, Target):
+        target = Target(target)
+    n, m = source.shape[0], len(target)
     if m == 0:
         return np.full(n, -1, dtype=np.int64), np.full(n, np.inf)
     found = None
@@ -68,7 +104,7 @@ def batch_nearest(source, target, max_dist):
 
 def _brute_nearest(source, target):
     """Nearest target of every source point, over all pairs."""
-    tx, ty, tz = (np.ascontiguousarray(column) for column in target.T)
+    tx, ty, tz = target.columns
     n = source.shape[0]
     indices = np.empty(n, dtype=np.int64)
     distances = np.empty(n)
@@ -104,17 +140,14 @@ def _sweep_nearest(source, target, max_dist):
     be used: a coordinate that is non-finite or not below MAX_SPAN * max_dist
     in magnitude, or more than BLOCK_ROWS * M candidates in total.
     """
-    n, m = source.shape[0], target.shape[0]
+    n, m = source.shape[0], len(target)
     limit = MAX_SPAN * max_dist
     # The comparisons are False for NaN, so non-finite inputs fail them too.
-    if not (np.all(np.abs(source) < limit) and np.all(np.abs(target) < limit)):
+    if not (np.all(np.abs(source) < limit) and target.max_abs < limit):
         return None
+    axis, order, keys = target.sorted_axis
     # One contiguous array per coordinate, so the gathers below are 1-D takes.
     source_cols = source.T.copy()
-    target_cols = target.T.copy()
-    axis = int(np.argmax(target_cols.max(axis=1) - target_cols.min(axis=1)))
-    order = np.argsort(target_cols[axis], kind="stable")
-    keys = target_cols[axis][order]
     pad = max_dist * (1.0 + MARGIN)
     starts = np.searchsorted(keys, source_cols[axis] - pad, side="left")
     counts = np.searchsorted(keys, source_cols[axis] + pad, side="right") - starts
@@ -127,10 +160,10 @@ def _sweep_nearest(source, target, max_dist):
     firsts = np.cumsum(counts) - counts
     candidates = order[np.arange(total) + np.repeat(starts - firsts, counts)]
     query = np.repeat(np.arange(n), counts)
-    pairs = [column[query] for column in source_cols] + [column[candidates] for column in target_cols]
-    # The column copies and the query rows are not needed past the gathers;
-    # freed here, the sweep peaks no higher than gathering from the clouds.
-    del source_cols, target_cols, query
+    pairs = [column[query] for column in source_cols] + [column[candidates] for column in target.columns]
+    # The source columns and the query rows are not needed past the gathers;
+    # freed here, they do not add to the distance step's peak.
+    del source_cols, query
     d2 = _squared_distances(*pairs)
 
     indices = np.full(n, -1, dtype=np.int64)

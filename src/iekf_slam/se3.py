@@ -19,6 +19,8 @@ import numpy as np
 from .errors import CorruptedPoseError, LogDomainError, MalformedAlgebraError
 
 _SMALL_ANGLE = 1e-8
+_I3 = np.eye(3)
+_I3.flags.writeable = False
 _LOG_SINGULARITY_MARGIN = 1e-6
 
 
@@ -63,24 +65,34 @@ def vee(mat, tol=1e-9):
     return np.concatenate([unskew(rot), mat[:3, 3]])
 
 
-def _rotation_coeffs(theta):
-    """Coefficients (b, c) of R = I + b*S + c*S^2 for rotation angle theta."""
+def _norm(v):
+    """``np.linalg.norm`` of a 1-D float array by its own arithmetic, the square
+    root of the dot product, without its argument handling."""
+    v = v.ravel(order="K")
+    return np.sqrt(v.dot(v))
+
+
+def _exp_coeffs(theta):
+    """(b, c, d) with R = I + b*S + c*S^2 and translation Jacobian
+    A = I + c*S + d*S^2 for rotation angle theta; below _SMALL_ANGLE,
+    d is None and A = I + S/2."""
     if theta < _SMALL_ANGLE:
-        return 1.0, 0.5
-    return np.sin(theta) / theta, (1.0 - np.cos(theta)) / theta**2
+        return 1.0, 0.5, None
+    sin = np.sin(theta)
+    return sin / theta, (1.0 - np.cos(theta)) / theta**2, (theta - sin) / theta**3
+
+
+def _jacobian(S, SS, c, d):
+    """A = I + c*S + d*S^2, summed in that order (I + c*S when d is None)."""
+    a = _I3 + c * S
+    return a if d is None else a + d * SS
 
 
 def _translation_jacobian(axis_angle):
     """The matrix A with exp(hat(t)) translation = A @ v_p (same A as in log)."""
-    theta = np.linalg.norm(axis_angle)
     S = skew(axis_angle)
-    if theta < _SMALL_ANGLE:
-        return np.eye(3) + 0.5 * S
-    return (
-        np.eye(3)
-        + (1.0 - np.cos(theta)) / theta**2 * S
-        + (theta - np.sin(theta)) / theta**3 * (S @ S)
-    )
+    _, c, d = _exp_coeffs(np.linalg.norm(axis_angle))
+    return _jacobian(S, S @ S, c, d)
 
 
 @dataclass(frozen=True)
@@ -144,15 +156,18 @@ class Pose:
 
 
 def exp_se3(twist) -> Pose:
-    """Exponential map se(3) -> SE(3), closed form (Rodrigues + translation A)."""
+    """Exponential map se(3) -> SE(3), closed form (Rodrigues + translation A).
+
+    theta, S, S^2 and the coefficients are formed once and shared by the
+    rotation and the translation Jacobian.
+    """
     twist = np.asarray(twist, dtype=float)
     w = twist[:3]
-    theta = np.linalg.norm(w)
     S = skew(w)
-    b, c = _rotation_coeffs(theta)
-    rotation = np.eye(3) + b * S + c * (S @ S)
-    translation = _translation_jacobian(w) @ twist[3:]
-    return Pose(rotation, translation)
+    SS = S @ S
+    b, c, d = _exp_coeffs(_norm(w))
+    rotation = _I3 + b * S + c * SS
+    return Pose(rotation, _jacobian(S, SS, c, d) @ twist[3:])
 
 
 def skew_many(vectors):

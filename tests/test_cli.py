@@ -512,6 +512,60 @@ class TestRun:
         assert not os.path.exists(est)
 
 
+# Short logs of the benchmark's two workloads: two seconds of the room circle,
+# and the dense corridor, whose 0.02 m rejection radius drops some pairs.
+REPLAY_PINS = {
+    "room-circle": (
+        "scenario.kind = circle\nscenario.speed = 0.3\nscenario.radius = 1.5\n"
+        "scenario.turns = 2\nscenario.duration = 2.0\n",
+        {
+            "iekf": "19ea14220ee58b0d04866a9f7c36e0fb9f08f6d8e6cfac8edcd9ded7338ab3fe",
+            "dead-reckoning": "61abac741c0ea8a95e2a2e7fd95daa97fe6b3dce82c352c1b9854c641e359c54",
+            "naive-scan-match": "a92099c38a68506c716bbca34ec3302d04089442eea165a4f71b42faacc4f9ad",
+            "scan-match-only": "15c2e5044c1bab2570e0fa123720baae50f03e5174d09e3fce9671b6a14a9041",
+            "report": "de341686ef5d960db034a5b62d9f7d1332ce1974fecec93971d5c07f0e4f4d99",
+        },
+    ),
+    "corridor-dense": (
+        "world.kind = corridor\nscenario.kind = straight\nscenario.speed = 0.25\n"
+        "scenario.duration = 0.4\nrates.range_max = 12\nrates.cloud_sigma = 0\n"
+        "icp.max_correspondence_dist = 0.02\nicp.max_iterations = 100\n"
+        "icp.convergence_tol = 1e-10\n",
+        {
+            "iekf": "15a7cdcfc4245ce067ef149599f0afbacc108d40acf10078144f9ea9696cbd7b",
+            "dead-reckoning": "be3c4963617645e75a83240d07d68ed468b9a722a4917b54711727ba0716b0ce",
+            "naive-scan-match": "f54508c78d679a9752c3780fd25601dc2b0ff82821f14368f1de3430b8805ff5",
+            "scan-match-only": "1c7c40ca25dc2e8fb2ac3da0e5dba5e0d4581b11219b224c48cc6d68c855281c",
+            "report": "0534ebd4c4aee6aa4d336332648740be500f0ccf862051620d63728df835d7ad",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPLAY_PINS))
+def test_replay_bytes_pinned(tmp_path, name):
+    # estimates_<mode>.csv in every mode, and the iekf report, pinned to the
+    # bytes written before ICP cached its per-alignment invariants. Like the
+    # simulator digests, these assume IEEE doubles and numpy 2's sin, cos and
+    # sqrt.
+    text, digests = REPLAY_PINS[name]
+    cfg = write_config(tmp_path, text)
+    log_dir = str(tmp_path / "log")
+    assert main(["simulate", "--config", cfg, "--seed", "5", "--out", log_dir]) == 0
+    found = {}
+    for mode in MODES:
+        est = str(tmp_path / f"estimates_{mode}.csv")
+        assert main(["run", log_dir, "--mode", mode, "--config", cfg, "--out", est]) == 0
+        with open(est, "rb") as fh:
+            found[mode] = hashlib.sha256(fh.read()).hexdigest()
+    report_dir = str(tmp_path / "report")
+    gt = os.path.join(log_dir, "ground_truth.csv")
+    assert main(["evaluate", str(tmp_path / "estimates_iekf.csv"), gt, "--out", report_dir]) == 0
+    with open(os.path.join(report_dir, "report.txt"), "rb") as fh:
+        found["report"] = hashlib.sha256(fh.read()).hexdigest()
+    assert found == digests
+
+
 class TestEvaluate:
     def make_pair(self, tmp_path, offset=0.0):
         t = np.arange(11) * 0.1

@@ -2,19 +2,21 @@ import numpy as np
 import pytest
 
 from conftest import random_twist
-from iekf_slam.errors import DegenerateGeometryError, EmptyCloudError, NoOverlapError
+from iekf_slam import kernels
+from iekf_slam.errors import DegenerateGeometryError, NoOverlapError, NumericalFailureError
 from iekf_slam.icp import (
     MAX_CONDITION,
     IcpConfig,
+    IcpResult,
     icp_align,
     icp_covariance,
     ill_conditioned,
     information_matrix,
-    nearest_neighbor,
     solve_linear_alignment,
 )
 from iekf_slam.pointcloud import BODY, GROUND, PointCloud
-from iekf_slam.se3 import exp_se3, skew
+from iekf_slam.se3 import Pose, exp_se3, skew
+from iekf_slam.simulator import SensorRates, corridor_world, default_world, render_scan
 
 
 def block_matrix(a):
@@ -24,32 +26,6 @@ def block_matrix(a):
 
 def random_cloud(rng, n=50, scale=2.0):
     return PointCloud(scale * rng.uniform(-1, 1, (n, 3)), BODY)
-
-
-class TestNearestNeighbor:
-    def test_exact_hit(self, rng):
-        cloud = random_cloud(rng)
-        idx, dist = nearest_neighbor(cloud.points[7], cloud)
-        assert idx == 7
-        assert dist == 0.0
-
-    def test_tie_lowest_index(self):
-        cloud = PointCloud(np.array([[1.0, 0, 0], [-1.0, 0, 0]]))
-        idx, _ = nearest_neighbor(np.zeros(3), cloud)
-        assert idx == 0
-
-    def test_matches_exhaustive_scan(self, rng):
-        cloud = random_cloud(rng, n=1000, scale=5.0)
-        for _ in range(100):
-            q = rng.uniform(-5, 5, 3)
-            idx, dist = nearest_neighbor(q, cloud)
-            d = np.linalg.norm(cloud.points - q, axis=1)
-            assert idx == int(np.argmin(d))
-            assert dist == pytest.approx(d.min(), abs=1e-12)
-
-    def test_empty_cloud(self):
-        with pytest.raises(EmptyCloudError):
-            nearest_neighbor(np.zeros(3), PointCloud(np.zeros((0, 3))))
 
 
 class TestLinearAlignment:
@@ -241,3 +217,188 @@ class TestCovariance:
         ratio = empirical[well_conditioned] / analytic[well_conditioned]
         assert np.all(np.abs(ratio - 1.0) < 0.2)
         assert np.allclose(icp_covariance(cloud, sigma), 20 * analytic, rtol=1e-12)
+
+
+def reference_icp_align(source, target, cfg):
+    """icp_align as it was before it built per-alignment invariants once:
+    Pose arithmetic, a plain-array target searched every iteration, and an
+    information matrix (and its conditioning check) built by every solve and
+    again by the covariance."""
+    if source.frame != target.frame:
+        raise ValueError(f"frame mismatch: {source.frame} vs {target.frame}")
+    if len(source) < cfg.min_points or len(target) < cfg.min_points:
+        raise DegenerateGeometryError(
+            f"clouds need >= {cfg.min_points} points, got {len(source)}/{len(target)}"
+        )
+    delta = Pose.identity()
+    cost_history = []
+    iterations = 0
+    converged = False
+    for _ in range(cfg.max_iterations):
+        moved = delta.apply(source.points)
+        idx, dist = kernels.batch_nearest(moved, target.points, cfg.max_correspondence_dist)
+        accepted = idx >= 0
+        if not np.any(accepted):
+            raise NoOverlapError("all correspondences beyond max_correspondence_dist")
+        a = source.points[accepted]
+        b = target.points[idx[accepted]]
+        cost_before = float(np.sum(dist[accepted] ** 2))
+        residuals = a - delta.inverse().apply(b)
+        x_hat, _ = solve_linear_alignment(a, residuals)
+        delta = delta @ exp_se3(x_hat)
+        iterations += 1
+        cost_after = float(np.sum((delta.apply(a) - b) ** 2))
+        if cost_after > cost_before * (1 + 1e-9) + 1e-15:
+            raise NumericalFailureError(
+                f"ICP cost increased at iteration {iterations}: "
+                f"{cost_before:.6e} -> {cost_after:.6e}"
+            )
+        cost_history.append(cost_after)
+        if np.linalg.norm(x_hat) < cfg.convergence_tol:
+            converged = True
+            break
+    covariance = icp_covariance(source, cfg.sigma)
+    return IcpResult(delta, covariance, cost_history, iterations, converged)
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """(len(target), accepted mask) of every kernels.batch_nearest call, in
+    order."""
+    calls = []
+    search = kernels.batch_nearest
+
+    def spy(source, target, max_dist):
+        found = search(source, target, max_dist)
+        calls.append((len(target), found[0] >= 0))
+        return found
+
+    monkeypatch.setattr(kernels, "batch_nearest", spy)
+    return calls
+
+
+def outcome(align, source, target, cfg, searches):
+    """(result or (exception type, message), number of searches made)."""
+    searches.clear()
+    try:
+        result = align(source, target, cfg)
+    except Exception as exc:  # every outcome is compared, errors included
+        result = (type(exc), str(exc))
+    return result, len(searches)
+
+
+def assert_same_as_reference(source, target, cfg, searches):
+    """icp_align equals the reference bit for bit, or raises the same error at
+    the same iteration; returns the accepted masks of its searches, and its
+    result or (error type, message)."""
+    expected, expected_searches = outcome(reference_icp_align, source, target, cfg, searches)
+    got, got_searches = outcome(icp_align, source, target, cfg, searches)
+    assert got_searches == expected_searches
+    # Each search is given a target of the cloud's length (what the
+    # benchmark counts pairs by).
+    assert all(size == len(target) for size, _ in searches)
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert np.array_equal(got.delta_pose.rotation, expected.delta_pose.rotation)
+        assert np.array_equal(got.delta_pose.translation, expected.delta_pose.translation)
+        assert np.array_equal(got.covariance, expected.covariance)
+        assert got.cost_history == expected.cost_history
+        assert (got.iterations, got.converged) == (expected.iterations, expected.converged)
+    return [mask for _, mask in searches], got
+
+
+class TestIcpAlignMatchesReference:
+    """The cached information matrix, prepared target and Pose-free loop
+    give the reference loop's bits, and its errors at the same iteration."""
+
+    def test_room_scans(self, rng, searches):
+        world, rates = default_world(), SensorRates()
+        for _ in range(12):
+            heading = exp_se3([0, 0, rng.uniform(-np.pi, np.pi), 0, 0, 0]).rotation
+            pose = Pose(heading, np.array([rng.uniform(0, 6), rng.uniform(-2, 2), 0.0]))
+            step = exp_se3(random_twist(rng, 0.05, 0.1) * [0, 0, 1, 1, 1, 0])
+            error = exp_se3(random_twist(rng, 0.02, 0.05))
+            reference = render_scan(world, pose, rates, rng).transformed(pose)
+            scan = render_scan(world, pose @ step, rates, rng)
+            target = reference.transformed((pose @ step @ error).inverse())
+            _, result = assert_same_as_reference(scan, target, IcpConfig(), searches)
+            assert isinstance(result, IcpResult) and result.converged
+
+    def test_corridor_pair_with_rejected_points(self, searches):
+        world, rng = corridor_world(), np.random.default_rng(0)
+        rates = SensorRates(cloud_sigma=0.0, range_max=12.0)
+        step = Pose(np.eye(3), np.array([0.05, 0.0, 0.0]))
+        target = render_scan(world, Pose.identity(), rates, rng)
+        source = render_scan(world, step, rates, rng)
+        cfg = IcpConfig(max_correspondence_dist=0.02, max_iterations=100, convergence_tol=1e-10)
+        target = target.transformed(exp_se3([0, 0, 0.001, 0.04, 0.002, 0]), BODY)
+        masks, result = assert_same_as_reference(source, target, cfg, searches)
+        assert isinstance(result, IcpResult)
+        assert all(0 < np.count_nonzero(m) < len(source) for m in masks)
+
+    def test_accepted_set_changes_between_iterations(self, searches):
+        changes = same_size_changes = 0
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            cloud = 2.0 * rng.uniform(-1, 1, (40, 3))
+            delta = exp_se3(np.concatenate([0.05 * rng.uniform(-1, 1, 3), 0.1 * rng.uniform(-1, 1, 3)]))
+            target = PointCloud(delta.apply(cloud) + 0.03 * rng.standard_normal((40, 3)), BODY)
+            cfg = IcpConfig(max_correspondence_dist=0.08)
+            masks, _ = assert_same_as_reference(PointCloud(cloud, BODY), target, cfg, searches)
+            for before, after in zip(masks, masks[1:]):
+                if not np.array_equal(before, after):
+                    changes += 1
+                    same_size_changes += np.count_nonzero(before) == np.count_nonzero(after)
+        assert changes > 10 and same_size_changes >= 2
+
+    def test_subset_turns_whole(self, searches):
+        # The first iteration accepts part of the source, the last all of it,
+        # so the covariance can take the alignment's last matrix.
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            cloud = 2.0 * rng.uniform(-1, 1, (60, 3))
+            delta = exp_se3(np.concatenate([0.05 * rng.uniform(-1, 1, 3), 0.15 * rng.uniform(-1, 1, 3)]))
+            target = PointCloud(delta.apply(cloud) + 0.01 * rng.standard_normal((60, 3)), BODY)
+            cfg = IcpConfig(max_correspondence_dist=0.2)
+            masks, _ = assert_same_as_reference(PointCloud(cloud, BODY), target, cfg, searches)
+            assert not masks[0].all() and masks[-1].all()
+
+    def test_ill_conditioned_subset_of_well_conditioned_cloud(self, searches):
+        # Twelve points on a line match the target; eight off the line have
+        # no target within reach. The accepted subset is collinear.
+        line = np.outer(np.linspace(0.0, 1.1, 12), [1.0, 0.0, 0.0])
+        off = np.column_stack([np.linspace(0, 1, 8), np.ones(8), 5.0 + np.arange(8.0)])
+        source = PointCloud(np.vstack([line, off]), BODY)
+        assert not ill_conditioned(information_matrix(source.points))
+        target = PointCloud(line + [0.01, 0.0, 0.0], BODY)
+        masks, result = assert_same_as_reference(source, target, IcpConfig(), searches)
+        assert result == (DegenerateGeometryError, "alignment information matrix ill-conditioned")
+        assert len(masks) == 1 and np.count_nonzero(masks[0]) == 12
+
+    def test_well_conditioned_subset_of_ill_conditioned_cloud(self, rng, searches):
+        # A point 1,000 km off makes the whole cloud ill-conditioned; it has no
+        # target within reach, so the alignment converges on the rest and the
+        # covariance, taken over the whole cloud, refuses it.
+        cube = rng.uniform(-1, 1, (30, 3))
+        source = PointCloud(np.vstack([cube, [[1e6, 0.0, 0.0]]]), BODY)
+        assert ill_conditioned(information_matrix(source.points))
+        assert not ill_conditioned(information_matrix(cube))
+        target = PointCloud(exp_se3([0.01, 0.0, 0.02, 0.03, 0.0, 0.01]).apply(cube), BODY)
+        masks, result = assert_same_as_reference(source, target, IcpConfig(), searches)
+        assert result == (DegenerateGeometryError, "cloud geometry degenerate for covariance")
+        assert len(masks) > 1 and all(np.count_nonzero(m) == 30 for m in masks)
+
+    def test_ill_conditioned_whole_cloud(self, searches):
+        line = PointCloud(np.outer(np.linspace(0.0, 1.4, 15), [0.0, 1.0, 0.0]), BODY)
+        masks, result = assert_same_as_reference(line, line, IcpConfig(), searches)
+        assert result == (DegenerateGeometryError, "alignment information matrix ill-conditioned")
+        assert len(masks) == 1 and masks[0].all()
+
+    def test_fewer_than_three_pairs(self, rng, searches):
+        source = PointCloud(rng.uniform(-1, 1, (12, 3)), BODY)
+        far = 100.0 + rng.uniform(-1, 1, (8, 3))
+        target = PointCloud(np.vstack([source.points[:2], far]), BODY)
+        masks, result = assert_same_as_reference(source, target, IcpConfig(), searches)
+        assert result == (DegenerateGeometryError, "need >= 3 pairs, got 2")
+        assert len(masks) == 1

@@ -152,7 +152,7 @@ def test_queries_at_exactly_max_dist():
     # 64 x 600, so the call falls back to brute force.
     tgt = lattice(0.5, 30, 20)
     src = check_queries_at_exactly_max_dist(tgt)
-    assert kernels._sweep_nearest(src, tgt, 0.25) is None
+    assert kernels._sweep_nearest(src, kernels.Target(tgt), 0.25) is None
 
 
 def test_sweep_path_queries_at_exactly_max_dist(sweep_only):
@@ -236,7 +236,7 @@ def test_sweep_declines_dense_cube(rng):
     # The decision comes from the slab counts, before any candidate exists.
     src = rng.uniform(0, 0.5, (2000, 3))
     tgt = rng.uniform(0, 0.5, (2000, 3))
-    assert kernels._sweep_nearest(src, tgt, 0.5) is None
+    assert kernels._sweep_nearest(src, kernels.Target(tgt), 0.5) is None
 
 
 def test_memory_stays_bounded(rng):
@@ -291,6 +291,105 @@ def test_sweep_path_on_noise_free_corridor_scans(sweep_only):
 def test_noisy_corridor_scans_fall_back():
     src, tgt = corridor_scan_pair(cloud_sigma=0.05, range_max=4.0)
     assert len(src) * len(tgt) >= kernels.SWEEP_MIN_PAIRS
-    assert kernels._sweep_nearest(src, tgt, 0.5) is None
+    assert kernels._sweep_nearest(src, kernels.Target(tgt), 0.5) is None
     idx, _ = assert_matches_reference(src, tgt, 0.5)
     assert np.all(idx >= 0)
+
+
+@pytest.fixture
+def paths(monkeypatch):
+    """The path that served each batch_nearest call: "sweep" or "brute"."""
+    served = []
+    sweep, brute = kernels._sweep_nearest, kernels._brute_nearest
+
+    def spy_sweep(source, target, max_dist):
+        found = sweep(source, target, max_dist)
+        if found is not None:
+            served.append("sweep")
+        return found
+
+    def spy_brute(source, target):
+        served.append("brute")
+        return brute(source, target)
+
+    monkeypatch.setattr(kernels, "_sweep_nearest", spy_sweep)
+    monkeypatch.setattr(kernels, "_brute_nearest", spy_brute)
+    return served
+
+
+def assert_prepared_matches_arrays(tgt, sources, max_dist):
+    """One Target searched from every source equals batch_nearest on the
+    plain arrays, bit for bit."""
+    prepared = kernels.Target(tgt)
+    assert len(prepared) == len(tgt)
+    for src in sources:
+        idx, dist = kernels.batch_nearest(src, prepared, max_dist)
+        ref_idx, ref_dist = kernels.batch_nearest(src, tgt, max_dist)
+        assert np.array_equal(idx, ref_idx)
+        assert np.array_equal(dist, ref_dist, equal_nan=True)
+
+
+class TestPreparedTarget:
+    """A Target prepared once serves every search path as a plain array does."""
+
+    def test_brute_force(self, rng, paths):
+        tgt = rng.uniform(-2, 2, (50, 3))
+        sources = [tgt + rng.normal(0, 0.05, tgt.shape) for _ in range(4)]
+        for max_dist in (np.inf, 0.5, 0.05):
+            assert_prepared_matches_arrays(tgt, sources, max_dist)
+        assert set(paths) == {"brute"}
+
+    def test_sweep(self, paths):
+        src, tgt = corridor_scan_pair(cloud_sigma=0.0, range_max=12.0)
+        moves = [Pose(np.eye(3), np.array([dx, 0.0, 0.0])) for dx in (0.0, 0.01, -0.02)]
+        assert_prepared_matches_arrays(tgt, [move.apply(src) for move in moves], 0.02)
+        assert set(paths) == {"sweep"}
+
+    def test_overfilled_slab_then_sweep(self, rng, paths):
+        # The same target refused by the sweep for a dense cube of queries,
+        # then swept for sparse ones.
+        tgt = rng.uniform(0, 0.5, (2000, 3))
+        dense = rng.uniform(0, 0.5, (2000, 3))
+        sparse = rng.uniform(0, 0.5, (100, 3))
+        assert kernels._sweep_nearest(dense, kernels.Target(tgt), 0.5) is None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "SWEEP_MIN_PAIRS", 0)
+            assert_prepared_matches_arrays(tgt, [dense, sparse, dense], 0.01)
+        assert paths.count("sweep") == 2 and "brute" in paths
+
+    def test_far_off_and_non_finite_coordinates(self, rng, paths):
+        wall = lattice(0.05, 200, 8)
+        queries = wall + rng.normal(0, 0.02, wall.shape)
+        far = queries.copy()
+        far[0] = [kernels.MAX_SPAN * 0.05, 0.0, 0.0]
+        non_finite = queries.copy()
+        non_finite[1] = [np.nan, 0.0, 0.0]
+        non_finite[2] = [0.0, np.inf, 0.0]
+        assert_prepared_matches_arrays(wall, [queries, far, non_finite, queries], 0.05)
+        assert paths == ["sweep"] * 2 + ["brute"] * 4 + ["sweep"] * 2  # prepared, then plain, per source
+        for bad in ([kernels.MAX_SPAN * 0.05, 0.0, 0.0], [np.nan, 0.0, 0.0]):
+            tgt = np.vstack([wall, bad])
+            paths.clear()
+            assert_prepared_matches_arrays(tgt, [queries, queries], 0.05)
+            assert set(paths) == {"brute"}
+
+    def test_empty_target(self, paths):
+        for tgt in (np.zeros((0, 3)), []):
+            prepared = kernels.Target(tgt)
+            assert len(prepared) == 0
+            for src in (np.zeros((2, 3)), np.zeros((0, 3))):
+                idx, dist = kernels.batch_nearest(src, prepared, 0.5)
+                assert np.array_equal(idx, np.full(len(src), -1)) and np.all(np.isinf(dist))
+        assert paths == []
+
+    @pytest.mark.parametrize("max_dist", [0.05, 0.0354, np.inf])
+    def test_lattice_ties(self, max_dist, paths):
+        tgt = lattice(0.05, 40, 12)
+        centres = tgt[:, [0, 2]].reshape(40, 12, 2)[:-1, :-1].reshape(-1, 2) + 0.025
+        src = np.column_stack([centres[:, 0], np.zeros(len(centres)), centres[:, 1]])
+        edges = tgt[:200] + [0.025, 0.0, 0.0]
+        assert_prepared_matches_arrays(tgt, [src, edges, np.vstack([src, edges])], max_dist)
+        assert set(paths) == ({"brute"} if max_dist == np.inf else {"sweep", "brute"})
+        idx, _ = kernels.batch_nearest(np.vstack([src, edges]), kernels.Target(tgt), max_dist)
+        ref_idx, _ = reference_nearest(np.vstack([src, edges]), tgt, max_dist)
+        assert np.array_equal(idx, ref_idx)

@@ -486,6 +486,18 @@ class TestFastPath:
         assert_bits_equal(logio._read_table(path, "a,b", 2), [[1.0, 2.0], [3.0, want]])
         assert line_loop_paths == (["t.csv"] if token in ("1_0", "\u0661") else [])
 
+    @pytest.mark.parametrize("char", ["\x1c", "\x1d", "\x1e", "\x1f"])
+    def test_ascii_separators_around_a_value_read_as_the_number(self, tmp_path, char, line_loop_paths):
+        # The documented difference from float(), which refuses these texts:
+        # the C reader strips the ASCII separators around a CSV value as
+        # whitespace.
+        with pytest.raises(ValueError):
+            float(f"{char}2{char}")
+        path = tmp_path / "t.csv"
+        path.write_text(f"a,b,c\n1,2{char},3\n4,{char}5,{char}6{char}\n")
+        assert_bits_equal(logio._read_table(path, "a,b,c", 3), [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        assert line_loop_paths == []
+
     def test_four_column_xyz_named_at_first_data_line(self, tmp_path, rng):
         # np.loadtxt reads this file; only the width check refuses it.
         path = tmp_path / "wide.xyz"

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import random_pose, random_twist, rot_z, series_exp
 from iekf_slam.errors import CorruptedPoseError, LogDomainError, MalformedAlgebraError
+from iekf_slam.metrics import ground_truth_planar
 from iekf_slam.se3 import (
     Pose,
     exp_se3,
@@ -105,8 +106,8 @@ class TestExpMany:
         assert translations.shape == (len(twists), 3)
         for t, r, v in zip(twists, rotations, translations):
             pose = exp_se3(t)
-            assert np.allclose(r, pose.rotation, rtol=0, atol=1e-15)
-            assert np.allclose(v, pose.translation, rtol=0, atol=1e-15)
+            assert np.array_equal(r, pose.rotation)
+            assert np.array_equal(v, pose.translation)
 
     def test_random_twists(self, rng):
         self.assert_matches_scalar(
@@ -285,6 +286,21 @@ class TestPlanar:
             pb = Pose(rot_z(b), np.array([rng.uniform(), rng.uniform(), 0.0]))
             psi = planar_extract(pa @ pb)[2]
             assert abs(wrap_angle(psi - (a + b))) < 1e-12
+
+    def test_ground_truth_planar_matches_planar_extract_bits(self, rng):
+        # The stacked arctan2 gives planar_extract's bits, signed zeros and
+        # both signs of pi included (R10 = +-0 with R00 = -1).
+        headings = np.concatenate([rng.uniform(-np.pi, np.pi, 500), [np.pi, -np.pi, 0.0, -0.0, np.pi / 2]])
+        poses = [Pose(rot_z(psi), rng.uniform(-5, 5, 3)) for psi in headings]
+        for sin, cos in ((0.0, -1.0), (-0.0, -1.0), (-0.0, 1.0), (0.0, 1.0)):
+            rotation = np.array([[cos, -sin, 0.0], [sin, cos, 0.0], [0.0, 0.0, 1.0]])
+            poses.append(Pose(rotation, np.array([-0.0, 0.0, 1.0])))
+        t, x, y, psi = ground_truth_planar([(0.1 * k, pose) for k, pose in enumerate(poses)])
+        expected = np.array([planar_extract(pose) for pose in poses])
+        assert np.column_stack([x, y, psi]).tobytes() == expected.tobytes()
+        assert np.array_equal(t, 0.1 * np.arange(len(poses)))
+        assert psi[-4:].tolist() == [np.pi, -np.pi, -0.0, 0.0]
+        assert np.signbit(psi[-2]) and not np.signbit(psi[-1])
 
 
 class TestSerialization:
