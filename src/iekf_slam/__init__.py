@@ -2,7 +2,7 @@
 
 Library layout:
 
-- ``se3``: Lie-group primitives (hat/vee, exp, log, projection, renormalize)
+- ``se3``: Lie-group primitives (hat, exp, log, projection, renormalize, heading)
 - ``pointcloud`` / ``icp``: clouds, ICP alignment and its covariance model
 - ``scan_matching``: naive and odometry-aided matching steps
 - ``iekf``: the left-invariant Kalman filter and its pose measurements
@@ -15,7 +15,7 @@ from .icp import IcpConfig, IcpResult, icp_align, icp_covariance, solve_linear_a
 from .iekf import FilterState, NoiseConfig, OdometrySample, PoseMeasurement, linearize, predict, run_filter, update
 from .pointcloud import PointCloud
 from .scan_matching import aided_step, naive_step
-from .se3 import Pose, exp_se3, hat, log_se3, planar_extract, project_pi, renormalize, skew, vee
+from .se3 import Pose, exp_se3, hat, log_se3, planar_extract, project_pi, renormalize, skew
 from .simulator import ScenarioLog, SensorRates, TrajectorySpec, WorldModel, run_scenario
 
 __version__ = "0.1.0"

@@ -56,10 +56,10 @@ def cmd_run(args):
     noise = noise_from_meta(log.meta)
     icp_cfg = cfgmod.make_icp_config(cfg, cloud_sigma=float(log.meta.get("cloud_sigma", "0")))
     init = cfgmod.make_initial_state(cfg)
-    rows = run_pipeline(log, mode, noise, init, icp_cfg)
+    estimates = run_pipeline(log, mode, noise, init, icp_cfg)
     out = args.out or os.path.join(args.log_dir, f"estimates_{mode}.csv")
-    save_estimates(out, rows)
-    print(f"wrote {len(rows)} estimate rows ({mode}) to {out}")
+    save_estimates(out, estimates)
+    print(f"wrote {len(estimates[0])} estimate rows ({mode}) to {out}")
     return 0
 
 
@@ -85,8 +85,8 @@ def cmd_icp_debug(args):
     source = load_xyz(args.cloud_a)
     target = load_xyz(args.cloud_b)
     initial = Pose.identity()
-    if args.initial:
-        initial = Pose.from_row([float(v) for v in args.initial.split()])
+    if args.initial is not None:
+        initial = args.initial
         source = source.transformed(initial, frame=source.frame)
     cfg = cfgmod.make_icp_config(_load_config(args.config), sigma=args.sigma)
     result = icp_align(source, target, cfg)
@@ -136,7 +136,7 @@ def build_parser():
     p = sub.add_parser("icp-debug", help="align two cloud files and report diagnostics")
     p.add_argument("cloud_a", help="source cloud (.xyz)")
     p.add_argument("cloud_b", help="target cloud (.xyz)")
-    p.add_argument("--initial", help="initial pose guess: 12 numbers, row-major R then p")
+    p.add_argument("--initial", type=cfgmod.pose_row, help="initial pose guess: 12 numbers, row-major R then p")
     p.add_argument("--sigma", type=cfgmod.finite, help="assumed point noise (m); overrides icp.sigma")
     p.add_argument("--config", help="key = value config file (icp.*)")
     p.set_defaults(func=cmd_icp_debug)

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, CorruptedPoseError
 from .icp import IcpConfig
 from .iekf import FilterState, NoiseConfig
-from .se3 import Pose
+from .se3 import Pose, renormalize
 from .simulator import SensorRates, TrajectorySpec, WorldModel, corridor_world, default_world
 
 
@@ -42,6 +42,17 @@ def finite(text):
     if not np.isfinite(value):
         raise ValueError(f"value must be finite, got {value}")
     return value
+
+
+def pose_row(text):
+    """A pose as 12 finite numbers, row-major R then p, whose R is within
+    ``renormalize``'s tolerance of a rotation. The pose keeps the given bits."""
+    pose = Pose.from_row([finite(v) for v in text.split()])
+    try:
+        renormalize(pose)
+    except CorruptedPoseError as exc:
+        raise ValueError(str(exc)) from exc
+    return pose
 
 
 def non_negative(text):

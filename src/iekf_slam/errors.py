@@ -28,10 +28,6 @@ class EvaluationError(SlamError):
     exit_code = 3
 
 
-class MalformedAlgebraError(SlamError):
-    """Matrix does not satisfy the se(3) pattern (skew top-left, zero bottom row)."""
-
-
 class LogDomainError(SlamError):
     """Rotation angle too close to pi for the closed-form logarithm."""
 

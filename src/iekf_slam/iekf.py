@@ -8,7 +8,7 @@ measured body-frame velocities, never on the estimated pose:
 Covariance propagates by an Euler step of the Riccati drift between scans;
 each pose measurement applies the equivalent discrete update with gain
 K = P (P + C_meas)^-1 and the multiplicative correction pose * exp(K z),
-z = vee(pi(pose^-1 * measured)).
+z = pi(pose^-1 * measured) as a twist (``project_pi``).
 
 :func:`schedule` is the one place where odometry is merged with a second
 timestamped stream; ``run_filter`` and both scan matchers in ``pipeline``
@@ -16,10 +16,10 @@ step through its events. Because A never sees the pose, ``run_filter``
 computes every odometry increment (one ``exp_se3_many`` call) and every
 transition matrix Phi = I + hA (one stacked array) for the whole stream
 before the sequential pass, which only composes poses, applies the
-covariance recursion shared with :func:`predict` and fuses measurements.
-Positive definiteness is checked over every propagated P with one stacked
-Cholesky per interval between measurements, before that interval's states
-are yielded.
+covariance recursion shared with :func:`predict`, fuses measurements and
+writes each event's state into preallocated columns. Positive definiteness
+is checked over every propagated P with one stacked Cholesky per interval
+between measurements, before the update that ends the interval.
 """
 
 from __future__ import annotations
@@ -172,7 +172,7 @@ def predict(state: FilterState, sample: OdometrySample, dt: float, noise: NoiseC
 
 
 def innovation(state: FilterState, meas: PoseMeasurement):
-    """Twist-valued innovation vee(pi(pose^-1 * measured)); left-invariant."""
+    """Twist-valued innovation pi(pose^-1 * measured); left-invariant."""
     return project_pi(state.pose.inverse() @ meas.measured_pose)
 
 
@@ -249,17 +249,23 @@ def schedule(odometry, others, t0):
     return events, dts, samples
 
 
+def _require_predicted_pd(covariances, stepped):
+    """_require_pd over the rows of ``covariances`` that a prediction step wrote."""
+    if stepped.any():
+        _require_pd(covariances[stepped], "predict")
+
+
 def run_filter(odometry, measurements, noise: NoiseConfig, init: FilterState):
     """Run timestamp-sorted odometry and measurement streams through
-    predict/update; yields the filter state after every event.
+    predict/update; returns the filter state after every event as columns
+    t (n,), R (n, 3, 3), p (n, 3) and P (n, 6, 6).
 
     The events and their timing come from :func:`schedule` (zero-order hold,
-    odometry first on ties), called up front so an out-of-order timestamp
-    raises TimingError before anything is yielded. A failed update
-    (rejected measurement) leaves the state on prediction. Every increment
-    and transition matrix is computed in one batch, and the states of each
-    interval between measurements are yielded once all of their covariances
-    pass the positive-definiteness check.
+    odometry first on ties), so an out-of-order timestamp raises TimingError
+    before any step. A failed update (rejected measurement) leaves the state
+    on prediction. The covariances predicted in each interval between
+    measurements pass one positive-definiteness check before the update
+    that ends it.
     """
     events, dts, samples = schedule(odometry, measurements, init.timestamp)
     substeps = [_substeps(dt) for dt in dts]
@@ -269,28 +275,27 @@ def run_filter(odometry, measurements, noise: NoiseConfig, init: FilterState):
     phis += np.eye(6)
     q = noise.q_block()
 
+    n = len(events)
+    t_col, r_col, p_col, cov_col = np.empty(n), np.empty((n, 3, 3)), np.empty((n, 3)), np.empty((n, 6, 6))
+    stepped = np.array([step >= 0 for step, _, _ in events], dtype=bool)
     pose, p = init.pose, init.covariance
-    pending, predicted = [], []
-    for step, t, meas in events:
+    start = 0  # first row of the current interval
+    for i, (step, t, meas) in enumerate(events):
         if step >= 0:
             n_sub, h = substeps[step]
             p = _propagate_covariance(p, phis[step], h * q, n_sub)
             pose = pose @ Pose(rotations[step], translations[step])
-            predicted.append(p)
-        state = FilterState(pose, p, t)
-        if meas is None:
-            pending.append(state)
-            continue
-        if predicted:
-            _require_pd(predicted, "predict")
-        yield from pending
-        pending, predicted = [], []
-        try:
-            state = update(state, meas)
-        except MeasurementRejectedError:
-            pass
-        pose, p = state.pose, state.covariance
-        yield state
-    if predicted:
-        _require_pd(predicted, "predict")
-    yield from pending
+        cov_col[i] = p
+        if meas is not None:
+            _require_predicted_pd(cov_col[start : i + 1], stepped[start : i + 1])
+            start = i + 1
+            try:
+                state = update(FilterState(pose, p, t), meas)
+            except MeasurementRejectedError:
+                pass
+            else:
+                pose, p = state.pose, state.covariance
+                cov_col[i] = p
+        t_col[i], r_col[i], p_col[i] = t, pose.rotation, pose.translation
+    _require_predicted_pd(cov_col[start:], stepped[start:])
+    return t_col, r_col, p_col, cov_col

@@ -124,14 +124,11 @@ def load_ground_truth(path):
     return [(t, Pose(rotation, p)) for t, rotation, p in zip(data[:, 0].tolist(), rotations, data[:, 10:])]
 
 
-def save_estimates(path, rows):
-    """rows: iterable of (t, Pose, 6x6 covariance or None)."""
-    rows = list(rows)
-    poses = np.reshape([pose.to_row() for _, pose, _ in rows], (-1, 12))  # R row-major, then p
-    psi = np.arctan2(poses[:, 3], poses[:, 0])  # planar_extract's atan2(R10, R00)
-    covariances = np.reshape([np.zeros((6, 6)) if cov is None else cov for _, _, cov in rows], (-1, 36))
-    table = np.column_stack([[t for t, _, _ in rows], poses[:, 9:], psi, covariances])
-    _write_table(path, ESTIMATES_HEADER, table)
+def save_estimates(path, estimates):
+    """Write the (t, x, y, z, psi, P) columns that :func:`load_estimates`
+    returns; P has shape (n, 6, 6)."""
+    t, x, y, z, psi, covariances = estimates
+    _write_table(path, ESTIMATES_HEADER, np.column_stack([t, x, y, z, psi, np.reshape(covariances, (-1, 36))]))
 
 
 def load_estimates(path):

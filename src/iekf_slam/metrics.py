@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError
-from .se3 import wrap_angle
+from .se3 import heading, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -28,12 +28,11 @@ class MetricsReport:
 
 def ground_truth_planar(ground_truth):
     """(t, x, y, psi) arrays from a list of (t, Pose): ``planar_extract`` of
-    every pose, with psi = atan2(R10, R00) taken over the stacked rotations
-    in one call."""
+    every pose, with psi the ``heading`` of the stacked rotations."""
     t = np.array([s[0] for s in ground_truth])
     rotations = np.reshape([pose.rotation for _, pose in ground_truth], (-1, 3, 3))
     translations = np.reshape([pose.translation for _, pose in ground_truth], (-1, 3))
-    return t, translations[:, 0], translations[:, 1], np.arctan2(rotations[:, 1, 0], rotations[:, 0, 0])
+    return t, translations[:, 0], translations[:, 1], heading(rotations)
 
 
 def evaluate_series(est_t, est_x, est_y, est_psi, gt_t, gt_x, gt_y, gt_psi, max_dt):

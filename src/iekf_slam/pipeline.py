@@ -22,11 +22,13 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
+
 from .errors import ConfigError, DegenerateGeometryError, NumericalFailureError
 from .icp import IcpConfig
 from .iekf import FilterState, NoiseConfig, odometry_increments, run_filter, schedule
 from .scan_matching import aided_step, naive_step
-from .se3 import Pose, exp_se3  # noqa: F401  (re-export: perfbench traces pipeline.exp_se3)
+from .se3 import Pose, exp_se3, heading  # noqa: F401  (re-export: perfbench traces pipeline.exp_se3)
 
 MODES = ("iekf", "dead-reckoning", "naive-scan-match", "scan-match-only")
 
@@ -34,19 +36,20 @@ MODES = ("iekf", "dead-reckoning", "naive-scan-match", "scan-match-only")
 def run_aided_matcher(odometry, scans, icp_cfg: IcpConfig, initial_pose: Pose):
     """Odometry-aided scan matching over a log, starting from ``initial_pose``.
 
-    Returns (rows, measurements): one (t, pose) row per event of
-    :func:`schedule` and the list of PoseMeasurements. ICP failures drop the
-    measurement and continue on the integrated pose. Every odometry
-    increment of the log is computed in one batch before the sequential
-    pass.
+    Returns ((t, R, p), measurements): the pose after every event of
+    :func:`schedule` as columns t (n,), R (n, 3, 3) and p (n, 3), and the
+    list of PoseMeasurements. ICP failures drop the measurement and continue
+    on the integrated pose. Every odometry increment of the log is computed
+    in one batch before the sequential pass.
     """
     events, dts, samples = schedule(odometry, scans, 0.0)
     rotations, translations = odometry_increments(dts, samples)
+    n = len(events)
+    t_col, r_col, p_col = np.empty(n), np.empty((n, 3, 3)), np.empty((n, 3))
     pose = initial_pose
     reference = None
-    rows = []
     measurements = []
-    for step, t, scan in events:
+    for i, (step, t, scan) in enumerate(events):
         if step >= 0:
             pose = pose @ Pose(rotations[step], translations[step])
         if scan is not None and reference is None:
@@ -60,23 +63,24 @@ def run_aided_matcher(odometry, scans, icp_cfg: IcpConfig, initial_pose: Pose):
                 pose = meas.measured_pose
                 reference = scan.transformed(pose)
                 measurements.append(meas)
-        rows.append((t, pose))
-    return rows, measurements
+        t_col[i], r_col[i], p_col[i] = t, pose.rotation, pose.translation
+    return (t_col, r_col, p_col), measurements
 
 
 def run_naive_matcher(odometry, scans, icp_cfg: IcpConfig, initial_pose: Pose):
     """Naive chained scan matching from ``initial_pose`` over the events of
     :func:`schedule`; odometry events only hold the last pose.
 
-    Returns (rows, matched): one (t, pose) row per event and the number of
-    scans matched against a reference.
+    Returns ((t, R, p), matched): columns as in :func:`run_aided_matcher`
+    and the number of scans matched against a reference.
     """
     events, _, _ = schedule(odometry, scans, 0.0)
+    n = len(events)
+    t_col, r_col, p_col = np.empty(n), np.empty((n, 3, 3)), np.empty((n, 3))
     pose = initial_pose
     reference = None
     matched = 0
-    rows = []
-    for _, t, scan in events:
+    for i, (_, t, scan) in enumerate(events):
         if scan is not None and reference is None:
             reference = scan
         elif scan is not None:
@@ -87,17 +91,18 @@ def run_naive_matcher(odometry, scans, icp_cfg: IcpConfig, initial_pose: Pose):
             else:
                 reference = scan
                 matched += 1
-        rows.append((t, pose))
-    return rows, matched
+        t_col[i], r_col[i], p_col[i] = t, pose.rotation, pose.translation
+    return (t_col, r_col, p_col), matched
 
 
 def run_pipeline(log, mode, noise: NoiseConfig, init: FilterState, icp_cfg: IcpConfig):
     """Replay a ScenarioLog through one estimation mode.
 
     ``init.pose`` is taken relative to the log's first ground-truth pose.
-    Returns rows of (t, Pose, covariance-or-None), one per event. In every
-    mode but dead reckoning, a log in which no scan gives a pose measurement
-    raises DegenerateGeometryError.
+    Returns ``logio.load_estimates``'s columns (t, x, y, z, psi, P), one row
+    per event; P is zero in the matcher modes. In every mode but dead
+    reckoning, a log in which no scan gives a pose measurement raises
+    DegenerateGeometryError.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; choose from {', '.join(MODES)}")
@@ -106,20 +111,19 @@ def run_pipeline(log, mode, noise: NoiseConfig, init: FilterState, icp_cfg: IcpC
     measurements = []
     if mode != "dead-reckoning":
         if mode == "naive-scan-match":
-            rows, matched = run_naive_matcher(log.odometry, log.scans, icp_cfg, initial_pose)
+            columns, matched = run_naive_matcher(log.odometry, log.scans, icp_cfg, initial_pose)
         else:
-            rows, measurements = run_aided_matcher(log.odometry, log.scans, icp_cfg, initial_pose)
+            columns, measurements = run_aided_matcher(log.odometry, log.scans, icp_cfg, initial_pose)
             matched = len(measurements)
         if not matched:
             raise DegenerateGeometryError(
                 f"no scan matched in {mode} mode: none of the log's "
                 f"{len(log.scans)} scans gave a pose measurement"
             )
-        if mode != "iekf":
-            return [(t, pose, None) for t, pose in rows]
-
-    init = replace(init, pose=initial_pose @ init.pose)
-    return [
-        (state.timestamp, state.pose, state.covariance)
-        for state in run_filter(log.odometry, measurements, noise, init)
-    ]
+    if mode in ("iekf", "dead-reckoning"):
+        init = replace(init, pose=initial_pose @ init.pose)
+        t, rotations, positions, covariances = run_filter(log.odometry, measurements, noise, init)
+    else:
+        t, rotations, positions = columns
+        covariances = np.zeros((len(t), 6, 6))
+    return t, positions[:, 0], positions[:, 1], positions[:, 2], heading(rotations), covariances

@@ -1,4 +1,4 @@
-"""SE(3) / se(3) primitives: hat/vee, exp, log, the first-order projection,
+"""SE(3) / se(3) primitives: hat, exp, log, the first-order projection,
 group operations, renormalization and planar extraction.
 
 Twist vectors are 6-vectors ordered [rotational (rad), translational (m)].
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CorruptedPoseError, LogDomainError, MalformedAlgebraError
+from .errors import CorruptedPoseError, LogDomainError
 
 _SMALL_ANGLE = 1e-8
 _I3 = np.eye(3)
@@ -48,21 +48,6 @@ def hat(twist):
     out[:3, :3] = skew(twist[:3])
     out[:3, 3] = twist[3:]
     return out
-
-
-def vee(mat, tol=1e-9):
-    """Inverse of :func:`hat`.
-
-    Raises MalformedAlgebraError if the matrix violates the se(3) pattern
-    (non-skew rotation block or non-zero bottom row) beyond ``tol``.
-    """
-    mat = np.asarray(mat, dtype=float)
-    if mat.shape != (4, 4):
-        raise MalformedAlgebraError(f"expected 4x4 matrix, got shape {mat.shape}")
-    rot = mat[:3, :3]
-    if np.max(np.abs(rot + rot.T)) > tol or np.max(np.abs(mat[3])) > tol:
-        raise MalformedAlgebraError("matrix does not satisfy the se(3) pattern")
-    return np.concatenate([unskew(rot), mat[:3, 3]])
 
 
 def _norm(v):
@@ -261,14 +246,15 @@ def renormalize(pose: Pose, tol=1e-3) -> Pose:
     return Pose(nearest, pose.translation)
 
 
+def heading(rotations):
+    """Heading psi = atan2(R10, R00) of a rotation, or of each rotation in an
+    (n, 3, 3) stack in one call."""
+    return np.arctan2(rotations[..., 1, 0], rotations[..., 0, 0])
+
+
 def planar_extract(pose: Pose):
-    """Plane position and heading (x, y, psi) with psi = atan2(R10, R00)."""
-    R = pose.rotation
-    return (
-        float(pose.translation[0]),
-        float(pose.translation[1]),
-        float(np.arctan2(R[1, 0], R[0, 0])),
-    )
+    """Plane position and heading (x, y, psi) of one pose."""
+    return float(pose.translation[0]), float(pose.translation[1]), float(heading(pose.rotation))
 
 
 def wrap_angle(angle):

@@ -18,7 +18,7 @@ from iekf_slam.iekf import FilterState, NoiseConfig, OdometrySample, PoseMeasure
 from iekf_slam.metrics import evaluate_series, ground_truth_planar
 from iekf_slam.pipeline import run_pipeline
 from iekf_slam.pointcloud import BODY, PointCloud
-from iekf_slam.se3 import Pose, exp_se3, log_se3, planar_extract, project_pi, wrap_angle
+from iekf_slam.se3 import Pose, exp_se3, log_se3, project_pi, wrap_angle
 from iekf_slam.simulator import (
     SensorRates,
     TrajectorySpec,
@@ -41,14 +41,11 @@ def _report(label, ok, detail=""):
     assert ok, f"{label}{suffix}"
 
 
-def _score(rows, ground_truth):
-    """RMS report of pipeline rows against the simulator truth."""
-    t = np.array([r[0] for r in rows])
-    planar = np.array([planar_extract(r[1]) for r in rows])
+def _score(estimates, ground_truth):
+    """RMS report of the pipeline's estimate columns against the simulator truth."""
+    t, x, y, _, psi, _ = estimates
     gt_t, gt_x, gt_y, gt_psi = ground_truth_planar(ground_truth)
-    return evaluate_series(
-        t, planar[:, 0], planar[:, 1], planar[:, 2], gt_t, gt_x, gt_y, gt_psi, max_dt=1e-6
-    )
+    return evaluate_series(t, x, y, psi, gt_t, gt_x, gt_y, gt_psi, max_dt=1e-6)
 
 
 def _run_seed(spec, seed, mode="iekf", world=None, rates=None, icp_cfg=None, init=None):
@@ -58,8 +55,7 @@ def _run_seed(spec, seed, mode="iekf", world=None, rates=None, icp_cfg=None, ini
     init = FilterState.initial() if init is None else init
     noise = NoiseConfig()
     log = run_scenario(world, spec, rates, noise, seed)
-    rows = run_pipeline(log, mode, noise, init, icp_cfg)
-    return log, rows
+    return log, run_pipeline(log, mode, noise, init, icp_cfg)
 
 
 def test_straight_line_accuracy():
@@ -67,9 +63,9 @@ def test_straight_line_accuracy():
     worst = {"x": 0.0, "y": 0.0, "psi": 0.0, "runtime": 0.0}
     for seed in range(N_SEEDS):
         start = time.perf_counter()
-        log, rows = _run_seed(spec, seed)
+        log, estimates = _run_seed(spec, seed)
         elapsed = time.perf_counter() - start
-        score = _score(rows, log.ground_truth)
+        score = _score(estimates, log.ground_truth)
         worst["x"] = max(worst["x"], score.rms_x)
         worst["y"] = max(worst["y"], score.rms_y)
         worst["psi"] = max(worst["psi"], score.rms_psi)
@@ -92,11 +88,10 @@ def test_two_circle_accuracy_and_closure():
     spec = TrajectorySpec(kind="circle", speed=0.3, radius=1.5, turns=2.0)
     worst = {"x": 0.0, "y": 0.0, "psi": 0.0, "final": 0.0}
     for seed in range(N_SEEDS):
-        log, rows = _run_seed(spec, seed)
-        score = _score(rows, log.ground_truth)
-        final_err = np.linalg.norm(
-            rows[-1][1].translation[:2] - log.ground_truth[-1][1].translation[:2]
-        )
+        log, estimates = _run_seed(spec, seed)
+        score = _score(estimates, log.ground_truth)
+        _, x, y, *_ = estimates
+        final_err = np.linalg.norm([x[-1], y[-1]] - log.ground_truth[-1][1].translation[:2])
         worst["x"] = max(worst["x"], score.rms_x)
         worst["y"] = max(worst["y"], score.rms_y)
         worst["psi"] = max(worst["psi"], score.rms_psi)
@@ -261,15 +256,15 @@ def test_recovery_from_large_heading_error():
     converged = 0
     worst = 0.0
     for seed in range(N_SEEDS):
-        log, rows = _run_seed(spec, seed, init=init)
+        log, estimates = _run_seed(spec, seed, init=init)
         gt_t, _, _, gt_psi = ground_truth_planar(log.ground_truth)
         err = np.inf
-        for t, pose, _ in rows:
-            if t >= 10.0:
-                psi = planar_extract(pose)[2]
-                j = int(np.argmin(np.abs(gt_t - t)))
-                err = abs(wrap_angle(psi - gt_psi[j]))
-                break
+        t, _, _, _, psi, _ = estimates
+        late = np.flatnonzero(t >= 10.0)
+        if late.size:
+            k = late[0]
+            j = int(np.argmin(np.abs(gt_t - t[k])))
+            err = abs(wrap_angle(psi[k] - gt_psi[j]))
         worst = max(worst, err)
         if err < np.radians(5.0):
             converged += 1
@@ -290,17 +285,17 @@ def test_featureless_corridor_behaviour():
     # leading edge from pairing across columns and dragging the fit
     icp_cfg = IcpConfig(max_iterations=100, convergence_tol=1e-10, max_correspondence_dist=0.02)
 
-    log, naive_rows = _run_seed(
+    log, naive = _run_seed(
         spec, 0, mode="naive-scan-match", world=world, rates=rates, icp_cfg=icp_cfg
     )
-    naive_advance = max(np.linalg.norm(pose.translation) for _, pose, _ in naive_rows)
+    naive_advance = np.max(np.linalg.norm(np.column_stack(naive[1:4]), axis=1))
 
     worst = {"x": 0.0, "y": 0.0, "psi": 0.0}
     for seed in range(3):
-        log, rows = _run_seed(
+        log, estimates = _run_seed(
             spec, seed, mode="scan-match-only", world=world, rates=rates, icp_cfg=icp_cfg
         )
-        score = _score(rows, log.ground_truth)
+        score = _score(estimates, log.ground_truth)
         worst["x"] = max(worst["x"], score.rms_x)
         worst["y"] = max(worst["y"], score.rms_y)
         worst["psi"] = max(worst["psi"], score.rms_psi)

@@ -572,11 +572,9 @@ class TestEvaluate:
         gt = [(tv, Pose(np.eye(3), np.array([0.5 * tv, 0.0, 0.0]))) for tv in t]
         gt_path = str(tmp_path / "gt.csv")
         save_ground_truth(gt_path, gt)
-        rows = [
-            (tv, Pose(np.eye(3), np.array([0.5 * tv + offset, 0.0, 0.0])), None) for tv in t
-        ]
+        zero = np.zeros_like(t)
         est_path = str(tmp_path / "est.csv")
-        save_estimates(est_path, rows)
+        save_estimates(est_path, (t, 0.5 * t + offset, zero, zero, zero, np.zeros((len(t), 6, 6))))
         return est_path, gt_path
 
     def test_perfect_estimates_score_zero(self, tmp_path, capsys):
@@ -620,7 +618,7 @@ class TestEvaluate:
         gt_path = str(tmp_path / "gt.csv")
         save_ground_truth(gt_path, [(0.0, Pose(rot, np.zeros(3)))])
         est_path = str(tmp_path / "est.csv")
-        save_estimates(est_path, [(0.0, Pose(rot.T, np.zeros(3)), None)])
+        save_estimates(est_path, (t, [0.0], [0.0], [0.0], [-psi], np.zeros((1, 6, 6))))
         assert main(["evaluate", est_path, gt_path]) == 0
         out = capsys.readouterr().out
         rms_psi = float(out.split("rms_psi = ")[1].splitlines()[0])
@@ -725,6 +723,38 @@ class TestIcpDebug:
         captured = capsys.readouterr()
         assert "--sigma" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "initial",
+        [
+            "1 2 3",
+            "1 0 0 0 1 0 0 0 1 0 0 0 0",
+            "a b",
+            "1 0 0 0 1 0 0 0 1 nan 0 0",
+            "1 0 0 0 1 0 0 0 1 0 inf 0",
+            "1.01 0 0 0 1 0 0 0 1 0 0 0",
+            "1 0 0 0 1 0 0 0 -1 0 0 0",
+        ],
+    )
+    def test_bad_initial_flag_exit_2(self, tmp_path, rng, capsys, initial):
+        # A wrong count, a word or a non-finite entry ended in a traceback
+        # with exit 1; a stretched rotation block aligned a scaled cloud and
+        # exited 0.
+        a, b = self.clouds(tmp_path, rng, shift=(0.05, -0.02, 0.0))
+        with pytest.raises(SystemExit) as exc:
+            main(["icp-debug", a, b, f"--initial={initial}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--initial" in captured.err
+        assert captured.out == ""
+
+    def test_initial_flag_starts_the_alignment(self, tmp_path, rng, capsys):
+        a, b = self.clouds(tmp_path, rng, shift=(0.05, -0.02, 0.0))
+        assert main(["icp-debug", a, b, "--initial", "1 0 0 0 1 0 0 0 1 0.04 -0.01 0"]) == 0
+        out = capsys.readouterr().out
+        row_line = out.split("row-major R then p):\n")[1].splitlines()[0]
+        values = [float(v) for v in row_line.split()]
+        assert np.allclose(values[9:], [0.05, -0.02, 0.0], atol=1e-6)
 
     def test_collinear_exit_4(self, tmp_path, capsys):
         pts = np.outer(np.linspace(0, 1, 15), [1.0, 0, 0])

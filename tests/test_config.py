@@ -136,3 +136,13 @@ class TestBadValues:
         message = str(exc.value)
         assert f"{path}:2:" in message
         assert text.split(" =")[0] in message
+
+
+class TestPoseRow:
+    def test_keeps_the_given_bits(self):
+        # 4e-4 (Frobenius) off the identity: inside renormalize's tolerance,
+        # and checked, not snapped
+        values = [1.0004, 0.0, -0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.1, -0.2, 1e-300]
+        pose = config.pose_row(" ".join(map(repr, values)))
+        assert pose.to_row().tolist() == values
+        assert np.signbit(pose.rotation[0, 2])

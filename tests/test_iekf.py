@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_pose, random_twist, rot_z
+from iekf_slam import iekf
 from iekf_slam.errors import MeasurementRejectedError, NumericalFailureError, TimingError
 from iekf_slam.iekf import (
     FilterState,
@@ -204,21 +205,20 @@ class TestRunFilter:
 
     def test_dead_reckoning_on_empty_measurements(self):
         odometry, _ = self.make_streams()
-        states = list(run_filter(odometry, [], NoiseConfig(), FilterState.initial()))
-        assert len(states) == len(odometry)
+        t, _, p, _ = run_filter(odometry, [], NoiseConfig(), FilterState.initial())
+        assert len(t) == len(odometry)
         # zero-noise samples: exact integration of the constant twist
-        final = states[-1]
-        assert np.allclose(final.pose.translation, [0.25 * final.timestamp, 0, 0], atol=1e-9)
+        assert np.allclose(p[-1], [0.25 * t[-1], 0, 0], atol=1e-9)
 
     def test_event_counts_and_prediction_ratio(self):
         odometry, measurements = self.make_streams(duration=1.0)
-        states = list(run_filter(odometry, measurements, NoiseConfig(), FilterState.initial()))
-        assert len(states) == len(odometry) + len(measurements)
+        t, _, _, _ = run_filter(odometry, measurements, NoiseConfig(), FilterState.initial())
+        assert len(t) == len(odometry) + len(measurements)
         # between consecutive measurements: exactly 10 odometry events
         meas_times = {m.timestamp for m in measurements}
         gaps, count = [], 0
-        for st, prev in zip(states[1:], states[:-1]):
-            if st.timestamp in meas_times and st.timestamp == prev.timestamp:
+        for now, prev in zip(t[1:].tolist(), t[:-1].tolist()):
+            if now in meas_times and now == prev:
                 gaps.append(count)
                 count = 0
             else:
@@ -227,9 +227,8 @@ class TestRunFilter:
 
     def test_tracks_noisy_measurements(self, rng):
         odometry, measurements = self.make_streams(duration=4.0)
-        states = list(run_filter(odometry, measurements, NoiseConfig(), FilterState.initial()))
-        final = states[-1]
-        assert np.linalg.norm(final.pose.translation - [0.25 * final.timestamp, 0, 0]) < 1e-6
+        t, _, p, _ = run_filter(odometry, measurements, NoiseConfig(), FilterState.initial())
+        assert np.linalg.norm(p[-1] - [0.25 * t[-1], 0, 0]) < 1e-6
 
     def test_out_of_order_rejected(self):
         odometry = [
@@ -237,7 +236,7 @@ class TestRunFilter:
             OdometrySample(np.zeros(3), np.zeros(3), 0.0),
         ]
         with pytest.raises(TimingError):
-            list(run_filter(odometry, [], NoiseConfig(), FilterState.initial()))
+            run_filter(odometry, [], NoiseConfig(), FilterState.initial())
 
     def test_consistency_3sigma_envelope(self, rng):
         # measurements drawn from the modeled output noise: the final position
@@ -271,21 +270,23 @@ class TestRunFilter:
 
 
 class TestRunFilterMatchesReference:
-    """run_filter against the per-event predict/update oracle: covariances
-    bit-identical, poses within 1e-15."""
+    """run_filter's columns against the per-event predict/update oracle, row
+    by row: times and covariances bit-identical, poses within 1e-15."""
 
     @staticmethod
     def assert_matches(odometry, measurements, noise=None, init=None):
         noise = noise if noise is not None else NoiseConfig()
         init = init if init is not None else FilterState.initial()
-        got = list(run_filter(odometry, measurements, noise, init))
+        got = run_filter(odometry, measurements, noise, init)
         want = list(reference_run_filter(odometry, measurements, noise, init))
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert g.timestamp == w.timestamp
-            assert np.array_equal(g.covariance, w.covariance)
-            assert np.allclose(g.pose.rotation, w.pose.rotation, rtol=0, atol=1e-15)
-            assert np.allclose(g.pose.translation, w.pose.translation, rtol=0, atol=1e-15)
+        t, R, p, P = got
+        n = len(want)
+        assert (t.shape, R.shape, p.shape, P.shape) == ((n,), (n, 3, 3), (n, 3), (n, 6, 6))
+        for i, w in enumerate(want):
+            assert t[i] == w.timestamp
+            assert np.array_equal(P[i], w.covariance)
+            assert np.allclose(R[i], w.pose.rotation, rtol=0, atol=1e-15)
+            assert np.allclose(p[i], w.pose.translation, rtol=0, atol=1e-15)
         return got
 
     @staticmethod
@@ -300,8 +301,9 @@ class TestRunFilterMatchesReference:
         ]
 
     @staticmethod
-    def measurements_near(rng, states, times, cov=None):
-        by_time = {s.timestamp: s.pose for s in states}
+    def measurements_near(rng, columns, times, cov=None):
+        t, R, p, _ = columns
+        by_time = {tk: Pose(rk, pk) for tk, rk, pk in zip(t.tolist(), R, p)}
         cov = cov if cov is not None else np.diag([1e-4] * 3 + [4e-4] * 3)
         return [
             meas(by_time[t] @ exp_se3(0.01 * random_twist(rng)), cov, t) for t in times
@@ -309,36 +311,36 @@ class TestRunFilterMatchesReference:
 
     def test_regular_streams(self, rng):
         odometry = self.noisy_odometry(rng, [0.02 * k for k in range(200)])
-        truth = list(run_filter(odometry, [], NoiseConfig(), FilterState.initial()))
+        truth = run_filter(odometry, [], NoiseConfig(), FilterState.initial())
         times = [0.02 * k for k in range(10, 200, 10)]
         self.assert_matches(odometry, self.measurements_near(rng, truth, times))
 
     def test_rejected_measurement(self, rng):
         odometry = self.noisy_odometry(rng, [0.02 * k for k in range(60)])
-        truth = list(run_filter(odometry, [], NoiseConfig(), FilterState.initial()))
+        truth = run_filter(odometry, [], NoiseConfig(), FilterState.initial())
         ms = self.measurements_near(rng, truth, [0.2, 0.4, 0.6, 0.8])
         ms[1] = meas(ms[1].measured_pose, np.full((6, 6), np.nan), 0.4)
         with pytest.raises(MeasurementRejectedError):
             update(FilterState.initial(), ms[1])
-        states = self.assert_matches(odometry, ms)
-        at = [k for k, s in enumerate(states) if s.timestamp == 0.4]
+        t, _, _, P = self.assert_matches(odometry, ms)
+        at = np.flatnonzero(t == 0.4)
         # odometry first on the tie, then the rejected update leaves it as is
         assert len(at) == 2
-        assert np.array_equal(states[at[0]].covariance, states[at[1]].covariance)
+        assert np.array_equal(P[at[0]], P[at[1]])
 
     def test_equal_timestamps(self, rng):
         # repeated odometry times, measurements on odometry times and on
         # each other's times
         times = sorted([0.02 * k for k in range(40)] + [0.1, 0.1, 0.3])
         odometry = self.noisy_odometry(rng, times)
-        truth = list(run_filter(odometry, [], NoiseConfig(), FilterState.initial()))
+        truth = run_filter(odometry, [], NoiseConfig(), FilterState.initial())
         ms = self.measurements_near(rng, truth, [0.1, 0.2, 0.2, 0.3, 0.3])
         self.assert_matches(odometry, ms)
 
     def test_long_gap_is_substepped(self, rng):
         times = [0.02 * k for k in range(10)] + [0.18 + 0.35, 0.18 + 0.35 + 0.137, 1.5]
         odometry = self.noisy_odometry(rng, times)
-        truth = list(run_filter(odometry, [], NoiseConfig(), FilterState.initial()))
+        truth = run_filter(odometry, [], NoiseConfig(), FilterState.initial())
         ms = self.measurements_near(rng, truth, [0.08]) + [
             meas(Pose.identity(), 1e-2 * np.eye(6), 1.2),
         ]
@@ -350,8 +352,8 @@ class TestRunFilterMatchesReference:
         # at 0.993 then triggers a sub-ulp prediction step
         odometry = self.noisy_odometry(rng, [0.0, 0.327, 0.993, 1.2])
         ms = [meas(Pose.identity(), 1e-3 * np.eye(6), 0.993)]
-        states = self.assert_matches(odometry, ms)
-        assert states[2].timestamp == 0.327 + (0.993 - 0.327) != 0.993
+        t = self.assert_matches(odometry, ms)[0]
+        assert t[2] == 0.327 + (0.993 - 0.327) != 0.993
 
     def test_measurement_before_first_odometry(self, rng):
         odometry = self.noisy_odometry(rng, [0.5 + 0.02 * k for k in range(30)])
@@ -360,37 +362,46 @@ class TestRunFilterMatchesReference:
             meas(exp_se3(0.01 * random_twist(rng)), 1e-3 * np.eye(6), 0.25),
             meas(exp_se3(0.01 * random_twist(rng)), 1e-3 * np.eye(6), 0.7),
         ]
-        states = self.assert_matches(odometry, ms)
-        assert states[1].timestamp == 0.25
+        t = self.assert_matches(odometry, ms)[0]
+        assert t[1] == 0.25
 
     def test_odometry_after_last_measurement(self, rng):
         odometry = self.noisy_odometry(rng, [0.02 * k for k in range(100)])
-        truth = list(run_filter(odometry, [], NoiseConfig(), FilterState.initial()))
-        states = self.assert_matches(odometry, self.measurements_near(rng, truth, [0.2, 0.4]))
-        assert states[-1].timestamp == odometry[-1].timestamp
+        truth = run_filter(odometry, [], NoiseConfig(), FilterState.initial())
+        t = self.assert_matches(odometry, self.measurements_near(rng, truth, [0.2, 0.4]))[0]
+        assert t[-1] == odometry[-1].timestamp
 
     def test_no_events(self):
-        assert list(run_filter([], [], NoiseConfig(), FilterState.initial())) == []
+        columns = run_filter([], [], NoiseConfig(), FilterState.initial())
+        assert [c.shape for c in columns] == [(0,), (0, 3, 3), (0, 3), (0, 6, 6)]
 
 
 class TestRunFilterChecks:
-    def test_covariance_losing_pd_mid_interval_raises(self):
+    def test_covariance_losing_pd_mid_interval_raises(self, monkeypatch):
         # Q with a negative gyro variance: zero-twist odometry gives Phi = I,
         # so P[0, 0] falls by 3e-5 per 0.02 s step and P stops being positive
         # definite at t = 0.08 s, inside the first interval (measurement at 0.2).
-        noise = NoiseConfig(np.diag([-1.5e-3, 1e-4, 1e-4]), 1e-4 * np.eye(3))
+        # The interval's check runs before the update that ends it, so update
+        # is never called.
+        updated_at = []
+
+        def spy(state, m):
+            updated_at.append(state.timestamp)
+            return update(state, m)
+
+        monkeypatch.setattr(iekf, "update", spy)
         odometry = [OdometrySample(np.zeros(3), np.zeros(3), 0.02 * k) for k in range(30)]
         ms = [meas(Pose.identity(), 1e-3 * np.eye(6), 0.2)]
-        yielded = []
-        with pytest.raises(NumericalFailureError):
-            for state in run_filter(odometry, ms, noise, FilterState.initial()):
-                yielded.append(state)
-        for state in yielded:
-            np.linalg.cholesky(state.covariance)
-            assert state.timestamp < 0.08
+        run_filter(odometry, ms, NoiseConfig(), FilterState.initial())
+        assert updated_at == [0.2]
+        updated_at.clear()
+        noise = NoiseConfig(np.diag([-1.5e-3, 1e-4, 1e-4]), 1e-4 * np.eye(3))
+        with pytest.raises(NumericalFailureError, match="after predict"):
+            run_filter(odometry, ms, noise, FilterState.initial())
+        assert updated_at == []
 
     def test_out_of_order_measurements_rejected(self):
         odometry = [OdometrySample(np.zeros(3), np.zeros(3), 0.02 * k) for k in range(10)]
         ms = [meas(Pose.identity(), np.eye(6), 0.1), meas(Pose.identity(), np.eye(6), 0.05)]
         with pytest.raises(TimingError):
-            list(run_filter(odometry, ms, NoiseConfig(), FilterState.initial()))
+            run_filter(odometry, ms, NoiseConfig(), FilterState.initial())

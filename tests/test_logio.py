@@ -20,7 +20,7 @@ from iekf_slam.iekf import NoiseConfig
 from iekf_slam import logio
 from iekf_slam.logio import load_estimates, load_log, load_xyz, save_estimates, save_log, save_xyz
 from iekf_slam.pointcloud import BODY, PointCloud
-from iekf_slam.se3 import Pose, exp_se3, planar_extract
+from iekf_slam.se3 import exp_se3, heading
 from iekf_slam.simulator import SensorRates, TrajectorySpec, default_world, run_scenario
 
 CSV_TABLES = ["ground_truth.csv", "odometry.csv", "scans/index.csv", "estimates.csv"]
@@ -50,12 +50,16 @@ def log_arrays(log):
     ]
 
 
-def estimate_rows(rng, n=12):
-    rows = []
+def estimate_columns(rng, n=12):
+    """(t, x, y, z, psi, P) of n random poses; every fourth P is zero, as
+    the matcher modes write it."""
+    positions, rotations, covariances = np.empty((n, 3)), np.empty((n, 3, 3)), np.zeros((n, 6, 6))
     for k in range(n):
-        cov = None if k % 4 == 0 else rng.standard_normal((6, 6))
-        rows.append((0.1 * k, exp_se3(rng.uniform(-2, 2, 6)), cov))
-    return rows
+        if k % 4:
+            covariances[k] = rng.standard_normal((6, 6))
+        pose = exp_se3(rng.uniform(-2, 2, 6))
+        rotations[k], positions[k] = pose.rotation, pose.translation
+    return (0.1 * np.arange(n), *positions.T, heading(rotations), covariances)
 
 
 def load(directory, name):
@@ -70,7 +74,7 @@ def saved(tmp_path_factory):
     log = run_scenario(default_world(), spec, SensorRates(), NoiseConfig(), 5)
     directory = tmp_path_factory.mktemp("saved") / "log"
     save_log(log, directory)
-    save_estimates(os.path.join(directory, "estimates.csv"), estimate_rows(np.random.default_rng(7)))
+    save_estimates(os.path.join(directory, "estimates.csv"), estimate_columns(np.random.default_rng(7)))
     return log, directory
 
 
@@ -231,7 +235,7 @@ class TestAccepted:
     def test_empty_tables(self, tmp_path):
         # np.loadtxt warns on a table with no rows; the reader must not.
         est = str(tmp_path / "est.csv")
-        save_estimates(est, [])
+        save_estimates(est, (*np.empty((5, 0)), np.empty((0, 6, 6))))
         blank = tmp_path / "blank.csv"
         blank.write_text(logio.ODOMETRY_HEADER + "\n\n  \n\t\n")
         xyz = tmp_path / "empty.xyz"
@@ -282,17 +286,15 @@ class TestRoundTrip:
                     assert a.read() == b.read(), path
 
     def test_estimates_bit_identical(self, tmp_path, rng):
-        rows = estimate_rows(rng)
-        t0, pose0, _ = rows[1]
-        rows[1] = (t0, Pose(pose0.rotation, EDGE[:3]), np.resize(EDGE, (6, 6)))
-        rows[2] = (-0.0, Pose(pose0.rotation, EDGE[3:]), np.full((6, 6), np.nan))
+        columns = estimate_columns(rng)
+        t, x, y, z, psi, P = columns
+        t[2], psi[3] = -0.0, -np.pi
+        x[1:3], y[1:3], z[1:3] = EDGE.reshape(3, 2)
+        P[1], P[2] = np.resize(EDGE, (6, 6)), np.full((6, 6), np.nan)
         path = str(tmp_path / "est.csv")
-        save_estimates(path, rows)
-        t, x, y, z, psi, P = load_estimates(path)
-        assert_bits_equal(t, [r[0] for r in rows])
-        assert_bits_equal(np.column_stack([x, y, psi]), [planar_extract(r[1]) for r in rows])
-        assert_bits_equal(z, [r[1].translation[2] for r in rows])
-        assert_bits_equal(P, [np.zeros((6, 6)) if r[2] is None else r[2] for r in rows])
+        save_estimates(path, columns)
+        for got, expected in zip(load_estimates(path), columns, strict=True):
+            assert_bits_equal(got, expected)
 
     def test_xyz_bit_identical(self, tmp_path, rng):
         points = np.vstack([rng.standard_normal((20, 3)), EDGE.reshape(2, 3)])
@@ -412,7 +414,7 @@ class TestBlocks:
         log = run_scenario(default_world(), spec, SensorRates(), NoiseConfig(), 11)
         directory = tmp_path / "log"
         save_log(log, directory)
-        save_estimates(directory / "estimates.csv", estimate_rows(np.random.default_rng(3), n=1033))
+        save_estimates(directory / "estimates.csv", estimate_columns(np.random.default_rng(3), n=1033))
         tables = [
             ("ground_truth.csv", logio.GROUND_TRUTH_HEADER, 13, ",", None),
             ("odometry.csv", logio.ODOMETRY_HEADER, 7, ",", None),
@@ -432,9 +434,8 @@ class TestBlocks:
         # The line loop peaks at about 6 MB on a 3,456-row table, one Python
         # float per value; numpy's C reader holds about 1.1x the result (at
         # most 1.73x over 100-6,000 rows of 41 columns).
-        rows = estimate_rows(np.random.default_rng(5), n=3500)
         path = str(tmp_path / "est.csv")
-        save_estimates(path, rows)
+        save_estimates(path, estimate_columns(np.random.default_rng(5), n=3500))
         result_bytes = 3500 * 41 * 8
         tracemalloc.start()
         try:

@@ -5,7 +5,8 @@ from iekf_slam import pipeline, scan_matching
 from iekf_slam.errors import DegenerateGeometryError, NumericalFailureError, TimingError
 from iekf_slam.icp import IcpConfig
 from iekf_slam.iekf import FilterState, NoiseConfig, OdometrySample, odometry_increments, run_filter
-from iekf_slam.pipeline import run_aided_matcher, run_naive_matcher
+from iekf_slam.logio import load_estimates, save_estimates
+from iekf_slam.pipeline import MODES, run_aided_matcher, run_naive_matcher, run_pipeline
 from iekf_slam.pointcloud import BODY, PointCloud
 from iekf_slam.scan_matching import aided_step, naive_step
 from iekf_slam.se3 import Pose, exp_se3
@@ -85,18 +86,20 @@ def reference_matcher_rows(odometry, scans, icp_cfg, initial_pose, aided):
     return rows, measurements
 
 
-def assert_rows_equal(got, want):
-    assert len(got) == len(want)
-    for (tg, pg), (tw, pw) in zip(got, want):
-        assert tg == tw
-        assert np.array_equal(pg.rotation, pw.rotation)
-        assert np.array_equal(pg.translation, pw.translation)
+def assert_columns_equal(columns, want):
+    """A matcher's (t, R, p) columns against the oracle's (t, Pose) rows, row by row."""
+    t, R, p = columns
+    assert len(t) == len(want)
+    for i, (tw, pw) in enumerate(want):
+        assert t[i] == tw
+        assert np.array_equal(R[i], pw.rotation)
+        assert np.array_equal(p[i], pw.translation)
 
 
 def assert_matches_reference(odometry, scans, initial_pose):
-    rows, measurements = run_aided_matcher(odometry, scans, CFG, initial_pose)
+    columns, measurements = run_aided_matcher(odometry, scans, CFG, initial_pose)
     want_rows, want_measurements = reference_matcher_rows(odometry, scans, CFG, initial_pose, aided=True)
-    assert_rows_equal(rows, want_rows)
+    assert_columns_equal(columns, want_rows)
     assert len(measurements) == len(want_measurements)
     for g, w in zip(measurements, want_measurements):
         assert g.timestamp == w.timestamp
@@ -106,7 +109,7 @@ def assert_matches_reference(odometry, scans, initial_pose):
 
     naive, _ = run_naive_matcher(odometry, scans, CFG, initial_pose)
     want_naive, _ = reference_matcher_rows(odometry, scans, CFG, initial_pose, aided=False)
-    assert_rows_equal(naive, want_naive)
+    assert_columns_equal(naive, want_naive)
     return measurements
 
 
@@ -165,12 +168,12 @@ def test_row_times_are_the_filters_state_times(rng):
     # From 0.03 to 0.29 the state time 0.03 + (0.29 - 0.03) is not 0.29 in
     # floating point; every mode reports the state time, as predict does.
     odometry, _ = hand_built_log(rng, [0.0, 0.03, 0.29, 0.31], [])
-    want = [s.timestamp for s in run_filter(odometry, [], NoiseConfig(), FilterState.initial())]
+    want = run_filter(odometry, [], NoiseConfig(), FilterState.initial())[0].tolist()
     assert want[2] != 0.29
-    rows, _ = run_aided_matcher(odometry, [], CFG, Pose.identity())
-    assert [t for t, _ in rows] == want
-    naive_rows, _ = run_naive_matcher(odometry, [], CFG, Pose.identity())
-    assert [t for t, _ in naive_rows] == want
+    (t, _, _), _ = run_aided_matcher(odometry, [], CFG, Pose.identity())
+    assert t.tolist() == want
+    (naive_t, _, _), _ = run_naive_matcher(odometry, [], CFG, Pose.identity())
+    assert naive_t.tolist() == want
 
 
 @pytest.mark.parametrize("runner", [run_aided_matcher, run_naive_matcher])
@@ -200,3 +203,25 @@ def test_aided_matcher_calls_through_module_globals(rng, monkeypatch):
     _, measurements = run_aided_matcher(odometry, scans, CFG, Pose.identity())
     assert len(measurements) == 2
     assert calls == {"aided_step": 2, "icp_align": 2}
+
+
+@pytest.fixture(scope="module")
+def short_room_log():
+    spec = TrajectorySpec(kind="circle", speed=0.3, duration=2.0)
+    return run_scenario(default_world(), spec, SensorRates(), NoiseConfig(), 3)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_estimates_file_is_the_pipelines_columns(short_room_log, tmp_path, mode):
+    # run_pipeline returns what load_estimates reads back from the file
+    # save_estimates writes: (t, x, y, z, psi, P), with P zero in the
+    # matcher modes
+    estimates = run_pipeline(short_room_log, mode, NoiseConfig(), FilterState.initial(), CFG)
+    path = tmp_path / "estimates.csv"
+    save_estimates(path, estimates)
+    loaded = load_estimates(path)
+    assert len(estimates) == len(loaded) == 6
+    for want, got in zip(estimates, loaded):
+        assert want.shape == got.shape
+        assert np.array_equal(want, got)
+    assert np.any(estimates[5]) == (mode in ("iekf", "dead-reckoning"))

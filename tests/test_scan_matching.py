@@ -35,11 +35,10 @@ def one_scan_log(rng):
     return odometry, [scan_at(landmark_points(rng), Pose.identity(), t=0.5)]
 
 
-def assert_rows_equal(got, want):
-    assert [t for t, _ in got] == [t for t, _ in want]
-    for (_, pg), (_, pw) in zip(got, want):
-        assert np.array_equal(pg.rotation, pw.rotation)
-        assert np.array_equal(pg.translation, pw.translation)
+def assert_columns_equal(got, want):
+    """Two sets of (t, R, p) matcher columns, value for value."""
+    for g, w in zip(got, want, strict=True):
+        assert np.array_equal(g, w)
 
 
 class TestNaive:
@@ -47,10 +46,11 @@ class TestNaive:
         # the first scan only becomes the reference: nothing is matched and
         # the naive loop holds the initial pose
         odometry, scans = one_scan_log(rng)
-        rows, matched = run_naive_matcher(odometry, scans, CFG, START)
+        (t, R, p), matched = run_naive_matcher(odometry, scans, CFG, START)
         assert matched == 0
-        assert len(rows) == 11
-        assert_rows_equal(rows, [(t, START) for t, _ in rows])
+        assert len(t) == 11
+        assert np.array_equal(R, np.broadcast_to(START.rotation, R.shape))
+        assert np.array_equal(p, np.broadcast_to(START.translation, p.shape))
 
     def test_identical_clouds_leave_pose_unchanged(self, rng):
         # the unobservability failure: no apparent motion, no update
@@ -75,11 +75,11 @@ class TestAided:
         # the first scan only becomes the reference: no measurement, and the
         # rows are dead reckoning's plus the scan's row at the integrated pose
         odometry, scans = one_scan_log(rng)
-        rows, measurements = run_aided_matcher(odometry, scans, CFG, START)
+        columns, measurements = run_aided_matcher(odometry, scans, CFG, START)
         dead_reckoning, _ = run_aided_matcher(odometry, [], CFG, START)
         assert measurements == []
-        assert_rows_equal(rows[:5] + rows[6:], dead_reckoning)
-        assert_rows_equal(rows[5:6], rows[4:5])
+        assert_columns_equal([np.delete(c, 5, axis=0) for c in columns], dead_reckoning)
+        assert_columns_equal([c[5] for c in columns], [c[4] for c in columns])
 
     def test_perfect_odometry_gives_predicted_pose(self, rng):
         landmarks = landmark_points(rng)

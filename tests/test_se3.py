@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_pose, random_twist, rot_z, series_exp
-from iekf_slam.errors import CorruptedPoseError, LogDomainError, MalformedAlgebraError
+from iekf_slam.errors import CorruptedPoseError, LogDomainError
 from iekf_slam.metrics import ground_truth_planar
 from iekf_slam.se3 import (
     Pose,
@@ -17,7 +17,6 @@ from iekf_slam.se3 import (
     renormalize,
     skew,
     skew_many,
-    vee,
     wrap_angle,
 )
 
@@ -54,20 +53,6 @@ class TestHatVee:
             a, b = rng.standard_normal(2)
             t1, t2 = rng.standard_normal(6), rng.standard_normal(6)
             assert np.allclose(hat(a * t1 + b * t2), a * hat(t1) + b * hat(t2), atol=1e-12)
-
-    def test_round_trip_exact(self, rng):
-        for _ in range(100):
-            t = rng.standard_normal(6)
-            assert np.array_equal(vee(hat(t)), t)
-
-    def test_vee_rejects_malformed(self):
-        bad = np.eye(4)
-        with pytest.raises(MalformedAlgebraError):
-            vee(bad)
-        bad = hat(np.arange(6.0))
-        bad[3, 0] = 1e-6
-        with pytest.raises(MalformedAlgebraError):
-            vee(bad)
 
 
 class TestExp:
