@@ -15,7 +15,7 @@ from .icp import IcpConfig, IcpResult, icp_align, icp_covariance, solve_linear_a
 from .iekf import FilterState, NoiseConfig, OdometrySample, PoseMeasurement, linearize, predict, run_filter, update
 from .pointcloud import PointCloud
 from .scan_matching import aided_step, naive_step
-from .se3 import Pose, exp_se3, hat, log_se3, planar_extract, project_pi, renormalize, skew
+from .se3 import Pose, exp_se3, hat, log_se3, project_pi, renormalize, skew
 from .simulator import ScenarioLog, SensorRates, TrajectorySpec, WorldModel, run_scenario
 
 __version__ = "0.1.0"

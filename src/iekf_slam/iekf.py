@@ -17,7 +17,10 @@ computes every odometry increment (one ``exp_se3_many`` call) and every
 transition matrix Phi = I + hA (one stacked array) for the whole stream
 before the sequential pass, which only composes poses, applies the
 covariance recursion shared with :func:`predict`, fuses measurements and
-writes each event's state into preallocated columns. Positive definiteness
+writes each event's state into preallocated columns. Poses are composed on
+arrays, each increment straight into the R and p columns with
+``se3.compose_into`` (``Pose.compose``'s products, so the same bits); a
+``Pose`` is built only for ``update``. Positive definiteness
 is checked over every propagated P with one stacked Cholesky per interval
 between measurements, before the update that ends the interval.
 """
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MeasurementRejectedError, NumericalFailureError, TimingError
-from .se3 import Pose, exp_se3, exp_se3_many, project_pi, skew_many
+from .se3 import Pose, compose_into, exp_se3, exp_se3_many, project_pi, skew_many
 
 MAX_PREDICT_SUBSTEP = 0.1  # s
 
@@ -278,24 +281,27 @@ def run_filter(odometry, measurements, noise: NoiseConfig, init: FilterState):
     n = len(events)
     t_col, r_col, p_col, cov_col = np.empty(n), np.empty((n, 3, 3)), np.empty((n, 3)), np.empty((n, 6, 6))
     stepped = np.array([step >= 0 for step, _, _ in events], dtype=bool)
-    pose, p = init.pose, init.covariance
+    r, position, p = init.pose.rotation, init.pose.translation, init.covariance
     start = 0  # first row of the current interval
     for i, (step, t, meas) in enumerate(events):
+        t_col[i] = t
         if step >= 0:
             n_sub, h = substeps[step]
             p = _propagate_covariance(p, phis[step], h * q, n_sub)
-            pose = pose @ Pose(rotations[step], translations[step])
+            compose_into(r, position, rotations[step], translations[step], r_col[i], p_col[i])
+        else:
+            r_col[i], p_col[i] = r, position
         cov_col[i] = p
         if meas is not None:
             _require_predicted_pd(cov_col[start : i + 1], stepped[start : i + 1])
             start = i + 1
             try:
-                state = update(FilterState(pose, p, t), meas)
+                state = update(FilterState(Pose(r_col[i], p_col[i]), p, t), meas)
             except MeasurementRejectedError:
                 pass
             else:
-                pose, p = state.pose, state.covariance
+                r_col[i], p_col[i], p = state.pose.rotation, state.pose.translation, state.covariance
                 cov_col[i] = p
-        t_col[i], r_col[i], p_col[i] = t, pose.rotation, pose.translation
+        r, position = r_col[i], p_col[i]
     _require_predicted_pd(cov_col[start:], stepped[start:])
     return t_col, r_col, p_col, cov_col

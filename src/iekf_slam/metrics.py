@@ -27,8 +27,8 @@ class MetricsReport:
 
 
 def ground_truth_planar(ground_truth):
-    """(t, x, y, psi) arrays from a list of (t, Pose): ``planar_extract`` of
-    every pose, with psi the ``heading`` of the stacked rotations."""
+    """(t, x, y, psi) arrays from a list of (t, Pose): each pose's plane
+    position, with psi the ``heading`` of the stacked rotations."""
     t = np.array([s[0] for s in ground_truth])
     rotations = np.reshape([pose.rotation for _, pose in ground_truth], (-1, 3, 3))
     translations = np.reshape([pose.translation for _, pose in ground_truth], (-1, 3))

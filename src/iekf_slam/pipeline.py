@@ -16,6 +16,11 @@ matcher integrates its own odometry stream (every increment in one batched
 exponential) from there through the first scan; the filter only consumes
 the matcher's absolute pose measurements, so a badly initialized filter
 still receives correctly anchored measurements.
+
+The aided matcher composes poses on arrays, as ``run_filter`` does: each
+increment goes straight into its R and p columns through
+``se3.compose_into``, and a ``Pose`` is built only for
+``PointCloud.transformed`` and ``aided_step``.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .errors import ConfigError, DegenerateGeometryError, NumericalFailureError
 from .icp import IcpConfig
 from .iekf import FilterState, NoiseConfig, odometry_increments, run_filter, schedule
 from .scan_matching import aided_step, naive_step
-from .se3 import Pose, exp_se3, heading  # noqa: F401  (re-export: perfbench traces pipeline.exp_se3)
+from .se3 import Pose, compose_into, exp_se3, heading  # noqa: F401  (re-export: perfbench traces pipeline.exp_se3)
 
 MODES = ("iekf", "dead-reckoning", "naive-scan-match", "scan-match-only")
 
@@ -46,24 +51,27 @@ def run_aided_matcher(odometry, scans, icp_cfg: IcpConfig, initial_pose: Pose):
     rotations, translations = odometry_increments(dts, samples)
     n = len(events)
     t_col, r_col, p_col = np.empty(n), np.empty((n, 3, 3)), np.empty((n, 3))
-    pose = initial_pose
+    r, p = initial_pose.rotation, initial_pose.translation
     reference = None
     measurements = []
     for i, (step, t, scan) in enumerate(events):
+        t_col[i] = t
         if step >= 0:
-            pose = pose @ Pose(rotations[step], translations[step])
+            compose_into(r, p, rotations[step], translations[step], r_col[i], p_col[i])
+        else:
+            r_col[i], p_col[i] = r, p
         if scan is not None and reference is None:
-            reference = scan.transformed(pose)
+            reference = scan.transformed(Pose(r_col[i], p_col[i]))
         elif scan is not None:
             try:
-                meas = aided_step(reference, pose, scan, icp_cfg)
+                meas = aided_step(reference, Pose(r_col[i], p_col[i]), scan, icp_cfg)
             except (DegenerateGeometryError, NumericalFailureError):
                 pass
             else:
-                pose = meas.measured_pose
-                reference = scan.transformed(pose)
+                r_col[i], p_col[i] = meas.measured_pose.rotation, meas.measured_pose.translation
+                reference = scan.transformed(meas.measured_pose)
                 measurements.append(meas)
-        t_col[i], r_col[i], p_col[i] = t, pose.rotation, pose.translation
+        r, p = r_col[i], p_col[i]
     return (t_col, r_col, p_col), measurements
 
 

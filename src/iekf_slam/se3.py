@@ -1,5 +1,5 @@
 """SE(3) / se(3) primitives: hat, exp, log, the first-order projection,
-group operations, renormalization and planar extraction.
+group operations, renormalization and the heading of rotations.
 
 Twist vectors are 6-vectors ordered [rotational (rad), translational (m)].
 Poses are stored as a rotation matrix plus translation vector; the 4x4
@@ -140,6 +140,16 @@ class Pose:
         )
 
 
+def compose_into(rotation, translation, d_rotation, d_translation, rotation_out, translation_out):
+    """:meth:`Pose.compose` of (rotation, translation) with (d_rotation,
+    d_translation) on arrays, written into ``rotation_out`` and
+    ``translation_out``: the same products in the same order, so the same
+    bits, with no Pose built. The outputs must not overlap the inputs."""
+    np.matmul(rotation, d_rotation, out=rotation_out)
+    np.matmul(rotation, d_translation, out=translation_out)
+    translation_out += translation
+
+
 def exp_se3(twist) -> Pose:
     """Exponential map se(3) -> SE(3), closed form (Rodrigues + translation A).
 
@@ -250,11 +260,6 @@ def heading(rotations):
     """Heading psi = atan2(R10, R00) of a rotation, or of each rotation in an
     (n, 3, 3) stack in one call."""
     return np.arctan2(rotations[..., 1, 0], rotations[..., 0, 0])
-
-
-def planar_extract(pose: Pose):
-    """Plane position and heading (x, y, psi) of one pose."""
-    return float(pose.translation[0]), float(pose.translation[1]), float(heading(pose.rotation))
 
 
 def wrap_angle(angle):

@@ -1,8 +1,10 @@
 """Contract of the on-disk text tables: the header check, `path:line` in
 every parse error, blank lines, the integer scan ids, the comment and
-separator rules, bit-exact save/load round trips, and the split between
+separator rules, bit-exact save/load round trips, the split between
 numpy's C reader, which parses clean tables, and the line loop, which
-names a bad row's line and takes the spellings only ``float()`` accepts."""
+names a bad row's line and takes the spellings only ``float()`` accepts,
+the refusal of non-finite values in a log's own tables, and the block
+writer's bytes against the per-value writer."""
 
 import glob
 import os
@@ -19,6 +21,7 @@ from iekf_slam.errors import ParseError
 from iekf_slam.iekf import NoiseConfig
 from iekf_slam import logio
 from iekf_slam.logio import load_estimates, load_log, load_xyz, save_estimates, save_log, save_xyz
+from iekf_slam.pipeline import MODES
 from iekf_slam.pointcloud import BODY, PointCloud
 from iekf_slam.se3 import exp_se3, heading
 from iekf_slam.simulator import SensorRates, TrajectorySpec, default_world, run_scenario
@@ -511,3 +514,150 @@ class TestFastPath:
         load_estimates(os.path.join(log_dir, "estimates.csv"))
         # The scan index has integer ids, read by a converter.
         assert line_loop_paths == ["index.csv"]
+
+
+# The log's own tables, each with the column a non-finite value goes into:
+# the odometry's vz, the ground truth's x, the index's t and a point's z.
+LOG_TABLES = {"odometry.csv": 6, "ground_truth.csv": 10, "scans/index.csv": 1, "scans/00001.xyz": 2}
+
+
+def put_token(directory, name, token):
+    """Put ``token`` into line 5 of a log table (after a blank line 4)."""
+
+    def change(line, sep):
+        fields = line.split(sep)
+        fields[LOG_TABLES[name]] = token
+        return sep.join(fields)
+
+    corrupt_fifth_line(directory, name, change)
+
+
+class TestNonFiniteLog:
+    """A NaN or an infinity in a log's own tables is refused at its line;
+    estimates files keep them (``TestRoundTrip``)."""
+
+    @pytest.mark.parametrize("name", list(LOG_TABLES))
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "-nan", "1e400"])
+    def test_load_log_names_the_line(self, log_dir, name, token):
+        put_token(log_dir, name, token)
+        with pytest.raises(ParseError, match=error_at(name, 5) + " non-finite value"):
+            load_log(log_dir)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("name", list(LOG_TABLES))
+    def test_run_exits_3(self, log_dir, capsys, mode, name):
+        put_token(log_dir, name, "nan")
+        out = os.path.join(log_dir, "est.csv")
+        assert main(["run", log_dir, "--mode", mode, "--out", out]) == 3
+        assert re.search(error_at(name, 5) + " non-finite value", capsys.readouterr().err)
+        assert not os.path.exists(out)
+
+    def test_evaluate_exits_3_on_ground_truth(self, log_dir, capsys):
+        put_token(log_dir, "ground_truth.csv", "nan")
+        est = os.path.join(log_dir, "estimates.csv")
+        report = os.path.join(log_dir, "report")
+        assert main(["evaluate", est, os.path.join(log_dir, "ground_truth.csv"), "--out", report]) == 3
+        assert re.search(error_at("ground_truth.csv", 5) + " non-finite value", capsys.readouterr().err)
+        assert not os.path.exists(report)
+
+    def test_icp_debug_exits_3_on_cloud(self, log_dir, capsys):
+        put_token(log_dir, "scans/00001.xyz", "inf")
+        scans = os.path.join(log_dir, "scans")
+        assert main(["icp-debug", os.path.join(scans, "00001.xyz"), os.path.join(scans, "00002.xyz")]) == 3
+        assert re.search(error_at("00001.xyz", 5) + " non-finite value", capsys.readouterr().err)
+
+    def test_finite_table_stays_on_the_c_reader(self, log_dir, monkeypatch):
+        # One np.isfinite check per table; the line loop only names the row.
+        put_token(log_dir, "odometry.csv", "nan")
+        calls = []
+        parse_lines = logio._parse_lines
+        monkeypatch.setattr(logio, "_parse_lines", lambda path, *args: calls.append(path) or parse_lines(path, *args))
+        with pytest.raises(ParseError):
+            load_log(log_dir)
+        # Ground truth is read first, by the C reader alone.
+        assert [os.path.basename(path) for path in calls] == ["odometry.csv"]
+
+
+def write_reference(path, header, rows, sep=","):
+    """The per-value writer, as an oracle: ``repr`` of every value's float."""
+    with open(path, "w") as fh:
+        if header is not None:
+            fh.write(header + "\n")
+        for row in np.asarray(rows).tolist():
+            fh.write(sep.join(repr(float(value)) for value in row) + "\n")
+
+
+def special_values():
+    """Signed zeros, NaNs (positive, negative, with a payload), infinities,
+    subnormals and the extremes."""
+    payload_nan = np.array([0x7FF8000000000ABC], dtype=np.uint64).view(np.float64)[0]
+    negative_nan = np.array([0xFFF8000000000000], dtype=np.uint64).view(np.float64)[0]
+    return np.array([
+        0.0, -0.0, np.nan, negative_nan, payload_nan, np.inf, -np.inf,
+        5e-324, -5e-324, 2.2250738585072009e-308, -2.2250738585072014e-308,
+        1.7976931348623157e308, -1.7976931348623157e308, 0.1 + 0.2, 1e16, -1.0,
+    ])
+
+
+class TestWriter:
+    """``_write_table`` formats each block's distinct values once; its bytes
+    must be the per-value writer's."""
+
+    def assert_writes_as_reference(self, tmp_path, rows, sep=",", header="h"):
+        got, want = tmp_path / "got.txt", tmp_path / "want.txt"
+        logio._write_table(got, header, rows, sep)
+        write_reference(want, header, rows, sep)
+        assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["block-1", "block", "block+1"])
+    def test_rows_around_the_block_size(self, tmp_path, rng, offset):
+        self.assert_writes_as_reference(tmp_path, rng.standard_normal((logio.BLOCK_ROWS + offset, 5)))
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 2 * logio.BLOCK_ROWS + 1])
+    def test_row_counts(self, tmp_path, rng, n_rows):
+        self.assert_writes_as_reference(tmp_path, rng.standard_normal((n_rows, 4)))
+
+    def test_one_column(self, tmp_path, rng):
+        self.assert_writes_as_reference(tmp_path, rng.standard_normal((3 * logio.BLOCK_ROWS // 2, 1)), sep=" ")
+
+    def test_duplicates_within_and_across_rows(self, tmp_path, rng):
+        values = rng.standard_normal(7)
+        rows = values[rng.integers(0, 7, (logio.BLOCK_ROWS + 9, 41))]
+        rows[:, 5:] = np.zeros(36)
+        rows[3] = values[0]
+        covariances = rng.standard_normal((len(rows), 6, 6))
+        rows[len(rows) // 2 :, 5:] = (covariances + covariances.transpose(0, 2, 1)).reshape(-1, 36)[len(rows) // 2 :]
+        self.assert_writes_as_reference(tmp_path, rows)
+
+    def test_special_values(self, tmp_path, rng):
+        special = special_values()
+        rows = special[rng.integers(0, len(special), (logio.BLOCK_ROWS + 3, 6))]
+        rows[0] = special[:6]
+        rows[-1] = special[-6:]
+        self.assert_writes_as_reference(tmp_path, rows, sep=" ", header=None)
+        text = (tmp_path / "got.txt").read_text()
+        assert "-0.0" in text and " 0.0" in text and "nan" in text and "-inf" in text
+
+    def test_non_contiguous_inputs(self, tmp_path, rng):
+        table = rng.standard_normal((2 * logio.BLOCK_ROWS + 7, 3))
+        self.assert_writes_as_reference(tmp_path, table.T)
+        self.assert_writes_as_reference(tmp_path, table[::-1])
+        self.assert_writes_as_reference(tmp_path, table[::-3, ::-2])
+
+    def test_save_estimates_memory_is_bounded(self, tmp_path, monkeypatch):
+        # The stacked table is 1.13 MB; blocks add about 0.5 MB to it, and one
+        # pass over the whole table about 13.5 MB.
+        columns = estimate_columns(np.random.default_rng(5), n=3456)
+        table_bytes = 3456 * 41 * 8
+
+        def peak():
+            tracemalloc.start()
+            try:
+                save_estimates(str(tmp_path / "est.csv"), columns)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak() < 2 * table_bytes
+        monkeypatch.setattr(logio, "BLOCK_ROWS", 3456)
+        assert peak() > 2 * table_bytes

@@ -8,11 +8,12 @@ from iekf_slam.errors import CorruptedPoseError, LogDomainError
 from iekf_slam.metrics import ground_truth_planar
 from iekf_slam.se3 import (
     Pose,
+    compose_into,
     exp_se3,
     exp_se3_many,
     hat,
+    heading,
     log_se3,
-    planar_extract,
     project_pi,
     renormalize,
     skew,
@@ -22,6 +23,13 @@ from iekf_slam.se3 import (
 
 finite_component = st.floats(-1.7, 1.7, allow_nan=False)
 twist_strategy = st.tuples(*([finite_component] * 3), *([st.floats(-5, 5)] * 3)).map(np.array)
+
+
+def planar_extract(pose):
+    """Plane position and heading (x, y, psi) of one pose, one value at a
+    time: the bit oracle for the stacked ``heading``."""
+    rotation = pose.rotation
+    return float(pose.translation[0]), float(pose.translation[1]), float(np.arctan2(rotation[1, 0], rotation[0, 0]))
 
 
 class TestSkew:
@@ -228,6 +236,21 @@ class TestGroupOps:
             a, b, c = (random_pose(rng) for _ in range(3))
             assert ((a @ b) @ c).is_close(a @ (b @ c), tol=1e-12)
 
+    def test_compose_into_matches_compose_bits(self, rng):
+        # Chained as the replay loops chain it: each product is written into
+        # the next row of column arrays and read back from there.
+        n = 200
+        increments = [random_pose(rng, 1.7, 5.0) for _ in range(n)]
+        r_col, p_col = np.empty((n, 3, 3)), np.empty((n, 3))
+        pose = random_pose(rng, 1.7, 5.0)
+        r, p = pose.rotation, pose.translation
+        for i, inc in enumerate(increments):
+            compose_into(r, p, inc.rotation, inc.translation, r_col[i], p_col[i])
+            r, p = r_col[i], p_col[i]
+            pose = pose @ inc
+            assert r_col[i].tobytes() == pose.rotation.tobytes()
+            assert p_col[i].tobytes() == pose.translation.tobytes()
+
 
 class TestRenormalize:
     def test_no_op_on_orthonormal(self, rng):
@@ -257,19 +280,17 @@ class TestRenormalize:
 
 class TestPlanar:
     def test_identity(self):
-        assert planar_extract(Pose.identity()) == (0.0, 0.0, 0.0)
+        assert heading(Pose.identity().rotation) == 0.0
 
     def test_pure_z_rotation(self):
-        x, y, psi = planar_extract(Pose(rot_z(np.pi / 2), np.zeros(3)))
-        assert (x, y) == (0.0, 0.0)
-        assert abs(psi - np.pi / 2) < 1e-15
+        assert abs(heading(rot_z(np.pi / 2)) - np.pi / 2) < 1e-15
 
     def test_heading_adds_under_composition(self, rng):
         for _ in range(20):
             a, b = rng.uniform(-np.pi, np.pi, 2)
             pa = Pose(rot_z(a), np.array([rng.uniform(), rng.uniform(), 0.0]))
             pb = Pose(rot_z(b), np.array([rng.uniform(), rng.uniform(), 0.0]))
-            psi = planar_extract(pa @ pb)[2]
+            psi = heading((pa @ pb).rotation)
             assert abs(wrap_angle(psi - (a + b))) < 1e-12
 
     def test_ground_truth_planar_matches_planar_extract_bits(self, rng):
