@@ -524,6 +524,7 @@ REPLAY_PINS = {
             "naive-scan-match": "a92099c38a68506c716bbca34ec3302d04089442eea165a4f71b42faacc4f9ad",
             "scan-match-only": "15c2e5044c1bab2570e0fa123720baae50f03e5174d09e3fce9671b6a14a9041",
             "report": "de341686ef5d960db034a5b62d9f7d1332ce1974fecec93971d5c07f0e4f4d99",
+            "errors": "0812f89eea44b30ff31331fad57ae23c1f2086e071c1aed8ea42e719a78f476c",
         },
     ),
     "corridor-dense": (
@@ -537,6 +538,7 @@ REPLAY_PINS = {
             "naive-scan-match": "f54508c78d679a9752c3780fd25601dc2b0ff82821f14368f1de3430b8805ff5",
             "scan-match-only": "1c7c40ca25dc2e8fb2ac3da0e5dba5e0d4581b11219b224c48cc6d68c855281c",
             "report": "0534ebd4c4aee6aa4d336332648740be500f0ccf862051620d63728df835d7ad",
+            "errors": "ee05baf1d74d17294ac84c93e8504e0ca597452e812f80cc84e36e37ed94af3e",
         },
     ),
 }
@@ -545,9 +547,10 @@ REPLAY_PINS = {
 @pytest.mark.parametrize("name", sorted(REPLAY_PINS))
 def test_replay_bytes_pinned(tmp_path, name):
     # estimates_<mode>.csv in every mode, and the iekf report, pinned to the
-    # bytes written before ICP cached its per-alignment invariants. Like the
-    # simulator digests, these assume IEEE doubles and numpy 2's sin, cos and
-    # sqrt.
+    # bytes written before ICP cached its per-alignment invariants; the iekf
+    # errors.csv, pinned to the bytes written before `evaluate` read only the
+    # columns it scores. Like the simulator digests, these assume IEEE doubles
+    # and numpy 2's sin, cos and sqrt.
     text, digests = REPLAY_PINS[name]
     cfg = write_config(tmp_path, text)
     log_dir = str(tmp_path / "log")
@@ -561,8 +564,9 @@ def test_replay_bytes_pinned(tmp_path, name):
     report_dir = str(tmp_path / "report")
     gt = os.path.join(log_dir, "ground_truth.csv")
     assert main(["evaluate", str(tmp_path / "estimates_iekf.csv"), gt, "--out", report_dir]) == 0
-    with open(os.path.join(report_dir, "report.txt"), "rb") as fh:
-        found["report"] = hashlib.sha256(fh.read()).hexdigest()
+    for key, name in (("report", "report.txt"), ("errors", "errors.csv")):
+        with open(os.path.join(report_dir, name), "rb") as fh:
+            found[key] = hashlib.sha256(fh.read()).hexdigest()
     assert found == digests
 
 
