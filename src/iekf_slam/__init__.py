@@ -12,11 +12,11 @@ Library layout:
 """
 
 from .icp import IcpConfig, IcpResult, icp_align, icp_covariance, solve_linear_alignment
-from .iekf import FilterState, NoiseConfig, OdometrySample, PoseMeasurement, linearize, predict, run_filter, update
+from .iekf import FilterState, NoiseConfig, PoseMeasurement, linearize, predict, run_filter, update
 from .pointcloud import PointCloud
 from .scan_matching import aided_step, naive_step
 from .se3 import Pose, exp_se3, hat, log_se3, project_pi, renormalize, skew
-from .simulator import ScenarioLog, SensorRates, TrajectorySpec, WorldModel, run_scenario
+from .simulator import Odometry, ScenarioLog, SensorRates, Trajectory, TrajectorySpec, WorldModel, run_scenario
 
 __version__ = "0.1.0"
 

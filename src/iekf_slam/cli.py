@@ -44,7 +44,7 @@ def cmd_simulate(args):
         seed,
     )
     save_log(log, args.out)
-    print(f"wrote scenario log to {args.out}: {len(log.odometry)} odometry samples, "
+    print(f"wrote scenario log to {args.out}: {len(log.odometry.t)} odometry samples, "
           f"{len(log.scans)} scans")
     return 0
 
@@ -64,9 +64,8 @@ def cmd_run(args):
 
 
 def cmd_evaluate(args):
-    est_t, est_x, est_y, _, est_psi, _ = load_estimates(args.estimates)
-    gt = load_ground_truth(args.ground_truth)
-    gt_t, gt_x, gt_y, gt_psi = ground_truth_planar(gt)
+    est_t, est_x, est_y, est_psi = load_estimates(args.estimates, planar=True)
+    gt_t, gt_x, gt_y, gt_psi = ground_truth_planar(load_ground_truth(args.ground_truth))
     max_dt = args.max_dt if args.max_dt is not None else (
         (gt_t[1] - gt_t[0]) / 2.0 if gt_t.size > 1 else np.inf
     )

@@ -173,9 +173,10 @@ def icp_align(source: PointCloud, target: PointCloud, cfg: IcpConfig | None = No
     cost_history = []
     iterations = 0
     converged = False
+    moved = None
     for _ in range(cfg.max_iterations):
-        # Pose.apply: p @ R.T + t
-        moved = points @ rotation.T + translation
+        if moved is None:  # Pose.apply: p @ R.T + t
+            moved = points @ rotation.T + translation
         idx, dist = kernels.batch_nearest(moved, prepared, cfg.max_correspondence_dist)
         previous, previous_count = accepted, count
         accepted = idx >= 0
@@ -197,7 +198,8 @@ def icp_align(source: PointCloud, target: PointCloud, cfg: IcpConfig | None = No
         # Pose.compose: R1 R2, R1 t2 + t1
         rotation, translation = rotation @ step.rotation, rotation @ step.translation + translation
         iterations += 1
-        cost_after = float(((a @ rotation.T + translation - b) ** 2).sum())
+        moved_a = a @ rotation.T + translation
+        cost_after = float(((moved_a - b) ** 2).sum())
         if cost_after > cost_before * (1 + 1e-9) + 1e-15:
             raise NumericalFailureError(
                 f"ICP cost increased at iteration {iterations}: "
@@ -207,6 +209,7 @@ def icp_align(source: PointCloud, target: PointCloud, cfg: IcpConfig | None = No
         if np.sqrt(x_hat.dot(x_hat)) < cfg.convergence_tol:  # np.linalg.norm's arithmetic
             converged = True
             break
+        moved = moved_a if count == n else None  # every pair accepted: a is the whole source, so moved_a is moved
 
     # The last accepted set's matrix is the covariance's when it is the whole source.
     covariance = icp_covariance(source, cfg.sigma, info=info if count == n else None)

@@ -12,17 +12,12 @@ z = pi(pose^-1 * measured) as a twist (``project_pi``).
 
 :func:`schedule` is the one place where odometry is merged with a second
 timestamped stream; ``run_filter`` and both scan matchers in ``pipeline``
-step through its events. Because A never sees the pose, ``run_filter``
-computes every odometry increment (one ``exp_se3_many`` call) and every
-transition matrix Phi = I + hA (one stacked array) for the whole stream
-before the sequential pass, which only composes poses, applies the
-covariance recursion shared with :func:`predict`, fuses measurements and
-writes each event's state into preallocated columns. Poses are composed on
-arrays, each increment straight into the R and p columns with
-``se3.compose_into`` (``Pose.compose``'s products, so the same bits); a
-``Pose`` is built only for ``update``. Positive definiteness
-is checked over every propagated P with one stacked Cholesky per interval
-between measurements, before the update that ends the interval.
+step through its events, which index the odometry columns (t, omega, mu).
+Because A never sees the pose, ``run_filter`` computes every odometry
+increment (one ``exp_se3_many`` call), transition matrix Phi = I + hA and
+noise step hQ before the sequential pass, which only composes poses (on
+arrays, with ``se3.compose_into``), propagates P, fuses measurements and
+writes each event's state into preallocated columns.
 """
 
 from __future__ import annotations
@@ -36,22 +31,6 @@ from .errors import MeasurementRejectedError, NumericalFailureError, TimingError
 from .se3 import Pose, compose_into, exp_se3, exp_se3_many, project_pi, skew_many
 
 MAX_PREDICT_SUBSTEP = 0.1  # s
-
-
-@dataclass(frozen=True)
-class OdometrySample:
-    """Body-frame angular (rad/s) and linear (m/s) velocity at one instant."""
-
-    omega: np.ndarray
-    mu: np.ndarray
-    timestamp: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "omega", np.asarray(self.omega, dtype=float))
-        object.__setattr__(self, "mu", np.asarray(self.mu, dtype=float))
-
-    def twist(self):
-        return np.concatenate([self.omega, self.mu])
 
 
 @dataclass(frozen=True)
@@ -103,33 +82,21 @@ class FilterState:
         return FilterState(pose if pose is not None else Pose.identity(), p0, timestamp)
 
 
-def _velocities(samples):
-    """(N, 3) angular and (N, 3) linear velocities of a sequence of samples."""
-    omega = np.array([s.omega for s in samples], dtype=float).reshape(-1, 3)
-    mu = np.array([s.mu for s in samples], dtype=float).reshape(-1, 3)
-    return omega, mu
-
-
-def _system_matrices(omega, mu):
-    """Stacked A = [[-S(omega), 0], [-S(mu), -S(omega)]] for (N, 3) velocities."""
+def linearize(omega, mu) -> np.ndarray:
+    """A = [[-S(omega), 0], [-S(mu), -S(omega)]] of the state-independent
+    linearization, a function of the odometry velocities alone (B = -I,
+    C = I and D = I are constant): (6, 6) for one sample, stacked for (N, 3)."""
     s_omega = skew_many(omega)
     a = np.zeros((s_omega.shape[0], 6, 6))
     a[:, :3, :3] = -s_omega
     a[:, 3:, :3] = -skew_many(mu)
     a[:, 3:, 3:] = -s_omega
-    return a
+    return a if np.ndim(omega) == 2 else a[0]
 
 
-def linearize(sample: OdometrySample) -> np.ndarray:
-    """A of the state-independent linearization: a function of the odometry
-    sample alone (B = -I, C = I and D = I are constant)."""
-    return _system_matrices(sample.omega, sample.mu)[0]
-
-
-def odometry_increments(dts, samples):
-    """Pose increments exp(dt_k * twist_k) of paired steps and held samples,
-    as ``exp_se3_many``'s (rotations, translations)."""
-    omega, mu = _velocities(samples)
+def odometry_increments(dts, omega, mu):
+    """Pose increments exp(dt_k * (omega_k, mu_k)) of paired rows of steps and
+    (N, 3) velocities, as ``exp_se3_many``'s (rotations, translations)."""
     dts = np.asarray(dts, dtype=float).reshape(-1, 1)
     return exp_se3_many(dts * np.concatenate([omega, mu], axis=1))
 
@@ -144,9 +111,11 @@ def _require_pd(p, context):
 
 
 def _substeps(dt):
-    """Number and length of the covariance substeps over dt (each <= 0.1 s)."""
-    n_sub = max(1, math.ceil(dt / MAX_PREDICT_SUBSTEP))
-    return n_sub, dt / n_sub
+    """Number (Python ints) and length of the covariance substeps over each dt (<= 0.1 s)."""
+    n_sub = np.maximum(1.0, np.ceil(np.divide(dt, MAX_PREDICT_SUBSTEP)))
+    if not np.isfinite(n_sub).all():
+        raise TimingError("infinite prediction step")
+    return n_sub.astype(int).tolist(), dt / n_sub
 
 
 def _propagate_covariance(p, phi, hq, n_sub):
@@ -157,7 +126,7 @@ def _propagate_covariance(p, phi, hq, n_sub):
     return p
 
 
-def predict(state: FilterState, sample: OdometrySample, dt: float, noise: NoiseConfig) -> FilterState:
+def predict(state: FilterState, omega, mu, dt: float, noise: NoiseConfig) -> FilterState:
     """Propagate pose exactly (constant twist over dt) and P by first-order
     steps of the Riccati drift, substepping so no step exceeds 0.1 s.
 
@@ -167,9 +136,9 @@ def predict(state: FilterState, sample: OdometrySample, dt: float, noise: NoiseC
     if dt <= 0:
         raise TimingError(f"non-positive prediction step dt={dt}")
     n_sub, h = _substeps(dt)
-    phi = np.eye(6) + h * linearize(sample)
+    phi = np.eye(6) + h * linearize(omega, mu)
     p = _propagate_covariance(state.covariance, phi, h * noise.q_block(), n_sub)
-    pose = state.pose @ exp_se3(dt * sample.twist())
+    pose = state.pose @ exp_se3(dt * np.concatenate([omega, mu]))
     _require_pd(p, "predict")
     return FilterState(pose, p, state.timestamp + dt)
 
@@ -199,17 +168,16 @@ def update(state: FilterState, meas: PoseMeasurement) -> FilterState:
     return FilterState(pose, p_new, state.timestamp)
 
 
-def schedule(odometry, others, t0):
-    """Merge timestamp-sorted odometry with a second timestamped stream.
+def schedule(odometry_t, other_t, t0):
+    """Merge the sorted timestamps of odometry with those of a second stream.
 
     This is the one event walk of every replay mode: the filter merges
-    odometry with pose measurements, the matchers merge it with scans. Items
-    need only a ``.timestamp``.
+    odometry with pose measurements, the matchers merge it with scans.
 
-    Returns (events, dts, samples), one event per item in merged order: an
-    event is (step index or -1, state time after it, the ``others`` item or
-    None for odometry). Prediction step k spans dts[k] on the held
-    samples[k]. The contract:
+    Returns (events, dts, held), one event per timestamp in merged order: an
+    event is (step index or -1, state time after it, index into ``other_t``
+    or None for odometry). Prediction step k spans dts[k] on the odometry
+    sample held[k], an index into the odometry columns. The contract:
 
     - Zero-order hold: each odometry sample drives the state from its own
       time up to the next event that is later.
@@ -222,34 +190,34 @@ def schedule(odometry, others, t0):
       leaves the state where it is.
     - An out-of-order timestamp in the merged stream raises TimingError.
     """
-    events, dts, samples = [], [], []
-    t_state, prev_t, held = t0, -np.inf, None
-    odo_iter, other_iter = iter(odometry), iter(others)
-    odo, other = next(odo_iter, None), next(other_iter, None)
-    while odo is not None or other is not None:
-        take_odo = other is None or (odo is not None and odo.timestamp <= other.timestamp)
-        t = odo.timestamp if take_odo else other.timestamp
+    odo_t, other_t = np.asarray(odometry_t, dtype=float).tolist(), np.asarray(other_t, dtype=float).tolist()
+    events, dts, held = [], [], []
+    t_state, prev_t, last = t0, -math.inf, None
+    i = j = 0
+    while i < len(odo_t) or j < len(other_t):
+        take_odo = j == len(other_t) or (i < len(odo_t) and odo_t[i] <= other_t[j])
+        t = odo_t[i] if take_odo else other_t[j]
         if t < prev_t:
             raise TimingError(f"out-of-order timestamp {t} after {prev_t}")
         prev_t = t
         step = -1
         if t > t_state:
-            if held is not None:
+            if last is not None:
                 dt = t - t_state
                 step = len(dts)
                 dts.append(dt)
-                samples.append(held)
+                held.append(last)
                 t_state = t_state + dt
             else:
                 t_state = t
         if take_odo:
             events.append((step, t_state, None))
-            held = odo
-            odo = next(odo_iter, None)
+            last = i
+            i += 1
         else:
-            events.append((step, t_state, other))
-            other = next(other_iter, None)
-    return events, dts, samples
+            events.append((step, t_state, j))
+            j += 1
+    return events, np.array(dts, dtype=float), np.array(held, dtype=np.intp)
 
 
 def _require_predicted_pd(covariances, stepped):
@@ -259,9 +227,9 @@ def _require_predicted_pd(covariances, stepped):
 
 
 def run_filter(odometry, measurements, noise: NoiseConfig, init: FilterState):
-    """Run timestamp-sorted odometry and measurement streams through
-    predict/update; returns the filter state after every event as columns
-    t (n,), R (n, 3, 3), p (n, 3) and P (n, 6, 6).
+    """Run timestamp-sorted ``Odometry`` columns (t, omega, mu) and
+    measurements through predict/update; returns the filter state after
+    every event as columns t (n,), R (n, 3, 3), p (n, 3) and P (n, 6, 6).
 
     The events and their timing come from :func:`schedule` (zero-order hold,
     odometry first on ties), so an out-of-order timestamp raises TimingError
@@ -270,33 +238,33 @@ def run_filter(odometry, measurements, noise: NoiseConfig, init: FilterState):
     measurements pass one positive-definiteness check before the update
     that ends it.
     """
-    events, dts, samples = schedule(odometry, measurements, init.timestamp)
-    substeps = [_substeps(dt) for dt in dts]
-    rotations, translations = odometry_increments(dts, samples)
-    phis = _system_matrices(*_velocities(samples))  # becomes I + hA in place
-    phis *= np.array([h for _, h in substeps], dtype=float).reshape(-1, 1, 1)
+    events, dts, held = schedule(odometry.t, [m.timestamp for m in measurements], init.timestamp)
+    omega, mu = odometry.omega[held], odometry.mu[held]
+    n_subs, hs = _substeps(dts)
+    rotations, translations = odometry_increments(dts, omega, mu)
+    phis = linearize(omega, mu)  # becomes I + hA in place
+    phis *= hs[:, None, None]
     phis += np.eye(6)
-    q = noise.q_block()
+    hqs = hs[:, None, None] * noise.q_block()
 
     n = len(events)
     t_col, r_col, p_col, cov_col = np.empty(n), np.empty((n, 3, 3)), np.empty((n, 3)), np.empty((n, 6, 6))
     stepped = np.array([step >= 0 for step, _, _ in events], dtype=bool)
     r, position, p = init.pose.rotation, init.pose.translation, init.covariance
     start = 0  # first row of the current interval
-    for i, (step, t, meas) in enumerate(events):
+    for i, (step, t, j) in enumerate(events):
         t_col[i] = t
         if step >= 0:
-            n_sub, h = substeps[step]
-            p = _propagate_covariance(p, phis[step], h * q, n_sub)
+            p = _propagate_covariance(p, phis[step], hqs[step], n_subs[step])
             compose_into(r, position, rotations[step], translations[step], r_col[i], p_col[i])
         else:
             r_col[i], p_col[i] = r, position
         cov_col[i] = p
-        if meas is not None:
+        if j is not None:
             _require_predicted_pd(cov_col[start : i + 1], stepped[start : i + 1])
             start = i + 1
             try:
-                state = update(FilterState(Pose(r_col[i], p_col[i]), p, t), meas)
+                state = update(FilterState(Pose(r_col[i], p_col[i]), p, t), measurements[j])
             except MeasurementRejectedError:
                 pass
             else:

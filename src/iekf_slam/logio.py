@@ -9,11 +9,13 @@ and no comments; ``.xyz`` clouds have neither header nor commas, but allow
 ``_read_table`` parses a table with numpy's C text reader (``np.loadtxt`` on
 the open file), which gives ``float()``'s bits for every value it accepts; a
 table it refuses, or reads at the wrong width, goes through the Python line
-loop, which names the bad row's ``path:line``. The C reader's peak is about
-the result: 1.26 MB for a 3,456-row estimates table of 1.13 MB. A log's own
-tables must hold finite numbers: one ``np.isfinite`` check per table, and
-the line loop names the first row that fails it. Estimates files may hold
-NaN and infinities, and round-trip them.
+loop, which names the bad row's ``path:line``. A log's own tables must hold
+finite numbers: one ``np.isfinite`` check per table, and the line loop names
+the first row that fails it. Estimates files may hold NaN and infinities,
+and round-trip them. ``evaluate`` reads only their t, x, y and psi columns
+(``load_estimates(path, planar=True)``): it accepts a malformed z or P value,
+which it never parses, but refuses a row of other than 41 values, and a
+non-finite t, x, y or psi, at ``path:line``.
 
 ``_write_table`` formats a float table BLOCK_ROWS rows at a time, with one
 ``repr`` per distinct value of the block. Values repeat within a row: an
@@ -30,16 +32,16 @@ import warnings
 
 import numpy as np
 
-from .errors import ParseError
-from .iekf import NoiseConfig, OdometrySample
+from .errors import EvaluationError, ParseError
+from .iekf import NoiseConfig
 from .metrics import MetricsReport
 from .pointcloud import BODY, PointCloud
-from .se3 import Pose
-from .simulator import ScenarioLog
+from .simulator import Odometry, ScenarioLog, Trajectory
 
 GROUND_TRUTH_HEADER = "t,r00,r01,r02,r10,r11,r12,r20,r21,r22,x,y,z"
 ODOMETRY_HEADER = "t,wx,wy,wz,vx,vy,vz"
 ESTIMATES_HEADER = "t,x,y,z,psi," + ",".join(f"P{i}{j}" for i in range(6) for j in range(6))
+COUNT_CHUNK = 1 << 18  # bytes that ``_count_byte`` reads at a time
 # Rows formatted per block by ``_write_table``. Saving a 3,456-row estimates
 # table (1.13 MB as float64) peaks at 1.65 MB traced with 128-row blocks,
 # the stacked table included, against 14.6 MB in one pass over the whole
@@ -47,24 +49,30 @@ ESTIMATES_HEADER = "t,x,y,z,psi," + ",".join(f"P{i}{j}" for i in range(6) for j 
 BLOCK_ROWS = 128
 
 
-def _read_table(path, header, n_cols, sep=",", comments=None, converters=None, header_strip="\n", finite=False):
-    """Read a text table into a float64 (n, n_cols) array, skipping blank lines.
-    ``header`` (None: none) must equal the first line stripped of ``header_strip``
-    (None: of all surrounding whitespace); ``sep=None`` splits on whitespace. Each
-    value is ``float()`` (or ``converters[column]``, which must return a number
-    exact as a float64) of its text; a bad row raises ParseError at ``path:line``,
-    and with ``finite`` so does a row holding a NaN or an infinity.
-    Without converters, ``np.loadtxt`` reads the rows; if it refuses them,
-    reads other than ``n_cols`` columns (as it does a table with no rows) or,
-    with ``finite``, reads a non-finite value, the line loop reads them again
-    from the first data line, and also takes ``float()``'s extra spellings
-    (``1_0``, non-ASCII digits). The one text the C reader takes and
-    ``float()`` refuses is a CSV value with the ASCII separators
-    ``\x1c``-``\x1f`` around it, which it strips as whitespace."""
+def _read_table(
+    path, header, n_cols, sep=",", comments=None, converters=None, header_strip="\n", finite=None, usecols=None
+):
+    """Read the ``usecols`` (None: all) of a text table of n_cols columns
+    into a float64 array, skipping blank lines. ``header`` (None: none) must
+    equal the first line stripped of ``header_strip`` (None: of all
+    surrounding whitespace); ``sep=None`` splits on whitespace. Each value read
+    is ``float()`` (or ``converters[column]``, which must return a number exact
+    as a float64) of its text. A bad value, or a row of other than n_cols
+    values, raises ParseError at ``path:line``; so does a NaN or an infinity
+    among the values read, as the exception class ``finite`` when given.
+    Without converters, ``np.loadtxt`` reads the table first. With ``usecols``
+    (a one-character ``sep``, no comments) it also reads the last column, so
+    each row holds at least n_cols values, and a file of n_cols - 1
+    separators a row (besides the header's) has none that holds more. The
+    line loop also takes ``float()``'s extra spellings (``1_0``, non-ASCII
+    digits); the one text the C reader takes and ``float()`` refuses is a CSV
+    value with the ASCII separators ``\x1c``-``\x1f`` around it, which it
+    strips as whitespace."""
     try:
         fh = open(path)
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    cols = list(range(n_cols)) if usecols is None else list(usecols)
     with fh:
         first = 1
         if header is not None:
@@ -76,20 +84,37 @@ def _read_table(path, header, n_cols, sep=",", comments=None, converters=None, h
             try:
                 with warnings.catch_warnings():
                     warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                    data = np.loadtxt(fh, dtype=float, delimiter=sep, comments=comments, ndmin=2)
-                if data.shape[1] == n_cols and (not finite or np.isfinite(data).all()):
+                    data = np.loadtxt(
+                        fh, dtype=float, delimiter=sep, comments=comments, ndmin=2,
+                        usecols=None if usecols is None else [*cols, n_cols - 1],
+                    )
+                if usecols is None:
+                    whole = data.shape[1] == n_cols
+                else:
+                    whole = _count_byte(path, sep) == (header or "").count(sep) + (n_cols - 1) * len(data)
+                    data = data[:, :-1]
+                if whole and (finite is None or np.isfinite(data).all()):
                     return data
             except ValueError:
                 pass
             fh.seek(start)
         lines = fh if comments is None else (line.split(comments, 1)[0] for line in fh)
-        convert = [converters.get(col, float) for col in range(n_cols)] if converters else [float] * n_cols
+        convert = [(col, converters.get(col, float) if converters else float) for col in cols]
         return _parse_lines(path, lines, first, n_cols, sep, convert, finite)
 
 
+def _count_byte(path, char):
+    """How many times the one-byte ``char`` occurs in the file."""
+    count, code = 0, ord(char)
+    with open(path, "rb") as fh:
+        while chunk := fh.read(COUNT_CHUNK):
+            count += int(np.count_nonzero(np.frombuffer(chunk, np.uint8) == code))
+    return count
+
+
 def _parse_lines(path, lines, first, n_cols, sep, convert, finite):
-    """The non-blank ``lines`` (numbered from ``first``) one at a time: the
-    path for converters, and the one that names a bad row's ``path:line``."""
+    """The non-blank ``lines`` (numbered from ``first``), each read by ``convert``'s
+    (column, converter) pairs: the path for converters, and the one that names ``path:line``."""
     rows = []
     for lineno, line in enumerate(lines, start=first):
         line = line.strip()
@@ -99,13 +124,13 @@ def _parse_lines(path, lines, first, n_cols, sep, convert, finite):
         if len(parts) != n_cols:
             raise ParseError(f"{path}:{lineno}: expected {n_cols} columns, got {len(parts)}")
         try:
-            row = [conv(part) for conv, part in zip(convert, parts)]
+            row = [conv(parts[col]) for col, conv in convert]
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
-        if finite and not all(map(math.isfinite, row)):
-            raise ParseError(f"{path}:{lineno}: non-finite value")
+        if finite is not None and not all(map(math.isfinite, row)):
+            raise finite(f"{path}:{lineno}: non-finite value")
         rows.append(row)
-    return np.array(rows, dtype=float).reshape(-1, n_cols)
+    return np.array(rows, dtype=float).reshape(-1, len(convert))
 
 
 def _write_table(path, header, rows, sep=","):
@@ -140,22 +165,21 @@ def save_xyz(cloud: PointCloud, path):
 
 def load_xyz(path, frame=BODY, timestamp=0.0) -> PointCloud:
     """Read a cloud from text: one `x y z` per line, `#` comments, blanks ok."""
-    return PointCloud(_read_table(path, None, 3, sep=None, comments="#", finite=True), frame, timestamp)
+    return PointCloud(_read_table(path, None, 3, sep=None, comments="#", finite=ParseError), frame, timestamp)
 
 
-def save_ground_truth(path, stream):
-    stream = list(stream)
-    poses = np.reshape([pose.to_row() for _, pose in stream], (-1, 12))
-    table = np.column_stack([[t for t, _ in stream], poses])
-    _write_table(path, GROUND_TRUTH_HEADER, table)
+def save_ground_truth(path, ground_truth):
+    """Write a Trajectory's (t, rotations, translations) columns."""
+    t, rotations, translations = ground_truth
+    _write_table(path, GROUND_TRUTH_HEADER, np.column_stack([t, np.reshape(rotations, (-1, 9)), translations]))
 
 
-def load_ground_truth(path):
-    data = _read_table(path, GROUND_TRUTH_HEADER, 13, finite=True)
+def load_ground_truth(path) -> Trajectory:
+    """The table's Trajectory: its columns as views of the one array read."""
+    data = _read_table(path, GROUND_TRUTH_HEADER, 13, finite=ParseError)
     if not len(data):
         raise ParseError(f"{path}: no rows after the header")
-    rotations = data[:, 1:10].reshape(-1, 3, 3)
-    return [(t, Pose(rotation, p)) for t, rotation, p in zip(data[:, 0].tolist(), rotations, data[:, 10:])]
+    return Trajectory(data[:, 0], data[:, 1:10].reshape(-1, 3, 3), data[:, 10:])
 
 
 def save_estimates(path, estimates):
@@ -165,8 +189,12 @@ def save_estimates(path, estimates):
     _write_table(path, ESTIMATES_HEADER, np.column_stack([t, x, y, z, psi, np.reshape(covariances, (-1, 36))]))
 
 
-def load_estimates(path):
-    """Returns (t, x, y, z, psi, P) arrays; P has shape (n, 6, 6)."""
+def load_estimates(path, planar=False):
+    """Returns (t, x, y, z, psi, P) arrays, NaN and infinities included; P has
+    shape (n, 6, 6). With ``planar``, only the finite (t, x, y, psi) that
+    ``evaluate`` scores, as the module docstring says."""
+    if planar:
+        return tuple(_read_table(path, ESTIMATES_HEADER, 41, finite=EvaluationError, usecols=(0, 1, 2, 4)).T)
     data = _read_table(path, ESTIMATES_HEADER, 41)
     return (*data[:, :5].T, data[:, 5:].reshape(-1, 6, 6))
 
@@ -180,8 +208,7 @@ def save_log(log: ScenarioLog, directory):
     scans_dir = os.path.join(directory, "scans")
     os.makedirs(scans_dir, exist_ok=True)
     save_ground_truth(os.path.join(directory, "ground_truth.csv"), log.ground_truth)
-    odometry = np.array([[s.timestamp, *s.omega, *s.mu] for s in log.odometry]).reshape(-1, 7)
-    _write_table(os.path.join(directory, "odometry.csv"), ODOMETRY_HEADER, odometry)
+    _write_table(os.path.join(directory, "odometry.csv"), ODOMETRY_HEADER, np.column_stack(log.odometry))
     index = [[i, float(scan.timestamp)] for i, scan in enumerate(log.scans)]
     _write_table(os.path.join(scans_dir, "index.csv"), "id,t", index)
     for i, scan in enumerate(log.scans):
@@ -239,19 +266,13 @@ def load_log(directory) -> ScenarioLog:
         raise ParseError(f"{meta_path}: {exc}") from exc
     ground_truth = load_ground_truth(os.path.join(directory, "ground_truth.csv"))
     odometry_path = os.path.join(directory, "odometry.csv")
-    odo = _read_table(odometry_path, ODOMETRY_HEADER, 7, finite=True)
+    odo = _read_table(odometry_path, ODOMETRY_HEADER, 7, finite=ParseError)
     if not len(odo):
         raise ParseError(f"{odometry_path}: no rows after the header")
-    odometry = [OdometrySample(row[1:4], row[4:7], float(row[0])) for row in odo]
     scans_dir = os.path.join(directory, "scans")
     index = _read_table(
-        os.path.join(scans_dir, "index.csv"), "id,t", 2, converters={0: _scan_id}, header_strip=None, finite=True
+        os.path.join(scans_dir, "index.csv"), "id,t", 2, converters={0: _scan_id}, header_strip=None, finite=ParseError
     )
     scans = [load_xyz(os.path.join(scans_dir, f"{int(i):05d}.xyz"), BODY, float(t)) for i, t in index]
-    return ScenarioLog(
-        ground_truth=ground_truth,
-        odometry=odometry,
-        scans=scans,
-        seed=seed,
-        meta=meta,
-    )
+    odometry = Odometry(odo[:, 0], odo[:, 1:4], odo[:, 4:7])
+    return ScenarioLog(ground_truth=ground_truth, odometry=odometry, scans=scans, seed=seed, meta=meta)

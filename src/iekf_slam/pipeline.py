@@ -17,10 +17,10 @@ exponential) from there through the first scan; the filter only consumes
 the matcher's absolute pose measurements, so a badly initialized filter
 still receives correctly anchored measurements.
 
-The aided matcher composes poses on arrays, as ``run_filter`` does: each
-increment goes straight into its R and p columns through
-``se3.compose_into``, and a ``Pose`` is built only for
-``PointCloud.transformed`` and ``aided_step``.
+The aided matcher composes poses on arrays, with ``Pose.compose``'s
+products, and builds a ``Pose`` only for ``PointCloud.transformed`` and
+``aided_step``. In ``iekf`` mode it keeps no pose columns: only its
+measurements reach the filter.
 """
 
 from __future__ import annotations
@@ -33,46 +33,44 @@ from .errors import ConfigError, DegenerateGeometryError, NumericalFailureError
 from .icp import IcpConfig
 from .iekf import FilterState, NoiseConfig, odometry_increments, run_filter, schedule
 from .scan_matching import aided_step, naive_step
-from .se3 import Pose, compose_into, exp_se3, heading  # noqa: F401  (re-export: perfbench traces pipeline.exp_se3)
+from .se3 import Pose, exp_se3, heading  # noqa: F401  (re-export: perfbench traces pipeline.exp_se3)
 
 MODES = ("iekf", "dead-reckoning", "naive-scan-match", "scan-match-only")
 
 
-def run_aided_matcher(odometry, scans, icp_cfg: IcpConfig, initial_pose: Pose):
-    """Odometry-aided scan matching over a log, starting from ``initial_pose``.
+def run_aided_matcher(odometry, scans, icp_cfg: IcpConfig, initial_pose: Pose, columns=True):
+    """Odometry-aided scan matching over ``Odometry`` columns and a list of
+    scans, starting from ``initial_pose``.
 
     Returns ((t, R, p), measurements): the pose after every event of
-    :func:`schedule` as columns t (n,), R (n, 3, 3) and p (n, 3), and the
-    list of PoseMeasurements. ICP failures drop the measurement and continue
-    on the integrated pose. Every odometry increment of the log is computed
-    in one batch before the sequential pass.
+    :func:`schedule` as columns t (n,), R (n, 3, 3) and p (n, 3), or None
+    without ``columns``, and the list of PoseMeasurements. ICP failures drop
+    the measurement and continue on the integrated pose.
     """
-    events, dts, samples = schedule(odometry, scans, 0.0)
-    rotations, translations = odometry_increments(dts, samples)
-    n = len(events)
+    events, dts, held = schedule(odometry.t, [scan.timestamp for scan in scans], 0.0)
+    rotations, translations = odometry_increments(dts, odometry.omega[held], odometry.mu[held])
+    n = len(events) if columns else 0
     t_col, r_col, p_col = np.empty(n), np.empty((n, 3, 3)), np.empty((n, 3))
     r, p = initial_pose.rotation, initial_pose.translation
     reference = None
     measurements = []
-    for i, (step, t, scan) in enumerate(events):
-        t_col[i] = t
-        if step >= 0:
-            compose_into(r, p, rotations[step], translations[step], r_col[i], p_col[i])
-        else:
-            r_col[i], p_col[i] = r, p
-        if scan is not None and reference is None:
-            reference = scan.transformed(Pose(r_col[i], p_col[i]))
-        elif scan is not None:
+    for i, (step, t, j) in enumerate(events):
+        if step >= 0:  # Pose.compose's products
+            r, p = r @ rotations[step], r @ translations[step] + p
+        if j is not None and reference is None:
+            reference = scans[j].transformed(Pose(r, p))
+        elif j is not None:
             try:
-                meas = aided_step(reference, Pose(r_col[i], p_col[i]), scan, icp_cfg)
+                meas = aided_step(reference, Pose(r, p), scans[j], icp_cfg)
             except (DegenerateGeometryError, NumericalFailureError):
                 pass
             else:
-                r_col[i], p_col[i] = meas.measured_pose.rotation, meas.measured_pose.translation
-                reference = scan.transformed(meas.measured_pose)
+                r, p = meas.measured_pose.rotation, meas.measured_pose.translation
+                reference = scans[j].transformed(meas.measured_pose)
                 measurements.append(meas)
-        r, p = r_col[i], p_col[i]
-    return (t_col, r_col, p_col), measurements
+        if columns:
+            t_col[i], r_col[i], p_col[i] = t, r, p
+    return ((t_col, r_col, p_col) if columns else None), measurements
 
 
 def run_naive_matcher(odometry, scans, icp_cfg: IcpConfig, initial_pose: Pose):
@@ -82,22 +80,22 @@ def run_naive_matcher(odometry, scans, icp_cfg: IcpConfig, initial_pose: Pose):
     Returns ((t, R, p), matched): columns as in :func:`run_aided_matcher`
     and the number of scans matched against a reference.
     """
-    events, _, _ = schedule(odometry, scans, 0.0)
+    events, _, _ = schedule(odometry.t, [scan.timestamp for scan in scans], 0.0)
     n = len(events)
     t_col, r_col, p_col = np.empty(n), np.empty((n, 3, 3)), np.empty((n, 3))
     pose = initial_pose
     reference = None
     matched = 0
-    for i, (_, t, scan) in enumerate(events):
-        if scan is not None and reference is None:
-            reference = scan
-        elif scan is not None:
+    for i, (_, t, j) in enumerate(events):
+        if j is not None and reference is None:
+            reference = scans[j]
+        elif j is not None:
             try:
-                pose = pose @ naive_step(reference, scan, icp_cfg)
+                pose = pose @ naive_step(reference, scans[j], icp_cfg)
             except (DegenerateGeometryError, NumericalFailureError):
                 pass
             else:
-                reference = scan
+                reference = scans[j]
                 matched += 1
         t_col[i], r_col[i], p_col[i] = t, pose.rotation, pose.translation
     return (t_col, r_col, p_col), matched
@@ -115,13 +113,14 @@ def run_pipeline(log, mode, noise: NoiseConfig, init: FilterState, icp_cfg: IcpC
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; choose from {', '.join(MODES)}")
 
-    initial_pose = log.ground_truth[0][1]
+    initial_pose = Pose(log.ground_truth.rotations[0], log.ground_truth.translations[0])
     measurements = []
     if mode != "dead-reckoning":
         if mode == "naive-scan-match":
             columns, matched = run_naive_matcher(log.odometry, log.scans, icp_cfg, initial_pose)
         else:
-            columns, measurements = run_aided_matcher(log.odometry, log.scans, icp_cfg, initial_pose)
+            keep = mode == "scan-match-only"  # the filter takes only the measurements
+            columns, measurements = run_aided_matcher(log.odometry, log.scans, icp_cfg, initial_pose, keep)
             matched = len(measurements)
         if not matched:
             raise DegenerateGeometryError(

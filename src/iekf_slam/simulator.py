@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError
-from .iekf import NoiseConfig, OdometrySample
+from .iekf import NoiseConfig
 from .pointcloud import BODY, PointCloud
-from .se3 import Pose, exp_se3, wrap_angle
+from .se3 import Pose, compose_into, exp_se3, wrap_angle
 
 
 # The most points one wall may be sampled into. A `simulate` of one scan
@@ -230,22 +231,36 @@ class SensorRates:
         return int(round(self.odometry_hz / self.scan_hz))
 
 
+class Trajectory(NamedTuple):  # poses as columns
+    t: np.ndarray  # (n,)
+    rotations: np.ndarray  # (n, 3, 3)
+    translations: np.ndarray  # (n, 3)
+
+
+class Odometry(NamedTuple):  # body-frame velocity samples as columns
+    t: np.ndarray  # (n,)
+    omega: np.ndarray  # (n, 3), rad/s
+    mu: np.ndarray  # (n, 3), m/s
+
+
 def generate_trajectory(spec: TrajectorySpec, dt: float):
     """Ground truth satisfying X_{k+1} = X_k * exp(dt * twist_k) exactly,
     composed segment by segment from ``spec.segments(dt)``.
 
-    Returns (poses, twists) for n steps in all: the n + 1 poses at t = k * dt
-    and the n body twists, twist k applied over [k * dt, (k + 1) * dt].
+    Returns (trajectory, twists) for n steps in all: the n + 1 poses at
+    t = k * dt and the (n, 6) body twists, twist k applied over
+    [k * dt, (k + 1) * dt].
     """
     pose, segments = spec.segments(dt)
-    poses = [pose]
-    twists = []
+    twists = np.repeat([twist for twist, _ in segments], [steps for _, steps in segments], axis=0).reshape(-1, 6)
+    r, p = np.empty((len(twists) + 1, 3, 3)), np.empty((len(twists) + 1, 3))
+    r[0], p[0], start = pose.rotation, pose.translation, 0
     for twist, steps in segments:
         step = exp_se3(dt * twist)
-        for _ in range(steps):
-            poses.append(poses[-1] @ step)
-        twists += [twist] * steps
-    return poses, twists
+        for k in range(start, start + steps):
+            compose_into(r[k], p[k], step.rotation, step.translation, r[k + 1], p[k + 1])
+        start += steps
+    return Trajectory(np.arange(len(r)) * dt, r, p), twists
 
 
 def _cov_sqrt(cov):
@@ -259,8 +274,9 @@ def odometry_noise_sqrt(noise: NoiseConfig):
     return _cov_sqrt(noise.gyro_cov), _cov_sqrt(noise.velocity_cov)
 
 
-def sample_odometry(twist, noise_sqrt, rng, timestamp) -> OdometrySample:
-    """Additive Gaussian noise on the true body twist; exact when covariances are zero.
+def sample_odometry(twist, noise_sqrt, rng):
+    """(omega, mu) with additive Gaussian noise on the true body twist; exact
+    when covariances are zero.
 
     ``noise_sqrt`` is ``odometry_noise_sqrt(noise)`` of the process noise.
     """
@@ -268,7 +284,7 @@ def sample_odometry(twist, noise_sqrt, rng, timestamp) -> OdometrySample:
     gyro_sqrt, velocity_sqrt = noise_sqrt
     nu_omega = gyro_sqrt @ rng.standard_normal(3)
     nu_mu = velocity_sqrt @ rng.standard_normal(3)
-    return OdometrySample(twist[:3] + nu_omega, twist[3:] + nu_mu, timestamp)
+    return twist[:3] + nu_omega, twist[3:] + nu_mu
 
 
 def render_scan(world: WorldModel, true_pose: Pose, rates: SensorRates, rng, timestamp=0.0):
@@ -294,8 +310,8 @@ def render_scan(world: WorldModel, true_pose: Pose, rates: SensorRates, rng, tim
 class ScenarioLog:
     """Immutable record of one simulated run; replay-deterministic per seed."""
 
-    ground_truth: list  # of (t, Pose)
-    odometry: list  # of OdometrySample
+    ground_truth: Trajectory
+    odometry: Odometry
     scans: list  # of PointCloud, body frame
     seed: int
     meta: dict = field(default_factory=dict)
@@ -312,17 +328,18 @@ def run_scenario(
     interval, and scans every odometry_hz/scan_hz steps starting at t = 0."""
     rng = np.random.default_rng(seed)
     dt = 1.0 / rates.odometry_hz
-    poses, twists = generate_trajectory(spec, dt)
-    if not twists:
+    truth, twists = generate_trajectory(spec, dt)
+    n = len(twists)
+    if not n:
         raise ConfigError(f"scenario duration holds no odometry step of {dt:g} s")
     stride = rates.scan_stride()
     noise_sqrt = odometry_noise_sqrt(noise)
-    odometry = []
+    odometry = Odometry(truth.t[:n], np.empty((n, 3)), np.empty((n, 3)))
     scans = []
-    for k, (pose, twist) in enumerate(zip(poses, twists)):
-        odometry.append(sample_odometry(twist, noise_sqrt, rng, k * dt))
+    for k in range(n):
+        odometry.omega[k], odometry.mu[k] = sample_odometry(twists[k], noise_sqrt, rng)
         if k % stride == 0:
-            scan = render_scan(world, pose, rates, rng, k * dt)
+            scan = render_scan(world, Pose(truth.rotations[k], truth.translations[k]), rates, rng, k * dt)
             if scan is not None:
                 scans.append(scan)
     meta = {
@@ -338,10 +355,4 @@ def run_scenario(
         "world_hash": world.digest(),
         "scenario_kind": spec.kind,
     }
-    return ScenarioLog(
-        ground_truth=[(k * dt, pose) for k, pose in enumerate(poses)],
-        odometry=odometry,
-        scans=scans,
-        seed=seed,
-        meta=meta,
-    )
+    return ScenarioLog(ground_truth=truth, odometry=odometry, scans=scans, seed=seed, meta=meta)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from iekf_slam.se3 import Pose, hat
+from iekf_slam.simulator import Odometry
 
 
 def series_exp(twist, terms=20):
@@ -25,6 +26,14 @@ def random_pose(rng, rot_scale=1.0, trans_scale=1.0):
     from iekf_slam.se3 import exp_se3
 
     return exp_se3(random_twist(rng, rot_scale, trans_scale))
+
+
+def odometry_columns(times, omega, mu):
+    """Odometry columns of samples at ``times``; ``omega`` and ``mu`` are each
+    one (3,) velocity for every sample or an (n, 3) array."""
+    t = np.array(times, dtype=float)
+    n = len(t)
+    return Odometry(t, np.broadcast_to(omega, (n, 3)).astype(float), np.broadcast_to(mu, (n, 3)).astype(float))
 
 
 def rot_z(psi):

@@ -14,7 +14,7 @@ from conftest import random_twist, rot_z
 from iekf_slam.cli import main as cli_main
 from iekf_slam.errors import DegenerateGeometryError
 from iekf_slam.icp import IcpConfig, icp_align, icp_covariance, information_matrix, solve_linear_alignment
-from iekf_slam.iekf import FilterState, NoiseConfig, OdometrySample, PoseMeasurement, linearize, predict, update
+from iekf_slam.iekf import FilterState, NoiseConfig, PoseMeasurement, linearize, predict, update
 from iekf_slam.metrics import evaluate_series, ground_truth_planar
 from iekf_slam.pipeline import run_pipeline
 from iekf_slam.pointcloud import BODY, PointCloud
@@ -91,7 +91,7 @@ def test_two_circle_accuracy_and_closure():
         log, estimates = _run_seed(spec, seed)
         score = _score(estimates, log.ground_truth)
         _, x, y, *_ = estimates
-        final_err = np.linalg.norm([x[-1], y[-1]] - log.ground_truth[-1][1].translation[:2])
+        final_err = np.linalg.norm([x[-1], y[-1]] - log.ground_truth.translations[-1, :2])
         worst["x"] = max(worst["x"], score.rms_x)
         worst["y"] = max(worst["y"], score.rms_y)
         worst["psi"] = max(worst["psi"], score.rms_psi)
@@ -205,15 +205,14 @@ def test_covariance_against_monte_carlo():
 
 def test_filter_structural_properties():
     rng = np.random.default_rng(3)
-    sample = OdometrySample([0.1, -0.2, 0.3], [1.0, 0.5, -0.1], 0.0)
-    bit_identical = np.array_equal(linearize(sample), linearize(sample))
+    sample = ([0.1, -0.2, 0.3], [1.0, 0.5, -0.1])
+    bit_identical = np.array_equal(linearize(*sample), linearize(*sample))
 
     noise = NoiseConfig()
     state = FilterState.initial()
     sym_pd = True
     for k in range(10_000):
-        s = OdometrySample(rng.standard_normal(3), rng.standard_normal(3), 0.0)
-        state = predict(state, s, 0.002, noise)
+        state = predict(state, rng.standard_normal(3), rng.standard_normal(3), 0.002, noise)
         if k % 50 == 0:
             target = state.pose @ exp_se3(0.01 * random_twist(rng))
             state = update(state, PoseMeasurement(target, 1e-3 * np.eye(6), 0.0))

@@ -17,7 +17,6 @@ from iekf_slam.logio import (
 )
 from iekf_slam.metrics import ground_truth_planar
 from iekf_slam.pointcloud import PointCloud
-from iekf_slam.se3 import Pose
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -97,9 +96,9 @@ class TestSimulate:
         out = str(tmp_path / "log")
         assert main(["simulate", "--config", cfg, "--out", out]) == 0
         log = load_log(out)
-        assert len(log.odometry) == 100
+        assert len(log.odometry.t) == 100
         assert len(log.scans) == 10
-        assert len(log.ground_truth) == 101
+        assert len(log.ground_truth.t) == 101
         assert "100 odometry samples" in capsys.readouterr().out
 
     def test_same_seed_byte_identical(self, tmp_path):
@@ -573,9 +572,9 @@ def test_replay_bytes_pinned(tmp_path, name):
 class TestEvaluate:
     def make_pair(self, tmp_path, offset=0.0):
         t = np.arange(11) * 0.1
-        gt = [(tv, Pose(np.eye(3), np.array([0.5 * tv, 0.0, 0.0]))) for tv in t]
+        translations = np.column_stack([0.5 * t, np.zeros((len(t), 2))])
         gt_path = str(tmp_path / "gt.csv")
-        save_ground_truth(gt_path, gt)
+        save_ground_truth(gt_path, (t, np.tile(np.eye(3), (len(t), 1, 1)), translations))
         zero = np.zeros_like(t)
         est_path = str(tmp_path / "est.csv")
         save_estimates(est_path, (t, 0.5 * t + offset, zero, zero, zero, np.zeros((len(t), 6, 6))))
@@ -620,7 +619,7 @@ class TestEvaluate:
             [[np.cos(psi), -np.sin(psi), 0], [np.sin(psi), np.cos(psi), 0], [0, 0, 1.0]]
         )
         gt_path = str(tmp_path / "gt.csv")
-        save_ground_truth(gt_path, [(0.0, Pose(rot, np.zeros(3)))])
+        save_ground_truth(gt_path, ([0.0], rot[None], np.zeros((1, 3))))
         est_path = str(tmp_path / "est.csv")
         save_estimates(est_path, (t, [0.0], [0.0], [0.0], [-psi], np.zeros((1, 6, 6))))
         assert main(["evaluate", est_path, gt_path]) == 0
@@ -641,11 +640,28 @@ class TestEvaluate:
         assert gt in err and "no rows" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("column, value", [(0, "nan"), (1, "nan"), (2, "inf"), (4, "-inf")])
+    def test_non_finite_estimate_exit_3(self, tmp_path, capsys, column, value):
+        # A nan x exited 0 and printed rms_x = nan.
+        est, gt = self.make_pair(tmp_path)
+        with open(est) as fh:
+            lines = fh.read().splitlines()
+        row = lines[4].split(",")
+        row[column] = value
+        lines[4] = ",".join(row)
+        with open(est, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        out_dir = str(tmp_path / "report")
+        assert main(["evaluate", est, gt, "--out", out_dir]) == 3
+        captured = capsys.readouterr()
+        assert f"{est}:5: non-finite" in captured.err
+        assert captured.out == ""
+        assert not os.path.exists(out_dir)
+
     def test_disjoint_time_ranges_exit_3(self, tmp_path, capsys):
         est, _ = self.make_pair(tmp_path)
-        gt = [(100.0 + k, Pose.identity()) for k in range(3)]
         gt_path = str(tmp_path / "late.csv")
-        save_ground_truth(gt_path, gt)
+        save_ground_truth(gt_path, (100.0 + np.arange(3), np.tile(np.eye(3), (3, 1, 1)), np.zeros((3, 3))))
         assert main(["evaluate", est, gt_path, "--max-dt", "0.5"]) == 3
 
     @pytest.mark.parametrize("max_dt", ["-1", "-inf", "nan"])

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import random_pose, random_twist, rot_z
+from conftest import odometry_columns, random_pose, random_twist, rot_z
 from iekf_slam import iekf
 from iekf_slam.errors import MeasurementRejectedError, NumericalFailureError, TimingError
 from iekf_slam.iekf import (
     FilterState,
     NoiseConfig,
-    OdometrySample,
     PoseMeasurement,
     innovation,
     linearize,
@@ -27,20 +26,21 @@ def reference_run_filter(odometry, measurements, noise, init):
     event, which ``run_filter`` replaced with a batched schedule."""
     state = init
     last_sample = None
-    odo_iter = iter(odometry)
+    samples = list(zip(odometry.t.tolist(), odometry.omega, odometry.mu))
+    odo_iter = iter(samples)
     meas_iter = iter(measurements)
     odo = next(odo_iter, None)
     m = next(meas_iter, None)
     prev_t = -np.inf
     while odo is not None or m is not None:
-        take_odo = m is None or (odo is not None and odo.timestamp <= m.timestamp)
-        t = odo.timestamp if take_odo else m.timestamp
+        take_odo = m is None or (odo is not None and odo[0] <= m.timestamp)
+        t = odo[0] if take_odo else m.timestamp
         if t < prev_t:
             raise TimingError(f"out-of-order timestamp {t} after {prev_t}")
         prev_t = t
         if t > state.timestamp:
             if last_sample is not None:
-                state = predict(state, last_sample, t - state.timestamp, noise)
+                state = predict(state, *last_sample[1:], t - state.timestamp, noise)
             else:
                 state = FilterState(state.pose, state.covariance, t)
         if take_odo:
@@ -57,11 +57,11 @@ def reference_run_filter(odometry, measurements, noise, init):
 
 class TestLinearize:
     def test_zero_sample(self):
-        a = linearize(OdometrySample(np.zeros(3), np.zeros(3), 0.0))
+        a = linearize(np.zeros(3), np.zeros(3))
         assert np.array_equal(a, np.zeros((6, 6)))
 
     def test_block_pattern(self):
-        a = linearize(OdometrySample([0, 0, 1.0], [1.0, 0, 0], 0.0))
+        a = linearize([0, 0, 1.0], [1.0, 0, 0])
         assert np.array_equal(a[:3, :3], -skew([0, 0, 1.0]))
         assert np.array_equal(a[3:, :3], -skew([1.0, 0, 0]))
         assert np.array_equal(a[3:, 3:], -skew([0, 0, 1.0]))
@@ -69,57 +69,64 @@ class TestLinearize:
 
     def test_random_samples_match_block_formula(self, rng):
         for _ in range(100):
-            s = OdometrySample(rng.standard_normal(3), rng.standard_normal(3), 0.0)
-            a = linearize(s)
-            assert np.array_equal(a[:3, :3], -skew(s.omega))
-            assert np.array_equal(a[3:, :3], -skew(s.mu))
-            assert np.array_equal(a[3:, 3:], -skew(s.omega))
+            omega, mu = rng.standard_normal(3), rng.standard_normal(3)
+            a = linearize(omega, mu)
+            assert np.array_equal(a[:3, :3], -skew(omega))
+            assert np.array_equal(a[3:, :3], -skew(mu))
+            assert np.array_equal(a[3:, 3:], -skew(omega))
 
     def test_state_independent_by_construction(self):
         # signature admits no pose; repeated calls are bit-identical
-        s = OdometrySample([0.1, -0.2, 0.3], [1.0, 0.5, -0.1], 0.0)
-        assert np.array_equal(linearize(s), linearize(s))
+        s = ([0.1, -0.2, 0.3], [1.0, 0.5, -0.1])
+        assert np.array_equal(linearize(*s), linearize(*s))
 
 
 class TestPredict:
     def test_zero_twist_grows_p_by_q(self):
         state = FilterState.initial()
         noise = NoiseConfig()
-        out = predict(state, OdometrySample(np.zeros(3), np.zeros(3), 0.0), 0.02, noise)
+        out = predict(state, np.zeros(3), np.zeros(3), 0.02, noise)
         assert out.pose.is_close(Pose.identity(), tol=0)
         assert np.allclose(out.covariance, state.covariance + 0.02 * noise.q_block(), atol=1e-15)
 
     def test_constant_yaw_rate_integrates_heading(self):
         state = FilterState.initial()
         noise = NoiseConfig()
-        sample = OdometrySample([0, 0, 1.0], np.zeros(3), 0.0)
+        sample = ([0, 0, 1.0], np.zeros(3))
         dt, n = 0.01, 157
         for _ in range(n):
-            state = predict(state, sample, dt, noise)
+            state = predict(state, *sample, dt, noise)
         assert np.max(np.abs(state.pose.rotation - rot_z(n * dt))) < 1e-9
 
     def test_p_stays_symmetric_over_many_steps(self, rng):
         state = FilterState.initial()
         noise = NoiseConfig()
         for _ in range(10_000):
-            sample = OdometrySample(rng.standard_normal(3), rng.standard_normal(3), 0.0)
-            state = predict(state, sample, 0.002, noise)
+            state = predict(state, rng.standard_normal(3), rng.standard_normal(3), 0.002, noise)
             p = state.covariance
             assert np.array_equal(p, p.T)
         assert np.min(np.linalg.eigvalsh(state.covariance)) > 0
 
     def test_non_positive_dt(self):
         with pytest.raises(TimingError):
-            predict(FilterState.initial(), OdometrySample(np.zeros(3), np.zeros(3), 0.0), 0.0, NoiseConfig())
+            predict(FilterState.initial(), np.zeros(3), np.zeros(3), 0.0, NoiseConfig())
+
+    def test_infinite_dt(self):
+        # An infinite step has no substep count: refused, not run as no substeps.
+        with pytest.raises(TimingError, match="infinite"):
+            predict(FilterState.initial(), np.zeros(3), np.zeros(3), np.inf, NoiseConfig())
+        odometry = odometry_columns([0.0, np.inf], np.zeros(3), [0.25, 0, 0])
+        with pytest.raises(TimingError, match="infinite"):
+            run_filter(odometry, [], NoiseConfig(), FilterState.initial())
 
     def test_large_dt_substepped(self):
         # dt above the cap must still integrate, matching many explicit substeps
         noise = NoiseConfig()
-        sample = OdometrySample([0, 0, 0.5], [0.3, 0, 0], 0.0)
-        one = predict(FilterState.initial(), sample, 0.5, noise)
+        sample = ([0, 0, 0.5], [0.3, 0, 0])
+        one = predict(FilterState.initial(), *sample, 0.5, noise)
         many = FilterState.initial()
         for _ in range(5):
-            many = predict(many, sample, 0.1, noise)
+            many = predict(many, *sample, 0.1, noise)
         assert one.pose.is_close(many.pose, tol=1e-12)
         assert np.allclose(one.covariance, many.covariance, atol=1e-12)
 
@@ -182,8 +189,7 @@ class TestUpdate:
         state = FilterState.initial()
         noise = NoiseConfig()
         for k in range(2000):
-            sample = OdometrySample(rng.standard_normal(3), rng.standard_normal(3), 0.0)
-            state = predict(state, sample, 0.01, noise)
+            state = predict(state, rng.standard_normal(3), rng.standard_normal(3), 0.01, noise)
             if k % 10 == 0:
                 target = state.pose @ exp_se3(0.01 * random_twist(rng))
                 state = update(state, meas(target, 1e-3 * np.eye(6)))
@@ -195,7 +201,7 @@ class TestRunFilter:
     def make_streams(self, duration=2.0, odo_hz=50.0, scan_hz=5.0):
         dt = 1.0 / odo_hz
         n = int(round(duration * odo_hz))
-        odometry = [OdometrySample(np.zeros(3), [0.25, 0, 0], k * dt) for k in range(n)]
+        odometry = odometry_columns([k * dt for k in range(n)], np.zeros(3), [0.25, 0, 0])
         stride = int(odo_hz / scan_hz)
         times = [k * dt for k in range(stride, n + 1, stride)]
         measurements = [
@@ -206,14 +212,14 @@ class TestRunFilter:
     def test_dead_reckoning_on_empty_measurements(self):
         odometry, _ = self.make_streams()
         t, _, p, _ = run_filter(odometry, [], NoiseConfig(), FilterState.initial())
-        assert len(t) == len(odometry)
+        assert len(t) == len(odometry.t)
         # zero-noise samples: exact integration of the constant twist
         assert np.allclose(p[-1], [0.25 * t[-1], 0, 0], atol=1e-9)
 
     def test_event_counts_and_prediction_ratio(self):
         odometry, measurements = self.make_streams(duration=1.0)
         t, _, _, _ = run_filter(odometry, measurements, NoiseConfig(), FilterState.initial())
-        assert len(t) == len(odometry) + len(measurements)
+        assert len(t) == len(odometry.t) + len(measurements)
         # between consecutive measurements: exactly 10 odometry events
         meas_times = {m.timestamp for m in measurements}
         gaps, count = [], 0
@@ -231,10 +237,7 @@ class TestRunFilter:
         assert np.linalg.norm(p[-1] - [0.25 * t[-1], 0, 0]) < 1e-6
 
     def test_out_of_order_rejected(self):
-        odometry = [
-            OdometrySample(np.zeros(3), np.zeros(3), 0.1),
-            OdometrySample(np.zeros(3), np.zeros(3), 0.0),
-        ]
+        odometry = odometry_columns([0.1, 0.0], np.zeros(3), np.zeros(3))
         with pytest.raises(TimingError):
             run_filter(odometry, [], NoiseConfig(), FilterState.initial())
 
@@ -253,12 +256,9 @@ class TestRunFilter:
             dt = 0.02
             for k in range(200):
                 truth = truth @ exp_se3(dt * twist)
-                sample = OdometrySample(
-                    twist[:3] + 0.01 * trng.standard_normal(3),
-                    twist[3:] + 0.02 * trng.standard_normal(3),
-                    k * dt,
-                )
-                state = predict(state, sample, dt, noise)
+                omega = twist[:3] + 0.01 * trng.standard_normal(3)
+                mu = twist[3:] + 0.02 * trng.standard_normal(3)
+                state = predict(state, omega, mu, dt, noise)
                 if (k + 1) % 10 == 0:
                     nu = chol @ trng.standard_normal(6)
                     state = update(state, meas(truth @ exp_se3(nu), c_meas))
@@ -291,14 +291,11 @@ class TestRunFilterMatchesReference:
 
     @staticmethod
     def noisy_odometry(rng, times):
-        return [
-            OdometrySample(
-                [0, 0, 0.2] + 0.01 * rng.standard_normal(3),
-                [0.25, 0, 0] + 0.02 * rng.standard_normal(3),
-                t,
-            )
-            for t in times
-        ]
+        omega, mu = [], []
+        for _ in times:
+            omega.append([0, 0, 0.2] + 0.01 * rng.standard_normal(3))
+            mu.append([0.25, 0, 0] + 0.02 * rng.standard_normal(3))
+        return odometry_columns(times, omega, mu)
 
     @staticmethod
     def measurements_near(rng, columns, times, cov=None):
@@ -369,10 +366,10 @@ class TestRunFilterMatchesReference:
         odometry = self.noisy_odometry(rng, [0.02 * k for k in range(100)])
         truth = run_filter(odometry, [], NoiseConfig(), FilterState.initial())
         t = self.assert_matches(odometry, self.measurements_near(rng, truth, [0.2, 0.4]))[0]
-        assert t[-1] == odometry[-1].timestamp
+        assert t[-1] == odometry.t[-1]
 
     def test_no_events(self):
-        columns = run_filter([], [], NoiseConfig(), FilterState.initial())
+        columns = run_filter(odometry_columns([], np.zeros(3), np.zeros(3)), [], NoiseConfig(), FilterState.initial())
         assert [c.shape for c in columns] == [(0,), (0, 3, 3), (0, 3), (0, 6, 6)]
 
 
@@ -390,7 +387,7 @@ class TestRunFilterChecks:
             return update(state, m)
 
         monkeypatch.setattr(iekf, "update", spy)
-        odometry = [OdometrySample(np.zeros(3), np.zeros(3), 0.02 * k) for k in range(30)]
+        odometry = odometry_columns([0.02 * k for k in range(30)], np.zeros(3), np.zeros(3))
         ms = [meas(Pose.identity(), 1e-3 * np.eye(6), 0.2)]
         run_filter(odometry, ms, NoiseConfig(), FilterState.initial())
         assert updated_at == [0.2]
@@ -401,7 +398,7 @@ class TestRunFilterChecks:
         assert updated_at == []
 
     def test_out_of_order_measurements_rejected(self):
-        odometry = [OdometrySample(np.zeros(3), np.zeros(3), 0.02 * k) for k in range(10)]
+        odometry = odometry_columns([0.02 * k for k in range(10)], np.zeros(3), np.zeros(3))
         ms = [meas(Pose.identity(), np.eye(6), 0.1), meas(Pose.identity(), np.eye(6), 0.05)]
         with pytest.raises(TimingError):
             run_filter(odometry, ms, NoiseConfig(), FilterState.initial())

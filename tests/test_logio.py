@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from iekf_slam.cli import main
-from iekf_slam.errors import ParseError
+from iekf_slam.errors import EvaluationError, ParseError
 from iekf_slam.iekf import NoiseConfig
 from iekf_slam import logio
 from iekf_slam.logio import load_estimates, load_log, load_xyz, save_estimates, save_log, save_xyz
@@ -46,8 +46,8 @@ def assert_bits_equal(a, b):
 def log_arrays(log):
     """Everything load_log reads, as arrays for bitwise comparison."""
     return [
-        np.array([[t, *pose.to_row()] for t, pose in log.ground_truth]),
-        np.array([[s.timestamp, *s.omega, *s.mu] for s in log.odometry]),
+        *log.ground_truth,
+        *log.odometry,
         np.array([scan.timestamp for scan in log.scans]),
         *(scan.points for scan in log.scans),
     ]
@@ -271,6 +271,94 @@ class TestCliExit3:
         assert re.search(error_at(name, 5), capsys.readouterr().err)
 
 
+def planar(columns):
+    """The (t, x, y, psi) of ``load_estimates``'s columns."""
+    t, x, y, _, psi, _ = columns
+    return [t, x, y, psi]
+
+
+def set_field(directory, column, text):
+    """Line 5 of estimates.csv (after a blank line 4) with ``column`` set to ``text``."""
+
+    def change(line, sep):
+        fields = line.split(sep)
+        fields[column] = text
+        return sep.join(fields)
+
+    corrupt_fifth_line(directory, "estimates.csv", change)
+
+
+class TestPlanarEstimates:
+    """What ``evaluate`` reads of an estimates file: t, x, y and psi, bit for
+    bit as the full read gives them. Other columns go unread, but every row
+    must hold 41 values, and the four must be finite."""
+
+    def test_matches_full_read_and_line_loop(self, log_dir, monkeypatch):
+        path = os.path.join(log_dir, "estimates.csv")
+        want = planar(load_estimates(path))
+        got = load_estimates(path, planar=True)
+        for g, w in zip(got, want, strict=True):
+            assert_bits_equal(g, w)
+        # The line loop's columns are the C reader's.
+        monkeypatch.setattr(logio.np, "loadtxt", lambda *args, **kwargs: np.empty((0, 0)))
+        for g, w in zip(load_estimates(path, planar=True), want, strict=True):
+            assert_bits_equal(g, w)
+
+    @pytest.mark.parametrize("column", [3, 5, 22, 40], ids=["z", "P00", "P32", "P55"])
+    def test_malformed_unread_column_accepted(self, log_dir, capsys, column):
+        path = os.path.join(log_dir, "estimates.csv")
+        want = planar(load_estimates(path))
+        set_field(log_dir, column, "abc")
+        with pytest.raises(ParseError, match=error_at("estimates.csv", 5)):
+            load_estimates(path)
+        for g, w in zip(load_estimates(path, planar=True), want, strict=True):
+            assert_bits_equal(g, w)
+        assert main(["evaluate", path, os.path.join(log_dir, "ground_truth.csv")]) == 0
+
+    @pytest.mark.parametrize("column", [3, 5, 40], ids=["z", "P00", "P55"])
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_non_finite_unread_column_accepted(self, log_dir, capsys, column, token):
+        path = os.path.join(log_dir, "estimates.csv")
+        set_field(log_dir, column, token)
+        assert all(np.isfinite(c).all() for c in load_estimates(path, planar=True))
+        assert main(["evaluate", path, os.path.join(log_dir, "ground_truth.csv")]) == 0
+
+    @pytest.mark.parametrize("column", [0, 1, 2, 4], ids=["t", "x", "y", "psi"])
+    @pytest.mark.parametrize("token", ["nan", "-inf", "1e400"])
+    def test_non_finite_scored_column_refused(self, log_dir, column, token):
+        path = os.path.join(log_dir, "estimates.csv")
+        set_field(log_dir, column, token)
+        with pytest.raises(EvaluationError, match=error_at("estimates.csv", 5) + " non-finite value"):
+            load_estimates(path, planar=True)
+        assert load_estimates(path)[0].shape == (12,)  # the full read keeps it
+
+    @pytest.mark.parametrize("wide", [True, False], ids=["42-values", "40-values"])
+    def test_row_of_other_width_refused(self, log_dir, capsys, wide):
+        # The C reader reads the last column, so a narrow row fails it; a wide
+        # row passes it and is caught by the file's separator count.
+        path = os.path.join(log_dir, "estimates.csv")
+        width = 42 if wide else 40
+        corrupt_fifth_line(log_dir, "estimates.csv", lambda line, sep: sep.join((line.split(sep) + ["0.5"])[:width]))
+        with pytest.raises(ParseError, match=error_at("estimates.csv", 5) + f" expected 41 columns, got {width}"):
+            load_estimates(path, planar=True)
+        assert main(["evaluate", path, os.path.join(log_dir, "ground_truth.csv")]) == 3
+        assert re.search(error_at("estimates.csv", 5), capsys.readouterr().err)
+
+    def test_wide_and_narrow_rows_that_balance_refused(self, log_dir):
+        # One row of 42 values and one of 40 hold 40 separators a row between
+        # them: the C reader refuses the narrow one, and the line loop names
+        # the first.
+        path = os.path.join(log_dir, "estimates.csv")
+
+        def edit(lines):
+            lines[2] += ",0.5"
+            lines[6] = lines[6].rsplit(",", 1)[0]
+
+        edit_lines(log_dir, "estimates.csv", edit)
+        with pytest.raises(ParseError, match=error_at("estimates.csv", 3)):
+            load_estimates(path, planar=True)
+
+
 class TestRoundTrip:
     def test_log_bit_identical(self, saved, tmp_path):
         log, directory = saved
@@ -426,7 +514,7 @@ class TestBlocks:
             (os.path.relpath(path, directory), None, 3, None, "#")
             for path in sorted(glob.glob(str(directory / "scans" / "*.xyz")))
         ]
-        assert len(log.odometry) > 1024
+        assert len(log.odometry.t) > 1024
         assert len(tables) == 3 + len(log.scans)
         for name, header, n_cols, sep, comments in tables:
             path = directory / name

@@ -1,10 +1,13 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
+from conftest import odometry_columns
 from iekf_slam import pipeline, scan_matching
 from iekf_slam.errors import DegenerateGeometryError, NumericalFailureError, TimingError
 from iekf_slam.icp import IcpConfig
-from iekf_slam.iekf import FilterState, NoiseConfig, OdometrySample, odometry_increments, run_filter
+from iekf_slam.iekf import FilterState, NoiseConfig, odometry_increments, run_filter
 from iekf_slam.logio import load_estimates, save_estimates
 from iekf_slam.pipeline import MODES, run_aided_matcher, run_naive_matcher, run_pipeline
 from iekf_slam.pointcloud import BODY, PointCloud
@@ -14,6 +17,15 @@ from iekf_slam.simulator import SensorRates, TrajectorySpec, default_world, run_
 
 CFG = IcpConfig()
 TWIST = np.array([0.0, 0.0, 0.3, 0.25, 0.0, 0.0])
+
+
+@dataclass(frozen=True)
+class Sample:
+    """One odometry row as the oracle's object."""
+
+    timestamp: float
+    omega: np.ndarray
+    mu: np.ndarray
 
 
 def _reference_merge_events(odometry, scans):
@@ -36,6 +48,7 @@ def reference_matcher_rows(odometry, scans, icp_cfg, initial_pose, aided):
     ``iekf.schedule`` replaced. Returns (rows, measurements); row times are
     the event timestamps (held at 0 before the first positive one in the
     aided pass). Measurements are empty for the naive matcher."""
+    odometry = [Sample(*row) for row in zip(odometry.t.tolist(), odometry.omega, odometry.mu)]
     events = list(_reference_merge_events(odometry, scans))
     if not aided:
         pose, reference = initial_pose, None
@@ -65,7 +78,8 @@ def reference_matcher_rows(odometry, scans, icp_cfg, initial_pose, aided):
         steps.append(step)
         if kind == "odo":
             last_sample = event
-    rotations, translations = odometry_increments(dts, held)
+    omega = np.reshape([s.omega for s in held], (-1, 3))
+    rotations, translations = odometry_increments(dts, omega, np.reshape([s.mu for s in held], (-1, 3)))
 
     pose, reference = initial_pose, None
     rows = []
@@ -123,12 +137,11 @@ def hand_built_log(rng, odo_times, scan_times, failing=()):
     """Noisy constant-twist odometry and landmark scans at the true poses;
     scans at the times in ``failing`` hold two points, too few for ICP."""
     world = landmarks(rng)
-    odometry = [
-        OdometrySample(
-            TWIST[:3] + 0.01 * rng.standard_normal(3), TWIST[3:] + 0.02 * rng.standard_normal(3), t
-        )
-        for t in odo_times
-    ]
+    omega, mu = [], []
+    for _ in odo_times:
+        omega.append(TWIST[:3] + 0.01 * rng.standard_normal(3))
+        mu.append(TWIST[3:] + 0.02 * rng.standard_normal(3))
+    odometry = odometry_columns(odo_times, omega, mu)
     scans = []
     for t in scan_times:
         points = exp_se3(t * TWIST).inverse().apply(world)
@@ -140,7 +153,8 @@ class TestMatchersFollowSchedule:
     def test_simulated_room_log(self):
         spec = TrajectorySpec(kind="circle", speed=0.3, duration=3.0)
         log = run_scenario(default_world(), spec, SensorRates(), NoiseConfig(), 3)
-        measurements = assert_matches_reference(log.odometry, log.scans, log.ground_truth[0][1])
+        start = Pose(log.ground_truth.rotations[0], log.ground_truth.translations[0])
+        measurements = assert_matches_reference(log.odometry, log.scans, start)
         assert len(measurements) == len(log.scans) - 1
 
     def test_scans_between_odometry_samples(self, rng):
@@ -225,3 +239,27 @@ def test_estimates_file_is_the_pipelines_columns(short_room_log, tmp_path, mode)
         assert want.shape == got.shape
         assert np.array_equal(want, got)
     assert np.any(estimates[5]) == (mode in ("iekf", "dead-reckoning"))
+
+
+def test_aided_matcher_keeps_columns_only_for_scan_match_only(short_room_log, monkeypatch):
+    # In iekf mode only the measurements reach the filter: the matcher fills
+    # no pose columns, and its measurements are the same bits.
+    kept = {}
+
+    def spy(odometry, scans, icp_cfg, initial_pose, columns=True):
+        result = run_aided_matcher(odometry, scans, icp_cfg, initial_pose, columns)
+        kept[columns] = result
+        return result
+
+    monkeypatch.setattr(pipeline, "run_aided_matcher", spy)
+    for mode in ("iekf", "scan-match-only"):
+        run_pipeline(short_room_log, mode, NoiseConfig(), FilterState.initial(), CFG)
+    assert sorted(kept) == [False, True]
+    assert kept[False][0] is None and kept[True][0] is not None
+    bare, full = kept[False][1], kept[True][1]
+    assert len(bare) == len(full) > 0
+    for g, w in zip(bare, full):
+        assert g.timestamp == w.timestamp
+        assert np.array_equal(g.covariance, w.covariance)
+        assert np.array_equal(g.measured_pose.rotation, w.measured_pose.rotation)
+        assert np.array_equal(g.measured_pose.translation, w.measured_pose.translation)

@@ -3,9 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import rot_z
+from conftest import odometry_columns, rot_z
 from iekf_slam.icp import IcpConfig, icp_covariance
-from iekf_slam.iekf import OdometrySample
 from iekf_slam.pipeline import run_aided_matcher, run_naive_matcher
 from iekf_slam.pointcloud import BODY, PointCloud
 from iekf_slam.scan_matching import aided_step, naive_step
@@ -31,7 +30,7 @@ START = Pose(np.eye(3), np.array([1.0, -2.0, 0.0]))
 
 def one_scan_log(rng):
     """Ten odometry samples 0.125 s apart and one scan at the fifth one's time (row 5)."""
-    odometry = [OdometrySample(np.array([0.0, 0.0, 0.3]), np.array([0.25, 0.0, 0.0]), 0.125 * k) for k in range(10)]
+    odometry = odometry_columns([0.125 * k for k in range(10)], [0.0, 0.0, 0.3], [0.25, 0.0, 0.0])
     return odometry, [scan_at(landmark_points(rng), Pose.identity(), t=0.5)]
 
 

@@ -301,7 +301,9 @@ class TestPlanar:
         for sin, cos in ((0.0, -1.0), (-0.0, -1.0), (-0.0, 1.0), (0.0, 1.0)):
             rotation = np.array([[cos, -sin, 0.0], [sin, cos, 0.0], [0.0, 0.0, 1.0]])
             poses.append(Pose(rotation, np.array([-0.0, 0.0, 1.0])))
-        t, x, y, psi = ground_truth_planar([(0.1 * k, pose) for k, pose in enumerate(poses)])
+        rotations = np.array([pose.rotation for pose in poses])
+        translations = np.array([pose.translation for pose in poses])
+        t, x, y, psi = ground_truth_planar((0.1 * np.arange(len(poses)), rotations, translations))
         expected = np.array([planar_extract(pose) for pose in poses])
         assert np.column_stack([x, y, psi]).tobytes() == expected.tobytes()
         assert np.array_equal(t, 0.1 * np.arange(len(poses)))

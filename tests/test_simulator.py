@@ -97,41 +97,41 @@ class TestWorld:
 class TestTrajectory:
     def test_straight_endpoint(self):
         spec = TrajectorySpec(kind="straight", speed=0.2, duration=10.0)
-        poses, twists = generate_trajectory(spec, dt=0.02)
-        assert len(poses) == 501 and len(twists) == 500
-        final = poses[-1]
-        assert np.allclose(final.translation, [2.0, 0.0, 0.0], atol=1e-9)
-        assert np.allclose(final.rotation, np.eye(3), atol=1e-12)
+        truth, twists = generate_trajectory(spec, dt=0.02)
+        assert len(truth.t) == 501 and len(twists) == 500
+        assert np.allclose(truth.translations[-1], [2.0, 0.0, 0.0], atol=1e-9)
+        assert np.allclose(truth.rotations[-1], np.eye(3), atol=1e-12)
 
     def test_exact_group_recursion(self):
         spec = TrajectorySpec(kind="circle", speed=0.3, radius=1.5, duration=4.0)
-        poses, twists = generate_trajectory(spec, dt=0.02)
+        truth, twists = generate_trajectory(spec, dt=0.02)
+        poses = [Pose(r, p) for r, p in zip(truth.rotations, truth.translations)]
         for prev, twist, cur in zip(poses[:50], twists, poses[1:51]):
             assert cur.is_close(prev @ exp_se3(0.02 * twist), tol=1e-13)
 
     def test_circle_closes(self):
         spec = TrajectorySpec(kind="circle", speed=0.3, radius=1.5, turns=1.0)
-        poses, _ = generate_trajectory(spec, dt=1.0 / 50.0)
+        truth, _ = generate_trajectory(spec, dt=1.0 / 50.0)
         # duration is not an exact multiple of dt; compare against the pose at
         # the rounded step count instead of demanding exact closure
-        n = len(poses) - 1
+        n = len(truth.t) - 1
         angle = 0.3 / 1.5 * n / 50.0
         expected = Pose(rot_z(angle), 1.5 * np.array([np.sin(angle), 1.0 - np.cos(angle), 0.0]))
-        assert poses[-1].is_close(expected, tol=1e-9)
+        assert Pose(truth.rotations[-1], truth.translations[-1]).is_close(expected, tol=1e-9)
 
     def test_circle_yaw_rate_finite_difference(self):
         spec = TrajectorySpec(kind="circle", speed=0.3, radius=1.5, duration=5.0)
-        poses, _ = generate_trajectory(spec, dt=0.02)
-        psi = np.unwrap([np.arctan2(pose.rotation[1, 0], pose.rotation[0, 0]) for pose in poses])
+        truth, _ = generate_trajectory(spec, dt=0.02)
+        psi = np.unwrap(np.arctan2(truth.rotations[:, 1, 0], truth.rotations[:, 0, 0]))
         rates = np.diff(psi) / 0.02
         assert np.allclose(rates, 0.3 / 1.5, atol=1e-9)
 
     def test_waypoints_traverse_corners(self):
         # 4 m of legs at 1 m/s, plus the 90 deg corner turned in place at TURN_RATE
         spec = TrajectorySpec(kind="waypoints", speed=1.0, waypoints=((2.0, 0.0), (2.0, 2.0)))
-        poses, twists = generate_trajectory(spec, dt=0.1)
+        truth, twists = generate_trajectory(spec, dt=0.1)
         assert len(twists) * 0.1 == pytest.approx(4.0 + (np.pi / 2) / TURN_RATE)
-        assert np.allclose(poses[-1].translation[:2], [2.0, 2.0], atol=1e-9)
+        assert np.allclose(truth.translations[-1, :2], [2.0, 2.0], atol=1e-9)
 
     def test_bad_specs_rejected(self):
         with pytest.raises(ConfigError):
@@ -152,16 +152,15 @@ class TestWaypoints:
         waypoints, duration = WAYPOINT_GRID[name]
         dt = 0.02
         spec = TrajectorySpec(kind="waypoints", speed=0.5, waypoints=waypoints, duration=duration)
-        poses, twists = generate_trajectory(spec, dt)
-        twists = np.array(twists)
-        assert len(poses) == len(twists) + 1
+        truth, twists = generate_trajectory(spec, dt)
+        assert len(truth.t) == len(twists) + 1
         assert np.all(twists[:, [0, 1, 4, 5]] == 0.0)
         assert np.all(np.abs(twists[:, 2]) <= TURN_RATE)
         assert np.all((twists[:, 3] >= 0.0) & (twists[:, 3] <= spec.speed))
         assert np.all(twists[:, 2] * twists[:, 3] == 0.0)
 
         path, _ = generate_trajectory(TrajectorySpec(kind="waypoints", speed=0.5, waypoints=waypoints), dt)
-        xy = np.array([pose.translation[:2] for pose in path])
+        xy = path.translations[:, :2]
         k = 0
         for waypoint in waypoints:
             hits = np.flatnonzero(np.linalg.norm(xy[k:] - waypoint, axis=1) <= 1e-9)
@@ -170,11 +169,12 @@ class TestWaypoints:
         assert np.linalg.norm(xy[-1] - waypoints[-1]) <= 1e-9
 
         if duration is None:
-            assert len(poses) == len(path)
+            assert len(truth.t) == len(path.t)
         else:
-            assert len(poses) - 1 == round(duration / dt)
-        for k, pose in enumerate(poses):
-            assert pose.is_close(path[min(k, len(path) - 1)], tol=0.0)
+            assert len(truth.t) - 1 == round(duration / dt)
+        held = np.minimum(np.arange(len(truth.t)), len(path.t) - 1)
+        assert np.array_equal(truth.rotations, path.rotations[held])
+        assert np.array_equal(truth.translations, path.translations[held])
 
     def test_initial_heading_is_the_first_legs(self):
         spec = TrajectorySpec(kind="waypoints", waypoints=((0.0, 0.0), (0.0, 0.0), (-1.0, 1.0)))
@@ -232,8 +232,7 @@ class TestSensors:
         n = 100_000
         draws = np.empty((n, 6))
         for k in range(n):
-            s = sample_odometry(twist, noise_sqrt, rng, 0.0)
-            draws[k] = s.twist()
+            draws[k] = np.concatenate(sample_odometry(twist, noise_sqrt, rng))
         mean = draws.mean(axis=0)
         std = draws.std(axis=0)
         assert np.allclose(mean, twist, atol=4e-4)
@@ -243,8 +242,8 @@ class TestSensors:
     def test_zero_noise_is_exact(self):
         rng = np.random.default_rng(0)
         twist = np.array([0.0, 0.0, 0.1, 0.25, 0.0, 0.0])
-        s = sample_odometry(twist, odometry_noise_sqrt(ZERO_NOISE), rng, 0.0)
-        assert np.array_equal(s.twist(), twist)
+        s = sample_odometry(twist, odometry_noise_sqrt(ZERO_NOISE), rng)
+        assert np.array_equal(np.concatenate(s), twist)
 
     def test_scan_rotated_landmark(self):
         world = WorldModel(np.array([[1.0, 0.0, 0.0]]))
@@ -273,8 +272,8 @@ class TestScenario:
     def test_stream_counts(self):
         spec = TrajectorySpec(kind="straight", speed=0.25, duration=10.0)
         log = run_scenario(default_world(), spec, SensorRates(), NoiseConfig(), seed=3)
-        assert [t for t, _ in log.ground_truth] == [k * 0.02 for k in range(501)]
-        assert len(log.odometry) == 500
+        assert log.ground_truth.t.tolist() == [k * 0.02 for k in range(501)]
+        assert log.odometry.t.tolist() == [k * 0.02 for k in range(500)]
         assert len(log.scans) == 50
         assert log.scans[0].timestamp == 0.0
         assert log.scans[1].timestamp == pytest.approx(0.2)
@@ -284,11 +283,11 @@ class TestScenario:
         a = run_scenario(default_world(), spec, SensorRates(), NoiseConfig(), seed=11)
         b = run_scenario(default_world(), spec, SensorRates(), NoiseConfig(), seed=11)
         c = run_scenario(default_world(), spec, SensorRates(), NoiseConfig(), seed=12)
-        for sa, sb in zip(a.odometry, b.odometry):
-            assert np.array_equal(sa.twist(), sb.twist())
+        for sa, sb in zip(a.odometry, b.odometry, strict=True):
+            assert np.array_equal(sa, sb)
         for ca, cb in zip(a.scans, b.scans):
             assert np.array_equal(ca.points, cb.points)
-        assert not np.array_equal(a.odometry[0].twist(), c.odometry[0].twist())
+        assert not np.array_equal(a.odometry.omega[0], c.odometry.omega[0])
 
     def test_zero_noise_dead_reckoning_recovers_truth(self):
         spec = TrajectorySpec(kind="circle", speed=0.3, duration=3.0)
@@ -296,9 +295,10 @@ class TestScenario:
         log = run_scenario(default_world(), spec, rates, ZERO_NOISE, seed=0)
         pose = Pose.identity()
         dt = 1.0 / rates.odometry_hz
-        for sample, (t, truth) in zip(log.odometry, log.ground_truth[1:]):
-            pose = pose @ exp_se3(dt * sample.twist())
-            assert pose.is_close(truth, tol=1e-9)
+        truth = log.ground_truth
+        for omega, mu, r, p in zip(log.odometry.omega, log.odometry.mu, truth.rotations[1:], truth.translations[1:]):
+            pose = pose @ exp_se3(dt * np.concatenate([omega, mu]))
+            assert pose.is_close(Pose(r, p), tol=1e-9)
 
     def test_corridor_consecutive_scans_identical(self):
         # one grid step of motion per scan interval: the noise-free scans of
