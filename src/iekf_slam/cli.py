@@ -66,10 +66,7 @@ def cmd_run(args):
 def cmd_evaluate(args):
     est_t, est_x, est_y, est_psi = load_estimates(args.estimates, planar=True)
     gt_t, gt_x, gt_y, gt_psi = ground_truth_planar(load_ground_truth(args.ground_truth))
-    max_dt = args.max_dt if args.max_dt is not None else (
-        (gt_t[1] - gt_t[0]) / 2.0 if gt_t.size > 1 else np.inf
-    )
-    report = evaluate_series(est_t, est_x, est_y, est_psi, gt_t, gt_x, gt_y, gt_psi, max_dt)
+    report = evaluate_series(est_t, est_x, est_y, est_psi, gt_t, gt_x, gt_y, gt_psi, args.max_dt)
     text = report_text(report)
     sys.stdout.write(text)
     if args.out:

@@ -119,12 +119,12 @@ def solve_linear_alignment(points, residuals, info=None):
     return np.linalg.solve(info, rhs), info
 
 
-def icp_covariance(cloud: PointCloud, sigma, rescale=True, info=None):
-    """Covariance of the alignment twist for a body-frame cloud.
+def icp_covariance(cloud: PointCloud, sigma, info=None):
+    """Covariance of the alignment twist for a body-frame cloud:
+    N sigma^2 [sum B_i^T B_i]^-1, the independent-noise least-squares
+    covariance rescaled by the point count N (the conservative form
+    accounting for correlated cloud noise).
 
-    ``rescale=True`` returns N sigma^2 [sum B_i^T B_i]^-1 (the conservative
-    form accounting for correlated cloud noise); ``rescale=False`` returns the
-    plain independent-noise least-squares covariance sigma^2 [.]^-1.
     ``info``, when given, is the whole cloud's information matrix, already
     found well-conditioned.
     """
@@ -132,9 +132,7 @@ def icp_covariance(cloud: PointCloud, sigma, rescale=True, info=None):
         info = information_matrix(cloud.points)
         if ill_conditioned(info):
             raise DegenerateGeometryError("cloud geometry degenerate for covariance")
-    cov = sigma**2 * np.linalg.inv(info)
-    if rescale:
-        cov = len(cloud) * cov
+    cov = len(cloud) * (sigma**2 * np.linalg.inv(info))
     return (cov + cov.T) / 2.0
 
 

@@ -33,15 +33,20 @@ def ground_truth_planar(ground_truth):
     return t, translations[:, 0], translations[:, 1], heading(rotations)
 
 
-def evaluate_series(est_t, est_x, est_y, est_psi, gt_t, gt_x, gt_y, gt_psi, max_dt):
+def evaluate_series(est_t, est_x, est_y, est_psi, gt_t, gt_x, gt_y, gt_psi, max_dt=None):
     """Match estimates to the reference by nearest timestamp (within max_dt)
-    and compute RMS / max errors; heading errors are wrapped to (-pi, pi]."""
+    and compute RMS / max errors; heading errors are wrapped to (-pi, pi].
+
+    ``max_dt`` defaults to half the sorted reference's first interval, or
+    infinity for a one-sample reference."""
     est_t = np.asarray(est_t, dtype=float)
     gt_t = np.asarray(gt_t, dtype=float)
     if est_t.size == 0 or gt_t.size == 0:
         raise EvaluationError("empty estimate or reference stream")
     order = np.argsort(gt_t)
     gt_t, gt_x, gt_y, gt_psi = gt_t[order], np.asarray(gt_x)[order], np.asarray(gt_y)[order], np.asarray(gt_psi)[order]
+    if max_dt is None:
+        max_dt = (gt_t[1] - gt_t[0]) / 2.0 if gt_t.size > 1 else np.inf
     pos = np.searchsorted(gt_t, est_t)
     pos = np.clip(pos, 1, gt_t.size - 1) if gt_t.size > 1 else np.zeros_like(pos)
     left = np.maximum(pos - 1, 0)

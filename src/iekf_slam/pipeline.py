@@ -4,10 +4,13 @@ Modes stage the motivating comparisons: dead-reckoning alone (drifts),
 naive scan matching (stalls in unobservable scenes), the odometry-aided
 scan matcher on its own, and the full IEKF fusing both.
 
-Every mode steps through the events of ``iekf.schedule``: the matchers
-merge odometry with scans, the filter merges it with the aided matcher's
-pose measurements. So all four modes share one zero-order hold, one tie
-rule and one out-of-order check.
+Naive scan matching is the aided matcher under a zero-motion prior: with
+the odometry's velocities zeroed, every increment is the identity, so each
+scan is matched at the last matched pose against the previous matched scan.
+So three modes run one matcher loop, and every mode steps through the
+events of ``iekf.schedule``: the matcher merges odometry with scans, the
+filter merges it with the matcher's pose measurements. All four modes share
+one zero-order hold, one tie rule and one out-of-order check.
 
 Every mode starts at the log's first ground-truth pose: the matchers at
 that pose, the filter at that pose composed with its initial state's pose,
@@ -32,7 +35,7 @@ import numpy as np
 from .errors import ConfigError, DegenerateGeometryError, NumericalFailureError
 from .icp import IcpConfig
 from .iekf import FilterState, NoiseConfig, odometry_increments, run_filter, schedule
-from .scan_matching import aided_step, naive_step
+from .scan_matching import aided_step
 from .se3 import Pose, exp_se3, heading  # noqa: F401  (re-export: perfbench traces pipeline.exp_se3)
 
 MODES = ("iekf", "dead-reckoning", "naive-scan-match", "scan-match-only")
@@ -73,34 +76,6 @@ def run_aided_matcher(odometry, scans, icp_cfg: IcpConfig, initial_pose: Pose, c
     return ((t_col, r_col, p_col) if columns else None), measurements
 
 
-def run_naive_matcher(odometry, scans, icp_cfg: IcpConfig, initial_pose: Pose):
-    """Naive chained scan matching from ``initial_pose`` over the events of
-    :func:`schedule`; odometry events only hold the last pose.
-
-    Returns ((t, R, p), matched): columns as in :func:`run_aided_matcher`
-    and the number of scans matched against a reference.
-    """
-    events, _, _ = schedule(odometry.t, [scan.timestamp for scan in scans], 0.0)
-    n = len(events)
-    t_col, r_col, p_col = np.empty(n), np.empty((n, 3, 3)), np.empty((n, 3))
-    pose = initial_pose
-    reference = None
-    matched = 0
-    for i, (_, t, j) in enumerate(events):
-        if j is not None and reference is None:
-            reference = scans[j]
-        elif j is not None:
-            try:
-                pose = pose @ naive_step(reference, scans[j], icp_cfg)
-            except (DegenerateGeometryError, NumericalFailureError):
-                pass
-            else:
-                reference = scans[j]
-                matched += 1
-        t_col[i], r_col[i], p_col[i] = t, pose.rotation, pose.translation
-    return (t_col, r_col, p_col), matched
-
-
 def run_pipeline(log, mode, noise: NoiseConfig, init: FilterState, icp_cfg: IcpConfig):
     """Replay a ScenarioLog through one estimation mode.
 
@@ -116,13 +91,14 @@ def run_pipeline(log, mode, noise: NoiseConfig, init: FilterState, icp_cfg: IcpC
     initial_pose = Pose(log.ground_truth.rotations[0], log.ground_truth.translations[0])
     measurements = []
     if mode != "dead-reckoning":
-        if mode == "naive-scan-match":
-            columns, matched = run_naive_matcher(log.odometry, log.scans, icp_cfg, initial_pose)
-        else:
-            keep = mode == "scan-match-only"  # the filter takes only the measurements
-            columns, measurements = run_aided_matcher(log.odometry, log.scans, icp_cfg, initial_pose, keep)
-            matched = len(measurements)
-        if not matched:
+        odometry = log.odometry
+        if mode == "naive-scan-match":  # a zero-motion prior: every increment is the identity
+            odometry = odometry._replace(omega=np.zeros_like(odometry.omega), mu=np.zeros_like(odometry.mu))
+        # in iekf mode the filter takes only the measurements
+        columns, measurements = run_aided_matcher(
+            odometry, log.scans, icp_cfg, initial_pose, columns=mode != "iekf"
+        )
+        if not measurements:
             raise DegenerateGeometryError(
                 f"no scan matched in {mode} mode: none of the log's "
                 f"{len(log.scans)} scans gave a pose measurement"

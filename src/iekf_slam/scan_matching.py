@@ -1,11 +1,12 @@
-"""Scan-matching steps producing pose changes and pose measurements.
+"""The odometry-aided scan-matching step, producing pose measurements.
 
-Two variants: naive chaining of consecutive-scan ICP (kept for comparison
-experiments; stalls in unobservable scenes) and odometry-aided matching,
-which pre-aligns the rolling ground-frame reference with the integrated
-odometry pose and therefore keeps advancing even when consecutive scans are
-indistinguishable. Both steps are stateless: the replay loops in
-``pipeline`` hold the pose and the reference scan.
+``aided_step`` pre-aligns the rolling ground-frame reference with the
+predicted pose and therefore keeps advancing even when consecutive scans
+are indistinguishable. Naive chaining of consecutive-scan ICP (kept for
+comparison experiments; it stalls in unobservable scenes) is the same step
+under a zero-motion prior, where the prediction is the last matched pose.
+The step is stateless: the replay loop in ``pipeline`` holds the pose and
+the reference scan.
 """
 
 from __future__ import annotations
@@ -14,17 +15,6 @@ from .icp import IcpConfig, icp_align, icp_covariance  # noqa: F401  (re-export)
 from .iekf import PoseMeasurement
 from .pointcloud import BODY, GROUND, PointCloud
 from .se3 import Pose
-
-
-def naive_step(reference: PointCloud, new_cloud: PointCloud, cfg: IcpConfig | None = None) -> Pose:
-    """ICP's pose change from the body-frame ``reference`` scan to ``new_cloud``.
-
-    Chaining pose <- pose * delta gives naive matching. Emits no covariance;
-    identical consecutive scans give the identity.
-    """
-    if new_cloud.frame != BODY or reference.frame != BODY:
-        raise ValueError("naive matching needs two body-frame scans")
-    return icp_align(new_cloud, reference, cfg).delta_pose
 
 
 def aided_step(

@@ -520,7 +520,7 @@ REPLAY_PINS = {
         {
             "iekf": "19ea14220ee58b0d04866a9f7c36e0fb9f08f6d8e6cfac8edcd9ded7338ab3fe",
             "dead-reckoning": "61abac741c0ea8a95e2a2e7fd95daa97fe6b3dce82c352c1b9854c641e359c54",
-            "naive-scan-match": "a92099c38a68506c716bbca34ec3302d04089442eea165a4f71b42faacc4f9ad",
+            "naive-scan-match": "53484afab993097c7eb46f57d3333af68114758e118464403de26fab66583945",
             "scan-match-only": "15c2e5044c1bab2570e0fa123720baae50f03e5174d09e3fce9671b6a14a9041",
             "report": "de341686ef5d960db034a5b62d9f7d1332ce1974fecec93971d5c07f0e4f4d99",
             "errors": "0812f89eea44b30ff31331fad57ae23c1f2086e071c1aed8ea42e719a78f476c",
@@ -548,8 +548,11 @@ def test_replay_bytes_pinned(tmp_path, name):
     # estimates_<mode>.csv in every mode, and the iekf report, pinned to the
     # bytes written before ICP cached its per-alignment invariants; the iekf
     # errors.csv, pinned to the bytes written before `evaluate` read only the
-    # columns it scores. Like the simulator digests, these assume IEEE doubles
-    # and numpy 2's sin, cos and sqrt.
+    # columns it scores. The room-circle naive-scan-match file is pinned to
+    # the bytes written once naive matching became the aided matcher under a
+    # zero-motion prior, whose reference round trip rounds differently. Like
+    # the simulator digests, these assume IEEE doubles and numpy 2's sin, cos
+    # and sqrt.
     text, digests = REPLAY_PINS[name]
     cfg = write_config(tmp_path, text)
     log_dir = str(tmp_path / "log")
@@ -673,6 +676,22 @@ class TestEvaluate:
             main(["evaluate", est, gt, f"--max-dt={max_dt}"])
         assert exc.value.code == 2
         assert "--max-dt" in capsys.readouterr().err
+
+    def test_default_max_dt_from_sorted_reference(self, tmp_path, capsys):
+        # With the first two ground-truth rows swapped, the default tolerance
+        # came from the raw rows, -0.05 s, and this exited 3 with "time
+        # ranges do not overlap". The reference is sorted, so the report is
+        # the sorted file's.
+        est, gt = self.make_pair(tmp_path)
+        assert main(["evaluate", est, gt]) == 0
+        want = capsys.readouterr().out
+        with open(gt) as fh:
+            lines = fh.read().splitlines()
+        lines[1], lines[2] = lines[2], lines[1]
+        with open(gt, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        assert main(["evaluate", est, gt]) == 0
+        assert capsys.readouterr().out == want
 
     @pytest.mark.parametrize("max_dt", ["0", "inf"])
     def test_zero_and_inf_max_dt_accepted(self, tmp_path, capsys, max_dt):

@@ -182,12 +182,6 @@ class TestCovariance:
         assert np.max(np.abs(c - c.T)) < 1e-9
         assert np.min(np.linalg.eigvalsh(c)) >= -1e-9
 
-    def test_rescaled_is_n_times_unscaled(self, rng):
-        cloud = random_cloud(rng, n=37)
-        scaled = icp_covariance(cloud, 0.05, rescale=True)
-        unscaled = icp_covariance(cloud, 0.05, rescale=False)
-        assert np.allclose(scaled, 37 * unscaled, rtol=1e-14)
-
     def test_equals_inverse_of_alignment_information(self, rng):
         cloud = random_cloud(rng, n=25)
         _, info = solve_linear_alignment(cloud.points, np.zeros_like(cloud.points))

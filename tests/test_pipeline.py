@@ -9,11 +9,11 @@ from iekf_slam.errors import DegenerateGeometryError, NumericalFailureError, Tim
 from iekf_slam.icp import IcpConfig
 from iekf_slam.iekf import FilterState, NoiseConfig, odometry_increments, run_filter
 from iekf_slam.logio import load_estimates, save_estimates
-from iekf_slam.pipeline import MODES, run_aided_matcher, run_naive_matcher, run_pipeline
+from iekf_slam.pipeline import MODES, run_aided_matcher, run_pipeline
 from iekf_slam.pointcloud import BODY, PointCloud
-from iekf_slam.scan_matching import aided_step, naive_step
-from iekf_slam.se3 import Pose, exp_se3
-from iekf_slam.simulator import SensorRates, TrajectorySpec, default_world, run_scenario
+from iekf_slam.scan_matching import aided_step
+from iekf_slam.se3 import Pose, exp_se3, heading
+from iekf_slam.simulator import ScenarioLog, SensorRates, Trajectory, TrajectorySpec, default_world, run_scenario
 
 CFG = IcpConfig()
 TWIST = np.array([0.0, 0.0, 0.3, 0.25, 0.0, 0.0])
@@ -43,27 +43,12 @@ def _reference_merge_events(odometry, scans):
             si += 1
 
 
-def reference_matcher_rows(odometry, scans, icp_cfg, initial_pose, aided):
-    """Oracle: the matchers' own event merge and zero-order-hold pass, which
+def reference_matcher_rows(odometry, scans, icp_cfg, initial_pose):
+    """Oracle: the matcher's own event merge and zero-order-hold pass, which
     ``iekf.schedule`` replaced. Returns (rows, measurements); row times are
-    the event timestamps (held at 0 before the first positive one in the
-    aided pass). Measurements are empty for the naive matcher."""
+    the event timestamps, held at 0 before the first positive one."""
     odometry = [Sample(*row) for row in zip(odometry.t.tolist(), odometry.omega, odometry.mu)]
     events = list(_reference_merge_events(odometry, scans))
-    if not aided:
-        pose, reference = initial_pose, None
-        rows = []
-        for kind, event in events:
-            if kind == "scan":
-                try:
-                    if reference is not None:
-                        pose = pose @ naive_step(reference, event, icp_cfg)
-                    reference = event
-                except (DegenerateGeometryError, NumericalFailureError):
-                    pass
-            rows.append((event.timestamp, pose))
-        return rows, []
-
     times, steps, dts, held = [], [], [], []
     t = 0.0
     last_sample = None
@@ -112,7 +97,7 @@ def assert_columns_equal(columns, want):
 
 def assert_matches_reference(odometry, scans, initial_pose):
     columns, measurements = run_aided_matcher(odometry, scans, CFG, initial_pose)
-    want_rows, want_measurements = reference_matcher_rows(odometry, scans, CFG, initial_pose, aided=True)
+    want_rows, want_measurements = reference_matcher_rows(odometry, scans, CFG, initial_pose)
     assert_columns_equal(columns, want_rows)
     assert len(measurements) == len(want_measurements)
     for g, w in zip(measurements, want_measurements):
@@ -120,10 +105,6 @@ def assert_matches_reference(odometry, scans, initial_pose):
         assert np.array_equal(g.covariance, w.covariance)
         assert np.array_equal(g.measured_pose.rotation, w.measured_pose.rotation)
         assert np.array_equal(g.measured_pose.translation, w.measured_pose.translation)
-
-    naive, _ = run_naive_matcher(odometry, scans, CFG, initial_pose)
-    want_naive, _ = reference_matcher_rows(odometry, scans, CFG, initial_pose, aided=False)
-    assert_columns_equal(naive, want_naive)
     return measurements
 
 
@@ -158,7 +139,7 @@ class TestMatchersFollowSchedule:
         assert len(measurements) == len(log.scans) - 1
 
     def test_scans_between_odometry_samples(self, rng):
-        # 0.27 fails to match: both matchers carry on from the held pose
+        # 0.27 fails to match: the matcher carries on from the integrated pose
         odometry, scans = hand_built_log(
             rng, [0.02 * k for k in range(30)], [0.0, 0.09, 0.21, 0.27, 0.33, 0.45], failing=(0.27,)
         )
@@ -186,15 +167,33 @@ def test_row_times_are_the_filters_state_times(rng):
     assert want[2] != 0.29
     (t, _, _), _ = run_aided_matcher(odometry, [], CFG, Pose.identity())
     assert t.tolist() == want
-    (naive_t, _, _), _ = run_naive_matcher(odometry, [], CFG, Pose.identity())
-    assert naive_t.tolist() == want
 
 
-@pytest.mark.parametrize("runner", [run_aided_matcher, run_naive_matcher])
-def test_out_of_order_scans_raise(rng, runner):
+def test_out_of_order_scans_raise(rng):
     odometry, scans = hand_built_log(rng, [0.02 * k for k in range(10)], [0.1, 0.05])
     with pytest.raises(TimingError, match="out-of-order"):
-        runner(odometry, scans, CFG, Pose.identity())
+        run_aided_matcher(odometry, scans, CFG, Pose.identity())
+
+
+def test_naive_mode_holds_its_pose_through_a_failed_match(rng):
+    # Under the zero-motion prior the pose moves only at a match. 0.27 fails
+    # to match, so its row holds 0.21's pose, and 0.33 is matched against
+    # 0.21's scan: the chain still lands on the true poses.
+    odometry, scans = hand_built_log(
+        rng, [0.02 * k for k in range(30)], [0.0, 0.09, 0.21, 0.27, 0.33, 0.45], failing=(0.27,)
+    )
+    start = Trajectory(np.zeros(1), np.eye(3)[None], np.zeros((1, 3)))
+    log = ScenarioLog(start, odometry, scans, seed=0)
+    t, x, y, z, psi, _ = run_pipeline(log, "naive-scan-match", NoiseConfig(), FilterState.initial(), CFG)
+    rows = np.column_stack([x, y, z, psi])
+    scan_row = {scan.timestamp: np.flatnonzero(t == scan.timestamp)[-1] for scan in scans}
+    held = slice(scan_row[0.21], scan_row[0.33])
+    assert np.array_equal(rows[held], np.broadcast_to(rows[scan_row[0.21]], rows[held].shape))
+    assert not np.array_equal(rows[scan_row[0.33]], rows[scan_row[0.21]])
+    for when in (0.09, 0.21, 0.33, 0.45):
+        truth = exp_se3(when * TWIST)
+        want = [*truth.translation, heading(truth.rotation)]
+        assert np.allclose(rows[scan_row[when]], want, atol=1e-6)
 
 
 def test_aided_matcher_calls_through_module_globals(rng, monkeypatch):

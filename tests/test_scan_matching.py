@@ -5,9 +5,9 @@ import pytest
 
 from conftest import odometry_columns, rot_z
 from iekf_slam.icp import IcpConfig, icp_covariance
-from iekf_slam.pipeline import run_aided_matcher, run_naive_matcher
+from iekf_slam.pipeline import run_aided_matcher
 from iekf_slam.pointcloud import BODY, PointCloud
-from iekf_slam.scan_matching import aided_step, naive_step
+from iekf_slam.scan_matching import aided_step
 from iekf_slam.se3 import Pose, exp_se3
 
 
@@ -34,6 +34,12 @@ def one_scan_log(rng):
     return odometry, [scan_at(landmark_points(rng), Pose.identity(), t=0.5)]
 
 
+def zero_motion(odometry):
+    """``odometry`` with every velocity zeroed: naive matching's prior, under
+    which each scan is matched at the last matched pose."""
+    return odometry._replace(omega=np.zeros_like(odometry.omega), mu=np.zeros_like(odometry.mu))
+
+
 def assert_columns_equal(got, want):
     """Two sets of (t, R, p) matcher columns, value for value."""
     for g, w in zip(got, want, strict=True):
@@ -42,26 +48,30 @@ def assert_columns_equal(got, want):
 
 class TestNaive:
     def test_first_call_returns_initial_pose(self, rng):
-        # the first scan only becomes the reference: nothing is matched and
-        # the naive loop holds the initial pose
+        # the first scan only becomes the reference: nothing is matched and,
+        # with every increment the identity, the loop holds the initial pose
         odometry, scans = one_scan_log(rng)
-        (t, R, p), matched = run_naive_matcher(odometry, scans, CFG, START)
-        assert matched == 0
+        (t, R, p), measurements = run_aided_matcher(zero_motion(odometry), scans, CFG, START)
+        assert measurements == []
         assert len(t) == 11
         assert np.array_equal(R, np.broadcast_to(START.rotation, R.shape))
         assert np.array_equal(p, np.broadcast_to(START.translation, p.shape))
 
     def test_identical_clouds_leave_pose_unchanged(self, rng):
         # the unobservability failure: no apparent motion, no update
-        cloud = PointCloud(landmark_points(rng), BODY)
-        delta = naive_step(cloud, cloud, CFG)
-        assert delta.is_close(Pose.identity(), tol=1e-12)
+        odometry, _ = one_scan_log(rng)
+        cloud = landmark_points(rng)
+        scans = [PointCloud(cloud, BODY, 0.25), PointCloud(cloud, BODY, 0.75)]
+        _, (meas,) = run_aided_matcher(zero_motion(odometry), scans, CFG, START)
+        assert meas.measured_pose.is_close(START, tol=1e-12)
 
     def test_translation_recovered(self, rng):
+        odometry, _ = one_scan_log(rng)
         landmarks = landmark_points(rng)
         moved = Pose(np.eye(3), np.array([0.1, 0.0, 0.0]))
-        delta = naive_step(scan_at(landmarks, Pose.identity()), scan_at(landmarks, moved), CFG)
-        assert np.allclose(delta.translation, [0.1, 0, 0], atol=1e-6)
+        scans = [scan_at(landmarks, Pose.identity(), 0.25), scan_at(landmarks, moved, 0.75)]
+        _, (meas,) = run_aided_matcher(zero_motion(odometry), scans, CFG, Pose.identity())
+        assert meas.measured_pose.is_close(moved, tol=1e-6)
 
 
 def ground_reference(landmarks):
@@ -125,12 +135,13 @@ class TestAided:
         with pytest.raises(ValueError, match="ground frame"):
             aided_step(cloud, Pose.identity(), cloud, CFG)
 
-    def test_naive_and_aided_differ_by_odometry_increment(self, rng):
+    def test_naive_and_aided_differ_by_odometry_increment(self):
         # same identical-cloud stream: naive holds, aided follows the prediction
         lattice = np.array([[i * 0.5, y, z] for i in range(-8, 9) for y in (-1.0, 1.0) for z in (0.0, 0.4)])
-        cloud = PointCloud(lattice, BODY)
-        increment = Pose(np.eye(3), np.array([0.5, 0.0, 0.0]))
-        naive_pose = naive_step(cloud, cloud, LATTICE_CFG)
-        aided_pose = aided_step(cloud.transformed(Pose.identity()), increment, cloud, LATTICE_CFG).measured_pose
-        assert naive_pose.is_close(Pose.identity(), tol=1e-9)
-        assert (naive_pose.inverse() @ aided_pose).is_close(increment, tol=1e-6)
+        scans = [PointCloud(lattice, BODY, 0.0), PointCloud(lattice, BODY, 0.5)]
+        odometry = odometry_columns([0.0, 0.5], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
+        increment = Pose(np.eye(3), np.array([0.5, 0.0, 0.0]))  # one lattice period
+        _, (naive,) = run_aided_matcher(zero_motion(odometry), scans, LATTICE_CFG, Pose.identity())
+        _, (aided,) = run_aided_matcher(odometry, scans, LATTICE_CFG, Pose.identity())
+        assert naive.measured_pose.is_close(Pose.identity(), tol=1e-9)
+        assert (naive.measured_pose.inverse() @ aided.measured_pose).is_close(increment, tol=1e-6)
