@@ -45,7 +45,7 @@ def cmd_simulate(args):
     )
     save_log(log, args.out)
     print(f"wrote scenario log to {args.out}: {len(log.odometry.t)} odometry samples, "
-          f"{len(log.scans)} scans")
+          f"{len(log.scans.t)} scans")
     return 0
 
 
@@ -83,11 +83,11 @@ def cmd_icp_debug(args):
     initial = Pose.identity()
     if args.initial is not None:
         initial = args.initial
-        source = source.transformed(initial, frame=source.frame)
+        source = initial.apply(source)
     cfg = cfgmod.make_icp_config(_load_config(args.config), sigma=args.sigma)
     result = icp_align(source, target, cfg)
     total = result.delta_pose @ initial
-    info = information_matrix(source.points)
+    info = information_matrix(source)
     print(f"iterations: {result.iterations}  converged: {result.converged}")
     for i, cost in enumerate(result.cost_history, start=1):
         print(f"  iter {i}: cost = {cost:.9e}")

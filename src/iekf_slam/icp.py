@@ -22,7 +22,6 @@ import numpy as np
 
 from . import kernels
 from .errors import DegenerateGeometryError, NoOverlapError, NumericalFailureError
-from .pointcloud import PointCloud
 from .se3 import Pose, exp_se3, skew
 
 MAX_CONDITION = 1e8
@@ -119,8 +118,8 @@ def solve_linear_alignment(points, residuals, info=None):
     return np.linalg.solve(info, rhs), info
 
 
-def icp_covariance(cloud: PointCloud, sigma, info=None):
-    """Covariance of the alignment twist for a body-frame cloud:
+def icp_covariance(points, sigma, info=None):
+    """Covariance of the alignment twist for an (N, 3) body-frame cloud:
     N sigma^2 [sum B_i^T B_i]^-1, the independent-noise least-squares
     covariance rescaled by the point count N (the conservative form
     accounting for correlated cloud noise).
@@ -129,16 +128,18 @@ def icp_covariance(cloud: PointCloud, sigma, info=None):
     found well-conditioned.
     """
     if info is None:
-        info = information_matrix(cloud.points)
+        info = information_matrix(points)
         if ill_conditioned(info):
             raise DegenerateGeometryError("cloud geometry degenerate for covariance")
-    cov = len(cloud) * (sigma**2 * np.linalg.inv(info))
+    cov = len(points) * (sigma**2 * np.linalg.inv(info))
     return (cov + cov.T) / 2.0
 
 
-def icp_align(source: PointCloud, target: PointCloud, cfg: IcpConfig | None = None) -> IcpResult:
-    """Align ``source`` onto ``target``; returns the pose mapping source points
-    near their target correspondences (target ~ delta_pose @ source).
+def icp_align(source, target, cfg: IcpConfig | None = None) -> IcpResult:
+    """Align the (N, 3) points ``source`` onto ``target``; returns the pose
+    mapping source points near their target correspondences
+    (target ~ delta_pose @ source). A non-finite coordinate in either cloud
+    raises ValueError.
 
     Iterates nearest-neighbor correspondence (pairs beyond the rejection
     distance dropped) and the linearized inner solve, updating
@@ -156,15 +157,16 @@ def icp_align(source: PointCloud, target: PointCloud, cfg: IcpConfig | None = No
     """
     if cfg is None:
         cfg = IcpConfig()
-    if source.frame != target.frame:
-        raise ValueError(f"frame mismatch: {source.frame} vs {target.frame}")
-    if len(source) < cfg.min_points or len(target) < cfg.min_points:
+    points = np.asarray(source, dtype=float).reshape(-1, 3)
+    target_points = np.asarray(target, dtype=float).reshape(-1, 3)
+    if not (np.isfinite(points).all() and np.isfinite(target_points).all()):
+        raise ValueError("point cloud contains non-finite coordinates")
+    n = len(points)
+    if n < cfg.min_points or len(target_points) < cfg.min_points:
         raise DegenerateGeometryError(
-            f"clouds need >= {cfg.min_points} points, got {len(source)}/{len(target)}"
+            f"clouds need >= {cfg.min_points} points, got {n}/{len(target_points)}"
         )
 
-    points, target_points = source.points, target.points
-    n = len(points)
     prepared = kernels.Target(target_points)
     rotation, translation = np.eye(3), np.zeros(3)
     accepted, count, info = None, 0, None
@@ -210,7 +212,7 @@ def icp_align(source: PointCloud, target: PointCloud, cfg: IcpConfig | None = No
         moved = moved_a if count == n else None  # every pair accepted: a is the whole source, so moved_a is moved
 
     # The last accepted set's matrix is the covariance's when it is the whole source.
-    covariance = icp_covariance(source, cfg.sigma, info=info if count == n else None)
+    covariance = icp_covariance(points, cfg.sigma, info=info if count == n else None)
     return IcpResult(
         delta_pose=Pose(rotation, translation),
         covariance=covariance,

@@ -103,7 +103,9 @@ def odometry_increments(dts, omega, mu):
 
 def _require_pd(p, context):
     """Raise NumericalFailureError unless ``p`` (one matrix or a stack) is
-    positive definite."""
+    finite and positive definite; ``np.linalg.cholesky`` does not raise on NaN."""
+    if not np.isfinite(p).all():
+        raise NumericalFailureError(f"covariance not finite after {context}")
     try:
         np.linalg.cholesky(p)
     except np.linalg.LinAlgError as exc:

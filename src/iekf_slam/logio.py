@@ -35,8 +35,7 @@ import numpy as np
 from .errors import EvaluationError, ParseError
 from .iekf import NoiseConfig
 from .metrics import MetricsReport
-from .pointcloud import BODY, PointCloud
-from .simulator import Odometry, ScenarioLog, Trajectory
+from .simulator import Odometry, ScenarioLog, Scans, Trajectory
 
 GROUND_TRUTH_HEADER = "t,r00,r01,r02,r10,r11,r12,r20,r21,r22,x,y,z"
 ODOMETRY_HEADER = "t,wx,wy,wz,vx,vy,vz"
@@ -159,13 +158,15 @@ def _format_block(block, sep):
     return [sep.join(row) + "\n" for row in texts[inverse.reshape(block.shape)].tolist()]
 
 
-def save_xyz(cloud: PointCloud, path):
-    _write_table(path, None, cloud.points, sep=" ")
+def save_xyz(points, path):
+    """Write an (N, 3) array of points as text, one `x y z` per line."""
+    _write_table(path, None, points, sep=" ")
 
 
-def load_xyz(path, frame=BODY, timestamp=0.0) -> PointCloud:
-    """Read a cloud from text: one `x y z` per line, `#` comments, blanks ok."""
-    return PointCloud(_read_table(path, None, 3, sep=None, comments="#", finite=ParseError), frame, timestamp)
+def load_xyz(path):
+    """Read an (N, 3) array of finite points from text: one `x y z` per
+    line, `#` comments, blanks ok."""
+    return _read_table(path, None, 3, sep=None, comments="#", finite=ParseError)
 
 
 def save_ground_truth(path, ground_truth):
@@ -209,10 +210,10 @@ def save_log(log: ScenarioLog, directory):
     os.makedirs(scans_dir, exist_ok=True)
     save_ground_truth(os.path.join(directory, "ground_truth.csv"), log.ground_truth)
     _write_table(os.path.join(directory, "odometry.csv"), ODOMETRY_HEADER, np.column_stack(log.odometry))
-    index = [[i, float(scan.timestamp)] for i, scan in enumerate(log.scans)]
+    index = [[i, t] for i, t in enumerate(log.scans.t.tolist())]
     _write_table(os.path.join(scans_dir, "index.csv"), "id,t", index)
-    for i, scan in enumerate(log.scans):
-        save_xyz(scan, os.path.join(scans_dir, f"{i:05d}.xyz"))
+    for i, points in enumerate(log.scans.points):
+        save_xyz(points, os.path.join(scans_dir, f"{i:05d}.xyz"))
     with open(os.path.join(directory, "meta"), "w") as fh:
         for key in sorted(log.meta):
             fh.write(f"{key} = {log.meta[key]}\n")
@@ -237,13 +238,17 @@ def load_meta(path):
 
 
 def noise_from_meta(meta) -> NoiseConfig:
-    """The process noise recorded in a log's meta; ValueError if it is missing or malformed."""
+    """The process noise recorded in a log's meta; ValueError if it is
+    missing, malformed or not finite."""
     covariances = []
     for key in ("gyro_cov_diag", "velocity_cov_diag"):
         try:
-            covariances.append(np.diag(np.array([float(v) for v in meta[key].split()]).reshape(3)))
+            diagonal = np.array([float(v) for v in meta[key].split()]).reshape(3)
         except (KeyError, ValueError) as exc:
             raise ValueError(f"{key} needs 3 numbers, got {meta.get(key)!r}") from exc
+        if not np.isfinite(diagonal).all():
+            raise ValueError(f"{key} needs 3 finite numbers, got {meta[key]!r}")
+        covariances.append(np.diag(diagonal))
     return NoiseConfig(*covariances)
 
 
@@ -260,7 +265,9 @@ def load_log(directory) -> ScenarioLog:
     meta = load_meta(meta_path)
     try:
         seed = int(meta.get("seed", "0"))
-        float(meta.get("cloud_sigma", "0"))  # `run` takes its ICP point noise from it
+        cloud_sigma = meta.get("cloud_sigma", "0")  # `run` takes its ICP point noise from it
+        if not math.isfinite(float(cloud_sigma)):
+            raise ValueError(f"cloud_sigma needs a finite number, got {cloud_sigma!r}")
         noise_from_meta(meta)  # and its process noise from these
     except ValueError as exc:
         raise ParseError(f"{meta_path}: {exc}") from exc
@@ -273,6 +280,6 @@ def load_log(directory) -> ScenarioLog:
     index = _read_table(
         os.path.join(scans_dir, "index.csv"), "id,t", 2, converters={0: _scan_id}, header_strip=None, finite=ParseError
     )
-    scans = [load_xyz(os.path.join(scans_dir, f"{int(i):05d}.xyz"), BODY, float(t)) for i, t in index]
+    scans = Scans(index[:, 1], [load_xyz(os.path.join(scans_dir, f"{int(i):05d}.xyz")) for i in index[:, 0]])
     odometry = Odometry(odo[:, 0], odo[:, 1:4], odo[:, 4:7])
     return ScenarioLog(ground_truth=ground_truth, odometry=odometry, scans=scans, seed=seed, meta=meta)

@@ -21,9 +21,11 @@ the matcher's absolute pose measurements, so a badly initialized filter
 still receives correctly anchored measurements.
 
 The aided matcher composes poses on arrays, with ``Pose.compose``'s
-products, and builds a ``Pose`` only for ``PointCloud.transformed`` and
-``aided_step``. In ``iekf`` mode it keeps no pose columns: only its
-measurements reach the filter.
+products, places each reference scan in the ground frame with
+``Pose.apply``'s, and builds a ``Pose`` only for ``aided_step``. Scans are
+the log's ``Scans`` columns: their times join the event walk, and their
+points are plain arrays. In ``iekf`` mode the matcher keeps no pose
+columns: only its measurements reach the filter.
 """
 
 from __future__ import annotations
@@ -42,15 +44,15 @@ MODES = ("iekf", "dead-reckoning", "naive-scan-match", "scan-match-only")
 
 
 def run_aided_matcher(odometry, scans, icp_cfg: IcpConfig, initial_pose: Pose, columns=True):
-    """Odometry-aided scan matching over ``Odometry`` columns and a list of
-    scans, starting from ``initial_pose``.
+    """Odometry-aided scan matching over ``Odometry`` and ``Scans`` columns,
+    starting from ``initial_pose``.
 
     Returns ((t, R, p), measurements): the pose after every event of
     :func:`schedule` as columns t (n,), R (n, 3, 3) and p (n, 3), or None
     without ``columns``, and the list of PoseMeasurements. ICP failures drop
     the measurement and continue on the integrated pose.
     """
-    events, dts, held = schedule(odometry.t, [scan.timestamp for scan in scans], 0.0)
+    events, dts, held = schedule(odometry.t, scans.t, 0.0)
     rotations, translations = odometry_increments(dts, odometry.omega[held], odometry.mu[held])
     n = len(events) if columns else 0
     t_col, r_col, p_col = np.empty(n), np.empty((n, 3, 3)), np.empty((n, 3))
@@ -60,16 +62,16 @@ def run_aided_matcher(odometry, scans, icp_cfg: IcpConfig, initial_pose: Pose, c
     for i, (step, t, j) in enumerate(events):
         if step >= 0:  # Pose.compose's products
             r, p = r @ rotations[step], r @ translations[step] + p
-        if j is not None and reference is None:
-            reference = scans[j].transformed(Pose(r, p))
+        if j is not None and reference is None:  # Pose.apply: p @ R.T + t
+            reference = scans.points[j] @ r.T + p
         elif j is not None:
             try:
-                meas = aided_step(reference, Pose(r, p), scans[j], icp_cfg)
+                meas = aided_step(reference, Pose(r, p), scans.points[j], scans.t[j], icp_cfg)
             except (DegenerateGeometryError, NumericalFailureError):
                 pass
             else:
                 r, p = meas.measured_pose.rotation, meas.measured_pose.translation
-                reference = scans[j].transformed(meas.measured_pose)
+                reference = scans.points[j] @ r.T + p
                 measurements.append(meas)
         if columns:
             t_col[i], r_col[i], p_col[i] = t, r, p
@@ -101,7 +103,7 @@ def run_pipeline(log, mode, noise: NoiseConfig, init: FilterState, icp_cfg: IcpC
         if not measurements:
             raise DegenerateGeometryError(
                 f"no scan matched in {mode} mode: none of the log's "
-                f"{len(log.scans)} scans gave a pose measurement"
+                f"{len(log.scans.t)} scans gave a pose measurement"
             )
     if mode in ("iekf", "dead-reckoning"):
         init = replace(init, pose=initial_pose @ init.pose)

@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .iekf import NoiseConfig
-from .pointcloud import BODY, PointCloud
 from .se3 import Pose, compose_into, exp_se3, wrap_angle
 
 
@@ -243,6 +242,11 @@ class Odometry(NamedTuple):  # body-frame velocity samples as columns
     mu: np.ndarray  # (n, 3), m/s
 
 
+class Scans(NamedTuple):  # body-frame scans as columns
+    t: np.ndarray  # (n,)
+    points: list  # n arrays of shape (m_i, 3)
+
+
 def generate_trajectory(spec: TrajectorySpec, dt: float):
     """Ground truth satisfying X_{k+1} = X_k * exp(dt * twist_k) exactly,
     composed segment by segment from ``spec.segments(dt)``.
@@ -287,8 +291,9 @@ def sample_odometry(twist, noise_sqrt, rng):
     return twist[:3] + nu_omega, twist[3:] + nu_mu
 
 
-def render_scan(world: WorldModel, true_pose: Pose, rates: SensorRates, rng, timestamp=0.0):
-    """Body-frame scan of the world points within range and horizontal fov.
+def render_scan(world: WorldModel, true_pose: Pose, rates: SensorRates, rng):
+    """Body-frame scan, as an (m, 3) array, of the world points within range
+    and horizontal fov.
 
     Points keep world index order; each is perturbed by isotropic Gaussian
     noise of cloud_sigma. Returns None when nothing is visible.
@@ -303,7 +308,7 @@ def render_scan(world: WorldModel, true_pose: Pose, rates: SensorRates, rng, tim
         return None
     if rates.cloud_sigma > 0:
         body = body + rates.cloud_sigma * rng.standard_normal(body.shape)
-    return PointCloud(body, BODY, timestamp)
+    return body
 
 
 @dataclass
@@ -312,7 +317,7 @@ class ScenarioLog:
 
     ground_truth: Trajectory
     odometry: Odometry
-    scans: list  # of PointCloud, body frame
+    scans: Scans
     seed: int
     meta: dict = field(default_factory=dict)
 
@@ -335,13 +340,14 @@ def run_scenario(
     stride = rates.scan_stride()
     noise_sqrt = odometry_noise_sqrt(noise)
     odometry = Odometry(truth.t[:n], np.empty((n, 3)), np.empty((n, 3)))
-    scans = []
+    scan_t, scan_points = [], []
     for k in range(n):
         odometry.omega[k], odometry.mu[k] = sample_odometry(twists[k], noise_sqrt, rng)
         if k % stride == 0:
-            scan = render_scan(world, Pose(truth.rotations[k], truth.translations[k]), rates, rng, k * dt)
+            scan = render_scan(world, Pose(truth.rotations[k], truth.translations[k]), rates, rng)
             if scan is not None:
-                scans.append(scan)
+                scan_t.append(k * dt)
+                scan_points.append(scan)
     meta = {
         "seed": str(seed),
         "odometry_hz": repr(float(rates.odometry_hz)),
@@ -355,4 +361,5 @@ def run_scenario(
         "world_hash": world.digest(),
         "scenario_kind": spec.kind,
     }
+    scans = Scans(np.array(scan_t, dtype=float), scan_points)
     return ScenarioLog(ground_truth=truth, odometry=odometry, scans=scans, seed=seed, meta=meta)

@@ -17,7 +17,6 @@ from iekf_slam.icp import IcpConfig, icp_align, icp_covariance, information_matr
 from iekf_slam.iekf import FilterState, NoiseConfig, PoseMeasurement, linearize, predict, update
 from iekf_slam.metrics import evaluate_series, ground_truth_planar
 from iekf_slam.pipeline import run_pipeline
-from iekf_slam.pointcloud import BODY, PointCloud
 from iekf_slam.se3 import Pose, exp_se3, log_se3, project_pi, wrap_angle
 from iekf_slam.simulator import (
     SensorRates,
@@ -148,25 +147,25 @@ def test_alignment_recovery_suite():
     cfg = IcpConfig(max_iterations=100, convergence_tol=1e-10, max_correspondence_dist=np.inf)
     recovery = 0.0
     for _ in range(20):
-        cloud = PointCloud(2.0 * rng.uniform(-1, 1, (60, 3)), BODY)
+        cloud = 2.0 * rng.uniform(-1, 1, (60, 3))
         axis = rng.standard_normal(3)
         axis *= np.radians(10.0) / np.linalg.norm(axis)
         shift = rng.standard_normal(3)
         shift *= 0.2 / np.linalg.norm(shift)
         delta = exp_se3(np.concatenate([axis, shift]))
-        target = PointCloud(delta.apply(cloud.points), BODY)
+        target = delta.apply(cloud)
         result = icp_align(cloud, target, cfg)
         recovery = max(recovery, np.max(np.abs(result.delta_pose.matrix() - delta.matrix())))
 
     monotone = True
     for _ in range(100):
-        cloud = PointCloud(2.0 * rng.uniform(-1, 1, (40, 3)), BODY)
+        cloud = 2.0 * rng.uniform(-1, 1, (40, 3))
         delta = exp_se3(random_twist(rng, 0.1, 0.1))
-        noisy = delta.apply(cloud.points) + 0.01 * rng.standard_normal((40, 3))
-        costs = icp_align(cloud, PointCloud(noisy, BODY), cfg).cost_history
+        noisy = delta.apply(cloud) + 0.01 * rng.standard_normal((40, 3))
+        costs = icp_align(cloud, noisy, cfg).cost_history
         monotone &= all(b <= a * (1 + 1e-9) + 1e-15 for a, b in zip(costs, costs[1:]))
 
-    line = PointCloud(np.outer(np.linspace(0, 1, 15), [1.0, 0, 0]), BODY)
+    line = np.outer(np.linspace(0, 1, 15), [1.0, 0, 0])
     try:
         icp_align(line, line, cfg)
         rejected = False
@@ -183,13 +182,13 @@ def test_alignment_recovery_suite():
 
 def test_covariance_against_monte_carlo():
     rng = np.random.default_rng(11)
-    cloud = PointCloud(2.0 * rng.uniform(-1, 1, (20, 3)), BODY)
+    cloud = 2.0 * rng.uniform(-1, 1, (20, 3))
     sigma = 0.05
-    analytic = sigma**2 * np.linalg.inv(information_matrix(cloud.points))
+    analytic = sigma**2 * np.linalg.inv(information_matrix(cloud))
     estimates = np.empty((5000, 6))
     for k in range(5000):
         noise = sigma * rng.standard_normal((20, 3))
-        estimates[k], _ = solve_linear_alignment(cloud.points, noise)
+        estimates[k], _ = solve_linear_alignment(cloud, noise)
     empirical = np.cov(estimates.T)
     scale = np.sqrt(np.outer(np.diag(analytic), np.diag(analytic)))
     strong = np.abs(analytic) > 0.1 * scale

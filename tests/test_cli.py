@@ -16,7 +16,6 @@ from iekf_slam.logio import (
     save_xyz,
 )
 from iekf_slam.metrics import ground_truth_planar
-from iekf_slam.pointcloud import PointCloud
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -97,7 +96,7 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", out]) == 0
         log = load_log(out)
         assert len(log.odometry.t) == 100
-        assert len(log.scans) == 10
+        assert len(log.scans.t) == 10
         assert len(log.ground_truth.t) == 101
         assert "100 odometry samples" in capsys.readouterr().out
 
@@ -368,13 +367,21 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "key,value",
-        [("gyro_cov_diag", "abc"), ("velocity_cov_diag", "1e-4 1e-4"), ("velocity_cov_diag", None)],
-        ids=["non-numeric", "two-values", "missing"],
+        [
+            ("gyro_cov_diag", "abc"),
+            ("velocity_cov_diag", "1e-4 1e-4"),
+            ("velocity_cov_diag", None),
+            ("gyro_cov_diag", "nan nan nan"),
+            ("gyro_cov_diag", "inf inf inf"),
+            ("velocity_cov_diag", "1e-4 -inf 1e-4"),
+        ],
+        ids=["non-numeric", "two-values", "missing", "nan", "inf", "one-minus-inf"],
     )
     def test_bad_meta_covariance_exit_3(self, tmp_path, capsys, key, value):
-        # The recorded process noise is log content like cloud_sigma: a bad
-        # or missing covariance is a parse error naming the meta file and
-        # the key, not a config error.
+        # The recorded process noise is log content like cloud_sigma: a bad,
+        # non-finite or missing covariance is a parse error naming the meta
+        # file and the key, not a config error. A NaN one would otherwise
+        # run to exit 0 with a NaN covariance rejecting every measurement.
         cfg = write_config(tmp_path, SHORT_SCENARIO)
         log_dir = tmp_path / "log"
         main(["simulate", "--config", cfg, "--out", str(log_dir)])
@@ -425,22 +432,24 @@ class TestRun:
         else:
             assert err == ""
 
-    def test_non_numeric_meta_exit_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("value", ["abc", "inf", "nan"])
+    def test_non_numeric_meta_exit_3(self, tmp_path, capsys, value):
         # The log is outside input: a bad meta value is a parse error that
-        # names the file, like a bad row in any other log file.
+        # names the file, like a bad row in any other log file. An infinite
+        # cloud_sigma would otherwise become the ICP point noise.
         cfg = write_config(tmp_path, SHORT_SCENARIO)
         log_dir = tmp_path / "log"
         main(["simulate", "--config", cfg, "--out", str(log_dir)])
         meta = log_dir / "meta"
         lines = [
-            "cloud_sigma = abc" if line.startswith("cloud_sigma") else line
+            f"cloud_sigma = {value}" if line.startswith("cloud_sigma") else line
             for line in meta.read_text().splitlines()
         ]
         meta.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert main(["run", str(log_dir), "--out", str(tmp_path / "est.csv")]) == 3
         err = capsys.readouterr().err
-        assert str(meta) in err and "abc" in err
+        assert str(meta) in err and value in err
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("name", ["ground_truth.csv", "odometry.csv"])
@@ -497,11 +506,11 @@ class TestRun:
         if no_scans:
             (tmp_path / "log" / "scans" / "index.csv").write_text("id,t\n")
         scans = load_log(log_dir).scans
-        n_scans = len(scans)
+        n_scans = len(scans.t)
         if no_scans:
             assert n_scans == 0
         else:
-            assert n_scans > 1 and max(len(scan) for scan in scans) < 3
+            assert n_scans > 1 and max(len(points) for points in scans.points) < 3
         capsys.readouterr()
         est = str(tmp_path / "est.csv")
         assert main(["run", log_dir, "--mode", mode, "--out", est]) == 4
@@ -705,8 +714,8 @@ class TestIcpDebug:
         pts = 2.0 * rng.uniform(-1, 1, (40, 3))
         a = str(tmp_path / "a.xyz")
         b = str(tmp_path / "b.xyz")
-        save_xyz(PointCloud(pts), a)
-        save_xyz(PointCloud(pts + np.asarray(shift)), b)
+        save_xyz(pts, a)
+        save_xyz(pts + np.asarray(shift), b)
         return a, b
 
     def test_identity_alignment(self, tmp_path, rng, capsys):
@@ -798,5 +807,5 @@ class TestIcpDebug:
     def test_collinear_exit_4(self, tmp_path, capsys):
         pts = np.outer(np.linspace(0, 1, 15), [1.0, 0, 0])
         a = str(tmp_path / "line.xyz")
-        save_xyz(PointCloud(pts), a)
+        save_xyz(pts, a)
         assert main(["icp-debug", a, a]) == 4

@@ -14,7 +14,6 @@ from iekf_slam.icp import (
     information_matrix,
     solve_linear_alignment,
 )
-from iekf_slam.pointcloud import BODY, GROUND, PointCloud
 from iekf_slam.se3 import Pose, exp_se3, skew
 from iekf_slam.simulator import SensorRates, corridor_world, default_world, render_scan
 
@@ -25,17 +24,17 @@ def block_matrix(a):
 
 
 def random_cloud(rng, n=50, scale=2.0):
-    return PointCloud(scale * rng.uniform(-1, 1, (n, 3)), BODY)
+    return scale * rng.uniform(-1, 1, (n, 3))
 
 
 class TestLinearAlignment:
     def test_zero_residuals_give_zero(self, rng):
-        pts = random_cloud(rng, n=20).points
+        pts = random_cloud(rng, n=20)
         x, _ = solve_linear_alignment(pts, np.zeros((20, 3)))
         assert np.allclose(x, 0, atol=1e-14)
 
     def test_recovers_forward_generated_twist(self, rng):
-        pts = random_cloud(rng, n=30).points
+        pts = random_cloud(rng, n=30)
         x_true = random_twist(rng, 0.5, 0.5)
         residuals = np.array([block_matrix(a) @ x_true for a in pts])
         x, info = solve_linear_alignment(pts, residuals)
@@ -91,7 +90,7 @@ class TestIllConditioned:
         tetrahedron = np.array(
             [[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]
         )
-        for pts in (planar, tetrahedron, random_cloud(rng).points, random_cloud(rng, n=3).points):
+        for pts in (planar, tetrahedron, random_cloud(rng), random_cloud(rng, n=3)):
             info = information_matrix(pts)
             assert not ill_conditioned(info)
             self.assert_agrees(info)
@@ -126,7 +125,7 @@ class TestIcpAlign:
     def test_recovers_known_transform(self, rng):
         cloud = random_cloud(rng, n=60)
         delta = exp_se3(np.array([0.05, -0.08, np.radians(10), 0.2, -0.1, 0.05]))
-        target = PointCloud(delta.apply(cloud.points), BODY)
+        target = delta.apply(cloud)
         cfg = IcpConfig(max_iterations=100, convergence_tol=1e-10, max_correspondence_dist=np.inf)
         result = icp_align(cloud, target, cfg)
         assert result.converged
@@ -136,25 +135,28 @@ class TestIcpAlign:
         for _ in range(20):
             cloud = random_cloud(rng, n=40)
             delta = exp_se3(random_twist(rng, 0.1, 0.1))
-            noisy = delta.apply(cloud.points) + 0.01 * rng.standard_normal((40, 3))
-            result = icp_align(cloud, PointCloud(noisy, BODY), IcpConfig(max_correspondence_dist=np.inf))
+            noisy = delta.apply(cloud) + 0.01 * rng.standard_normal((40, 3))
+            result = icp_align(cloud, noisy, IcpConfig(max_correspondence_dist=np.inf))
             costs = result.cost_history
             assert all(b <= a * (1 + 1e-9) + 1e-15 for a, b in zip(costs, costs[1:]))
 
     def test_no_overlap(self, rng):
         cloud = random_cloud(rng, n=20, scale=0.5)
-        far = PointCloud(cloud.points + 100.0, BODY)
+        far = cloud + 100.0
         with pytest.raises(NoOverlapError):
             icp_align(cloud, far)
 
-    def test_frame_mismatch(self, rng):
-        a = random_cloud(rng)
-        b = PointCloud(a.points, GROUND)
-        with pytest.raises(ValueError):
-            icp_align(a, b)
+    def test_rejects_non_finite_source_or_target(self, rng):
+        # icp_align is where outside points reach the matcher
+        cloud = random_cloud(rng)
+        bad = cloud.copy()
+        bad[3, 1] = np.nan
+        for source, target in ((bad, cloud), (cloud, bad)):
+            with pytest.raises(ValueError, match="non-finite"):
+                icp_align(source, target)
 
     def test_min_points(self, rng):
-        small = PointCloud(rng.standard_normal((5, 3)), BODY)
+        small = rng.standard_normal((5, 3))
         with pytest.raises(DegenerateGeometryError):
             icp_align(small, small)
 
@@ -170,11 +172,10 @@ class TestCovariance:
         pts = np.array(
             [[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]
         ) / np.sqrt(3)
-        cloud = PointCloud(pts, BODY)
         sigma = 0.05
         oracle_info = sum(block_matrix(a).T @ block_matrix(a) for a in pts)
         oracle = len(pts) * sigma**2 * np.linalg.inv(oracle_info)
-        assert np.allclose(icp_covariance(cloud, sigma), oracle, atol=1e-12)
+        assert np.allclose(icp_covariance(pts, sigma), oracle, atol=1e-12)
 
     def test_symmetric_psd(self, rng):
         cloud = random_cloud(rng)
@@ -184,7 +185,7 @@ class TestCovariance:
 
     def test_equals_inverse_of_alignment_information(self, rng):
         cloud = random_cloud(rng, n=25)
-        _, info = solve_linear_alignment(cloud.points, np.zeros_like(cloud.points))
+        _, info = solve_linear_alignment(cloud, np.zeros_like(cloud))
         sigma = 0.03
         expected = len(cloud) * sigma**2 * np.linalg.inv(info)
         assert np.allclose(icp_covariance(cloud, sigma), expected, atol=1e-14)
@@ -192,19 +193,19 @@ class TestCovariance:
     def test_degenerate_rejected(self):
         pts = np.outer(np.linspace(0, 1, 15), [0, 1.0, 0])
         with pytest.raises(DegenerateGeometryError):
-            icp_covariance(PointCloud(pts, BODY), 0.05)
+            icp_covariance(pts, 0.05)
 
     def test_monte_carlo_oracle(self, rng):
         # Empirical covariance of the single-shot estimator over noisy replicas
         # matches sigma^2 [sum B^T B]^-1; the rescaled output is exactly N times it.
         cloud = random_cloud(rng, n=20)
         sigma = 0.05
-        info = information_matrix(cloud.points)
+        info = information_matrix(cloud)
         analytic = sigma**2 * np.linalg.inv(info)
         estimates = np.empty((5000, 6))
         for k in range(5000):
             noise = sigma * rng.standard_normal((20, 3))
-            estimates[k], _ = solve_linear_alignment(cloud.points, noise)
+            estimates[k], _ = solve_linear_alignment(cloud, noise)
         empirical = np.cov(estimates.T)
         scale = np.sqrt(np.outer(np.diag(analytic), np.diag(analytic)))
         well_conditioned = np.abs(analytic) > 0.1 * scale
@@ -218,8 +219,6 @@ def reference_icp_align(source, target, cfg):
     Pose arithmetic, a plain-array target searched every iteration, and an
     information matrix (and its conditioning check) built by every solve and
     again by the covariance."""
-    if source.frame != target.frame:
-        raise ValueError(f"frame mismatch: {source.frame} vs {target.frame}")
     if len(source) < cfg.min_points or len(target) < cfg.min_points:
         raise DegenerateGeometryError(
             f"clouds need >= {cfg.min_points} points, got {len(source)}/{len(target)}"
@@ -229,13 +228,13 @@ def reference_icp_align(source, target, cfg):
     iterations = 0
     converged = False
     for _ in range(cfg.max_iterations):
-        moved = delta.apply(source.points)
-        idx, dist = kernels.batch_nearest(moved, target.points, cfg.max_correspondence_dist)
+        moved = delta.apply(source)
+        idx, dist = kernels.batch_nearest(moved, target, cfg.max_correspondence_dist)
         accepted = idx >= 0
         if not np.any(accepted):
             raise NoOverlapError("all correspondences beyond max_correspondence_dist")
-        a = source.points[accepted]
-        b = target.points[idx[accepted]]
+        a = source[accepted]
+        b = target[idx[accepted]]
         cost_before = float(np.sum(dist[accepted] ** 2))
         residuals = a - delta.inverse().apply(b)
         x_hat, _ = solve_linear_alignment(a, residuals)
@@ -313,9 +312,9 @@ class TestIcpAlignMatchesReference:
             pose = Pose(heading, np.array([rng.uniform(0, 6), rng.uniform(-2, 2), 0.0]))
             step = exp_se3(random_twist(rng, 0.05, 0.1) * [0, 0, 1, 1, 1, 0])
             error = exp_se3(random_twist(rng, 0.02, 0.05))
-            reference = render_scan(world, pose, rates, rng).transformed(pose)
+            reference = pose.apply(render_scan(world, pose, rates, rng))
             scan = render_scan(world, pose @ step, rates, rng)
-            target = reference.transformed((pose @ step @ error).inverse())
+            target = (pose @ step @ error).inverse().apply(reference)
             _, result = assert_same_as_reference(scan, target, IcpConfig(), searches)
             assert isinstance(result, IcpResult) and result.converged
 
@@ -326,7 +325,7 @@ class TestIcpAlignMatchesReference:
         target = render_scan(world, Pose.identity(), rates, rng)
         source = render_scan(world, step, rates, rng)
         cfg = IcpConfig(max_correspondence_dist=0.02, max_iterations=100, convergence_tol=1e-10)
-        target = target.transformed(exp_se3([0, 0, 0.001, 0.04, 0.002, 0]), BODY)
+        target = exp_se3([0, 0, 0.001, 0.04, 0.002, 0]).apply(target)
         masks, result = assert_same_as_reference(source, target, cfg, searches)
         assert isinstance(result, IcpResult)
         assert all(0 < np.count_nonzero(m) < len(source) for m in masks)
@@ -337,9 +336,9 @@ class TestIcpAlignMatchesReference:
             rng = np.random.default_rng(seed)
             cloud = 2.0 * rng.uniform(-1, 1, (40, 3))
             delta = exp_se3(np.concatenate([0.05 * rng.uniform(-1, 1, 3), 0.1 * rng.uniform(-1, 1, 3)]))
-            target = PointCloud(delta.apply(cloud) + 0.03 * rng.standard_normal((40, 3)), BODY)
+            target = delta.apply(cloud) + 0.03 * rng.standard_normal((40, 3))
             cfg = IcpConfig(max_correspondence_dist=0.08)
-            masks, _ = assert_same_as_reference(PointCloud(cloud, BODY), target, cfg, searches)
+            masks, _ = assert_same_as_reference(cloud, target, cfg, searches)
             for before, after in zip(masks, masks[1:]):
                 if not np.array_equal(before, after):
                     changes += 1
@@ -353,9 +352,9 @@ class TestIcpAlignMatchesReference:
         for _ in range(5):
             cloud = 2.0 * rng.uniform(-1, 1, (60, 3))
             delta = exp_se3(np.concatenate([0.05 * rng.uniform(-1, 1, 3), 0.15 * rng.uniform(-1, 1, 3)]))
-            target = PointCloud(delta.apply(cloud) + 0.01 * rng.standard_normal((60, 3)), BODY)
+            target = delta.apply(cloud) + 0.01 * rng.standard_normal((60, 3))
             cfg = IcpConfig(max_correspondence_dist=0.2)
-            masks, _ = assert_same_as_reference(PointCloud(cloud, BODY), target, cfg, searches)
+            masks, _ = assert_same_as_reference(cloud, target, cfg, searches)
             assert not masks[0].all() and masks[-1].all()
 
     def test_ill_conditioned_subset_of_well_conditioned_cloud(self, searches):
@@ -363,9 +362,9 @@ class TestIcpAlignMatchesReference:
         # no target within reach. The accepted subset is collinear.
         line = np.outer(np.linspace(0.0, 1.1, 12), [1.0, 0.0, 0.0])
         off = np.column_stack([np.linspace(0, 1, 8), np.ones(8), 5.0 + np.arange(8.0)])
-        source = PointCloud(np.vstack([line, off]), BODY)
-        assert not ill_conditioned(information_matrix(source.points))
-        target = PointCloud(line + [0.01, 0.0, 0.0], BODY)
+        source = np.vstack([line, off])
+        assert not ill_conditioned(information_matrix(source))
+        target = line + [0.01, 0.0, 0.0]
         masks, result = assert_same_as_reference(source, target, IcpConfig(), searches)
         assert result == (DegenerateGeometryError, "alignment information matrix ill-conditioned")
         assert len(masks) == 1 and np.count_nonzero(masks[0]) == 12
@@ -375,24 +374,24 @@ class TestIcpAlignMatchesReference:
         # target within reach, so the alignment converges on the rest and the
         # covariance, taken over the whole cloud, refuses it.
         cube = rng.uniform(-1, 1, (30, 3))
-        source = PointCloud(np.vstack([cube, [[1e6, 0.0, 0.0]]]), BODY)
-        assert ill_conditioned(information_matrix(source.points))
+        source = np.vstack([cube, [[1e6, 0.0, 0.0]]])
+        assert ill_conditioned(information_matrix(source))
         assert not ill_conditioned(information_matrix(cube))
-        target = PointCloud(exp_se3([0.01, 0.0, 0.02, 0.03, 0.0, 0.01]).apply(cube), BODY)
+        target = exp_se3([0.01, 0.0, 0.02, 0.03, 0.0, 0.01]).apply(cube)
         masks, result = assert_same_as_reference(source, target, IcpConfig(), searches)
         assert result == (DegenerateGeometryError, "cloud geometry degenerate for covariance")
         assert len(masks) > 1 and all(np.count_nonzero(m) == 30 for m in masks)
 
     def test_ill_conditioned_whole_cloud(self, searches):
-        line = PointCloud(np.outer(np.linspace(0.0, 1.4, 15), [0.0, 1.0, 0.0]), BODY)
+        line = np.outer(np.linspace(0.0, 1.4, 15), [0.0, 1.0, 0.0])
         masks, result = assert_same_as_reference(line, line, IcpConfig(), searches)
         assert result == (DegenerateGeometryError, "alignment information matrix ill-conditioned")
         assert len(masks) == 1 and masks[0].all()
 
     def test_fewer_than_three_pairs(self, rng, searches):
-        source = PointCloud(rng.uniform(-1, 1, (12, 3)), BODY)
+        source = rng.uniform(-1, 1, (12, 3))
         far = 100.0 + rng.uniform(-1, 1, (8, 3))
-        target = PointCloud(np.vstack([source.points[:2], far]), BODY)
+        target = np.vstack([source[:2], far])
         masks, result = assert_same_as_reference(source, target, IcpConfig(), searches)
         assert result == (DegenerateGeometryError, "need >= 3 pairs, got 2")
         assert len(masks) == 1

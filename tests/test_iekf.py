@@ -397,6 +397,17 @@ class TestRunFilterChecks:
             run_filter(odometry, ms, noise, FilterState.initial())
         assert updated_at == []
 
+    def test_nan_covariance_raises(self):
+        # np.linalg.cholesky does not raise on NaN: without the finiteness
+        # check a NaN P runs on, and every update rejects its measurement.
+        odometry = odometry_columns([0.02 * k for k in range(10)], np.zeros(3), np.zeros(3))
+        noise = NoiseConfig(np.diag([np.nan, 1e-4, 1e-4]), 1e-4 * np.eye(3))
+        with pytest.raises(NumericalFailureError, match="not finite after predict"):
+            run_filter(odometry, [], noise, FilterState.initial())
+        state = FilterState(Pose.identity(), np.diag([np.nan] + [1e-4] * 5))
+        with pytest.raises(NumericalFailureError, match="not finite after predict"):
+            predict(state, np.zeros(3), np.zeros(3), 0.02, NoiseConfig())
+
     def test_out_of_order_measurements_rejected(self):
         odometry = odometry_columns([0.02 * k for k in range(10)], np.zeros(3), np.zeros(3))
         ms = [meas(Pose.identity(), np.eye(6), 0.1), meas(Pose.identity(), np.eye(6), 0.05)]

@@ -276,8 +276,8 @@ def corridor_scan_pair(cloud_sigma, range_max):
     world, rng = corridor_world(), np.random.default_rng(0)
     rates = SensorRates(cloud_sigma=cloud_sigma, range_max=range_max)
     step = Pose(np.eye(3), np.array([0.05, 0.0, 0.0]))
-    target = render_scan(world, Pose.identity(), rates, rng).points
-    source = step.apply(render_scan(world, step, rates, rng).points)
+    target = render_scan(world, Pose.identity(), rates, rng)
+    source = step.apply(render_scan(world, step, rates, rng))
     return source, target
 
 

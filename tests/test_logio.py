@@ -22,7 +22,6 @@ from iekf_slam.iekf import NoiseConfig
 from iekf_slam import logio
 from iekf_slam.logio import load_estimates, load_log, load_xyz, save_estimates, save_log, save_xyz
 from iekf_slam.pipeline import MODES
-from iekf_slam.pointcloud import BODY, PointCloud
 from iekf_slam.se3 import exp_se3, heading
 from iekf_slam.simulator import SensorRates, TrajectorySpec, default_world, run_scenario
 
@@ -48,8 +47,8 @@ def log_arrays(log):
     return [
         *log.ground_truth,
         *log.odometry,
-        np.array([scan.timestamp for scan in log.scans]),
-        *(scan.points for scan in log.scans),
+        log.scans.t,
+        *log.scans.points,
     ]
 
 
@@ -117,6 +116,12 @@ def corrupt_fifth_line(directory, name, change):
 
 
 class TestParseErrors:
+    def test_xyz_parse_error_names_line(self, tmp_path):
+        path = tmp_path / "bad.xyz"
+        path.write_text("1 2 3\n1 2\n")
+        with pytest.raises(ParseError, match=r"bad\.xyz:2"):
+            load_xyz(path)
+
     @pytest.mark.parametrize("name", CSV_TABLES)
     def test_wrong_header_names_line_1(self, log_dir, name):
         edit_lines(log_dir, name, lambda lines: lines.__setitem__(0, "t,x,y"))
@@ -235,6 +240,11 @@ class TestAccepted:
         for got, expected in zip(load(log_dir, name), want, strict=True):
             assert_bits_equal(got, expected)
 
+    def test_xyz_comments_and_blanks(self, tmp_path):
+        path = tmp_path / "cloud.xyz"
+        path.write_text("# header\n\n1 2 3\n4 5 6  # inline\n")
+        assert np.array_equal(load_xyz(path), [[1, 2, 3], [4, 5, 6]])
+
     def test_empty_tables(self, tmp_path):
         # np.loadtxt warns on a table with no rows; the reader must not.
         est = str(tmp_path / "est.csv")
@@ -249,8 +259,8 @@ class TestAccepted:
             warnings.simplefilter("error")
             assert [a.shape for a in load_estimates(est)] == [(0,)] * 5 + [(0, 6, 6)]
             assert logio._read_table(blank, logio.ODOMETRY_HEADER, 7).shape == (0, 7)
-            assert load_xyz(xyz).points.shape == (0, 3)
-            assert load_xyz(blank_xyz).points.shape == (0, 3)
+            assert load_xyz(xyz).shape == (0, 3)
+            assert load_xyz(blank_xyz).shape == (0, 3)
 
 
 class TestCliExit3:
@@ -365,7 +375,7 @@ class TestRoundTrip:
         loaded = load_log(directory)
         for got, expected in zip(log_arrays(loaded), log_arrays(log), strict=True):
             assert_bits_equal(got, expected)
-        assert [scan.frame for scan in loaded.scans] == [BODY] * len(log.scans)
+        assert_bits_equal(loaded.scans.t, log.scans.t)
         again = tmp_path / "again"
         save_log(loaded, again)
         for root, _, files in os.walk(directory):
@@ -390,8 +400,8 @@ class TestRoundTrip:
     def test_xyz_bit_identical(self, tmp_path, rng):
         points = np.vstack([rng.standard_normal((20, 3)), EDGE.reshape(2, 3)])
         path = tmp_path / "cloud.xyz"
-        save_xyz(PointCloud(points), path)
-        assert_bits_equal(load_xyz(path).points, points)
+        save_xyz(points, path)
+        assert_bits_equal(load_xyz(path), points)
 
 
 def read_reference(path, header, n_cols, sep=",", comments=None):
@@ -455,7 +465,7 @@ class TestBlocks:
         lf, other = tmp_path / "lf.xyz", tmp_path / "other.xyz"
         write_xyz_text(lf, lines)
         write_xyz_text(other, lines, newline)
-        assert_bits_equal(load_xyz(other).points, load_xyz(lf).points)
+        assert_bits_equal(load_xyz(other), load_xyz(lf))
         lines[514] += " 1.0"
         write_xyz_text(other, lines, newline)
         with pytest.raises(ParseError, match=error_at("other.xyz", 515)):
@@ -470,7 +480,7 @@ class TestBlocks:
         commented.insert(532, "# " + lines[0])
         path = tmp_path / "commented.xyz"
         write_xyz_text(path, commented)
-        assert_bits_equal(load_xyz(path).points, load_xyz(plain).points)
+        assert_bits_equal(load_xyz(path), load_xyz(plain))
 
     def test_tabs_and_repeated_spaces(self, tmp_path, rng):
         lines = xyz_lines(rng, 1024)
@@ -482,10 +492,10 @@ class TestBlocks:
         ]
         path = tmp_path / "spaced.xyz"
         write_xyz_text(path, spaced)
-        assert_bits_equal(load_xyz(path).points, load_xyz(plain).points)
+        assert_bits_equal(load_xyz(path), load_xyz(plain))
 
     def test_tokens_parse_as_float_does(self, tmp_path, rng):
-        # Read with _read_table: a PointCloud refuses non-finite points.
+        # Read with _read_table: load_xyz refuses non-finite points.
         tokens = ["1_0", "inf", "nan", "-inf", "-nan", "+1e-400", "1E5", "-0", ".5"]
         lines = xyz_lines(rng, 517)
         rows = [3, 513, 514]
@@ -515,7 +525,7 @@ class TestBlocks:
             for path in sorted(glob.glob(str(directory / "scans" / "*.xyz")))
         ]
         assert len(log.odometry.t) > 1024
-        assert len(tables) == 3 + len(log.scans)
+        assert len(tables) == 3 + len(log.scans.t)
         for name, header, n_cols, sep, comments in tables:
             path = directory / name
             got = logio._read_table(path, header, n_cols, sep=sep, comments=comments)

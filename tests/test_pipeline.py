@@ -10,10 +10,9 @@ from iekf_slam.icp import IcpConfig
 from iekf_slam.iekf import FilterState, NoiseConfig, odometry_increments, run_filter
 from iekf_slam.logio import load_estimates, save_estimates
 from iekf_slam.pipeline import MODES, run_aided_matcher, run_pipeline
-from iekf_slam.pointcloud import BODY, PointCloud
 from iekf_slam.scan_matching import aided_step
 from iekf_slam.se3 import Pose, exp_se3, heading
-from iekf_slam.simulator import ScenarioLog, SensorRates, Trajectory, TrajectorySpec, default_world, run_scenario
+from iekf_slam.simulator import ScenarioLog, Scans, SensorRates, Trajectory, TrajectorySpec, default_world, run_scenario
 
 CFG = IcpConfig()
 TWIST = np.array([0.0, 0.0, 0.3, 0.25, 0.0, 0.0])
@@ -28,8 +27,16 @@ class Sample:
     mu: np.ndarray
 
 
+@dataclass(frozen=True)
+class Scan:
+    """One scan as the oracle's object."""
+
+    timestamp: float
+    points: np.ndarray
+
+
 def _reference_merge_events(odometry, scans):
-    """Yield ('odo', sample) / ('scan', cloud) in timestamp order, odometry first on ties."""
+    """Yield ('odo', sample) / ('scan', scan) in timestamp order, odometry first on ties."""
     oi, si = 0, 0
     while oi < len(odometry) or si < len(scans):
         take_odo = si >= len(scans) or (
@@ -48,6 +55,7 @@ def reference_matcher_rows(odometry, scans, icp_cfg, initial_pose):
     ``iekf.schedule`` replaced. Returns (rows, measurements); row times are
     the event timestamps, held at 0 before the first positive one."""
     odometry = [Sample(*row) for row in zip(odometry.t.tolist(), odometry.omega, odometry.mu)]
+    scans = [Scan(*row) for row in zip(scans.t.tolist(), scans.points)]
     events = list(_reference_merge_events(odometry, scans))
     times, steps, dts, held = [], [], [], []
     t = 0.0
@@ -75,10 +83,10 @@ def reference_matcher_rows(odometry, scans, icp_cfg, initial_pose):
         if kind == "scan":
             try:
                 if reference is not None:
-                    meas = aided_step(reference, pose, event, icp_cfg)
+                    meas = aided_step(reference, pose, event.points, event.timestamp, icp_cfg)
                     pose = meas.measured_pose
                     measurements.append(meas)
-                reference = event.transformed(pose)
+                reference = pose.apply(event.points)
             except (DegenerateGeometryError, NumericalFailureError):
                 pass
         rows.append((t, pose))
@@ -126,8 +134,8 @@ def hand_built_log(rng, odo_times, scan_times, failing=()):
     scans = []
     for t in scan_times:
         points = exp_se3(t * TWIST).inverse().apply(world)
-        scans.append(PointCloud(points[:2] if t in failing else points, BODY, t))
-    return odometry, scans
+        scans.append(points[:2] if t in failing else points)
+    return odometry, Scans(np.array(scan_times, dtype=float), scans)
 
 
 class TestMatchersFollowSchedule:
@@ -136,7 +144,7 @@ class TestMatchersFollowSchedule:
         log = run_scenario(default_world(), spec, SensorRates(), NoiseConfig(), 3)
         start = Pose(log.ground_truth.rotations[0], log.ground_truth.translations[0])
         measurements = assert_matches_reference(log.odometry, log.scans, start)
-        assert len(measurements) == len(log.scans) - 1
+        assert len(measurements) == len(log.scans.t) - 1
 
     def test_scans_between_odometry_samples(self, rng):
         # 0.27 fails to match: the matcher carries on from the integrated pose
@@ -162,10 +170,10 @@ class TestMatchersFollowSchedule:
 def test_row_times_are_the_filters_state_times(rng):
     # From 0.03 to 0.29 the state time 0.03 + (0.29 - 0.03) is not 0.29 in
     # floating point; every mode reports the state time, as predict does.
-    odometry, _ = hand_built_log(rng, [0.0, 0.03, 0.29, 0.31], [])
+    odometry, no_scans = hand_built_log(rng, [0.0, 0.03, 0.29, 0.31], [])
     want = run_filter(odometry, [], NoiseConfig(), FilterState.initial())[0].tolist()
     assert want[2] != 0.29
-    (t, _, _), _ = run_aided_matcher(odometry, [], CFG, Pose.identity())
+    (t, _, _), _ = run_aided_matcher(odometry, no_scans, CFG, Pose.identity())
     assert t.tolist() == want
 
 
@@ -186,7 +194,7 @@ def test_naive_mode_holds_its_pose_through_a_failed_match(rng):
     log = ScenarioLog(start, odometry, scans, seed=0)
     t, x, y, z, psi, _ = run_pipeline(log, "naive-scan-match", NoiseConfig(), FilterState.initial(), CFG)
     rows = np.column_stack([x, y, z, psi])
-    scan_row = {scan.timestamp: np.flatnonzero(t == scan.timestamp)[-1] for scan in scans}
+    scan_row = {when: np.flatnonzero(t == when)[-1] for when in scans.t.tolist()}
     held = slice(scan_row[0.21], scan_row[0.33])
     assert np.array_equal(rows[held], np.broadcast_to(rows[scan_row[0.21]], rows[held].shape))
     assert not np.array_equal(rows[scan_row[0.33]], rows[scan_row[0.21]])

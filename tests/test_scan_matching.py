@@ -1,14 +1,13 @@
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from conftest import odometry_columns, rot_z
 from iekf_slam.icp import IcpConfig, icp_covariance
 from iekf_slam.pipeline import run_aided_matcher
-from iekf_slam.pointcloud import BODY, PointCloud
 from iekf_slam.scan_matching import aided_step
 from iekf_slam.se3 import Pose, exp_se3
+from iekf_slam.simulator import Scans
 
 
 def landmark_points(rng, n=40, scale=4.0):
@@ -17,8 +16,9 @@ def landmark_points(rng, n=40, scale=4.0):
     return pts
 
 
-def scan_at(landmarks, pose, t=0.0):
-    return PointCloud(pose.inverse().apply(landmarks), BODY, t)
+def scan_at(landmarks, pose):
+    """The body-frame points of ``landmarks`` seen from ``pose``."""
+    return pose.inverse().apply(landmarks)
 
 
 CFG = IcpConfig(max_correspondence_dist=np.inf, convergence_tol=1e-10, max_iterations=100)
@@ -31,7 +31,7 @@ START = Pose(np.eye(3), np.array([1.0, -2.0, 0.0]))
 def one_scan_log(rng):
     """Ten odometry samples 0.125 s apart and one scan at the fifth one's time (row 5)."""
     odometry = odometry_columns([0.125 * k for k in range(10)], [0.0, 0.0, 0.3], [0.25, 0.0, 0.0])
-    return odometry, [scan_at(landmark_points(rng), Pose.identity(), t=0.5)]
+    return odometry, Scans(np.array([0.5]), [scan_at(landmark_points(rng), Pose.identity())])
 
 
 def zero_motion(odometry):
@@ -61,7 +61,7 @@ class TestNaive:
         # the unobservability failure: no apparent motion, no update
         odometry, _ = one_scan_log(rng)
         cloud = landmark_points(rng)
-        scans = [PointCloud(cloud, BODY, 0.25), PointCloud(cloud, BODY, 0.75)]
+        scans = Scans(np.array([0.25, 0.75]), [cloud, cloud])
         _, (meas,) = run_aided_matcher(zero_motion(odometry), scans, CFG, START)
         assert meas.measured_pose.is_close(START, tol=1e-12)
 
@@ -69,14 +69,14 @@ class TestNaive:
         odometry, _ = one_scan_log(rng)
         landmarks = landmark_points(rng)
         moved = Pose(np.eye(3), np.array([0.1, 0.0, 0.0]))
-        scans = [scan_at(landmarks, Pose.identity(), 0.25), scan_at(landmarks, moved, 0.75)]
+        scans = Scans(np.array([0.25, 0.75]), [scan_at(landmarks, Pose.identity()), scan_at(landmarks, moved)])
         _, (meas,) = run_aided_matcher(zero_motion(odometry), scans, CFG, Pose.identity())
         assert meas.measured_pose.is_close(moved, tol=1e-6)
 
 
 def ground_reference(landmarks):
     """The first scan of ``landmarks``, taken at the identity and placed in the ground frame."""
-    return scan_at(landmarks, Pose.identity()).transformed(Pose.identity())
+    return Pose.identity().apply(scan_at(landmarks, Pose.identity()))
 
 
 class TestAided:
@@ -85,7 +85,7 @@ class TestAided:
         # rows are dead reckoning's plus the scan's row at the integrated pose
         odometry, scans = one_scan_log(rng)
         columns, measurements = run_aided_matcher(odometry, scans, CFG, START)
-        dead_reckoning, _ = run_aided_matcher(odometry, [], CFG, START)
+        dead_reckoning, _ = run_aided_matcher(odometry, Scans(np.empty(0), []), CFG, START)
         assert measurements == []
         assert_columns_equal([np.delete(c, 5, axis=0) for c in columns], dead_reckoning)
         assert_columns_equal([c[5] for c in columns], [c[4] for c in columns])
@@ -93,8 +93,9 @@ class TestAided:
     def test_perfect_odometry_gives_predicted_pose(self, rng):
         landmarks = landmark_points(rng)
         truth = Pose(rot_z(0.1), np.array([0.2, 0.05, 0.0]))
-        meas = aided_step(ground_reference(landmarks), truth, scan_at(landmarks, truth), CFG)
+        meas = aided_step(ground_reference(landmarks), truth, scan_at(landmarks, truth), 0.5, CFG)
         assert meas.measured_pose.is_close(truth, tol=1e-6)
+        assert meas.timestamp == 0.5
         # internal ICP correction is near identity
         assert (truth.inverse() @ meas.measured_pose).is_close(Pose.identity(), tol=1e-6)
 
@@ -102,15 +103,14 @@ class TestAided:
         landmarks = landmark_points(rng)
         truth = Pose(rot_z(0.05), np.array([0.25, 0.0, 0.0]))
         biased = truth @ exp_se3(np.array([0, 0, 0.01, 0.02, -0.01, 0.0]))
-        meas = aided_step(ground_reference(landmarks), biased, scan_at(landmarks, truth), CFG)
+        meas = aided_step(ground_reference(landmarks), biased, scan_at(landmarks, truth), 0.0, CFG)
         assert meas.measured_pose.is_close(truth, tol=1e-6)
 
     def test_featureless_scene_still_advances(self, rng):
         # identical scans; the measured pose follows the odometry prediction
         lattice = np.array([[i * 0.5, y, z] for i in range(-8, 9) for y in (-1.0, 1.0) for z in (0.0, 0.4)])
-        cloud = PointCloud(lattice, BODY)
         predicted = Pose(np.eye(3), np.array([0.5, 0.0, 0.0]))  # one lattice period
-        meas = aided_step(cloud.transformed(Pose.identity()), predicted, cloud, LATTICE_CFG)
+        meas = aided_step(lattice, predicted, lattice, 0.0, LATTICE_CFG)
         assert meas.measured_pose.is_close(predicted, tol=1e-6)
         assert np.linalg.norm(meas.measured_pose.translation) > 0.49
 
@@ -118,7 +118,7 @@ class TestAided:
         landmarks = landmark_points(rng)
         truth = Pose(np.eye(3), np.array([0.1, 0.0, 0.0]))
         scan = scan_at(landmarks, truth)
-        meas = aided_step(ground_reference(landmarks), truth, scan, CFG)
+        meas = aided_step(ground_reference(landmarks), truth, scan, 0.0, CFG)
         assert np.allclose(meas.covariance, icp_covariance(scan, 0.05), atol=1e-15)
 
     def test_covariance_uses_the_callers_sigma(self, rng):
@@ -126,19 +126,14 @@ class TestAided:
         cfg = replace(CFG, sigma=0.2)
         truth = Pose(np.eye(3), np.array([0.1, 0.0, 0.0]))
         scan = scan_at(landmarks, truth)
-        meas = aided_step(ground_reference(landmarks), truth, scan, cfg)
+        meas = aided_step(ground_reference(landmarks), truth, scan, 0.0, cfg)
         assert CFG.sigma != 0.2
         assert np.array_equal(meas.covariance, icp_covariance(scan, 0.2))
-
-    def test_reference_must_be_in_ground_frame(self, rng):
-        cloud = PointCloud(landmark_points(rng), BODY)
-        with pytest.raises(ValueError, match="ground frame"):
-            aided_step(cloud, Pose.identity(), cloud, CFG)
 
     def test_naive_and_aided_differ_by_odometry_increment(self):
         # same identical-cloud stream: naive holds, aided follows the prediction
         lattice = np.array([[i * 0.5, y, z] for i in range(-8, 9) for y in (-1.0, 1.0) for z in (0.0, 0.4)])
-        scans = [PointCloud(lattice, BODY, 0.0), PointCloud(lattice, BODY, 0.5)]
+        scans = Scans(np.array([0.0, 0.5]), [lattice, lattice])
         odometry = odometry_columns([0.0, 0.5], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
         increment = Pose(np.eye(3), np.array([0.5, 0.0, 0.0]))  # one lattice period
         _, (naive,) = run_aided_matcher(zero_motion(odometry), scans, LATTICE_CFG, Pose.identity())

@@ -250,7 +250,7 @@ class TestSensors:
         pose = Pose(rot_z(np.pi / 2), np.zeros(3))
         rates = SensorRates(cloud_sigma=0.0)
         scan = render_scan(world, pose, rates, np.random.default_rng(0))
-        assert np.allclose(scan.points, [[0.0, -1.0, 0.0]], atol=1e-12)
+        assert np.allclose(scan, [[0.0, -1.0, 0.0]], atol=1e-12)
 
     def test_scan_range_and_fov_filters(self):
         world = WorldModel(np.array([[1.0, 0.0, 0.0], [20.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]))
@@ -260,7 +260,7 @@ class TestSensors:
         assert len(scan) == 2  # far point dropped
         narrow = SensorRates(cloud_sigma=0.0, range_max=12.0, fov=np.pi / 2)
         scan = render_scan(world, Pose.identity(), narrow, rng)
-        assert np.allclose(scan.points, [[1.0, 0.0, 0.0]])
+        assert np.allclose(scan, [[1.0, 0.0, 0.0]])
 
     def test_scan_none_when_nothing_visible(self):
         world = WorldModel(np.array([[100.0, 0.0, 0.0]]))
@@ -274,9 +274,9 @@ class TestScenario:
         log = run_scenario(default_world(), spec, SensorRates(), NoiseConfig(), seed=3)
         assert log.ground_truth.t.tolist() == [k * 0.02 for k in range(501)]
         assert log.odometry.t.tolist() == [k * 0.02 for k in range(500)]
-        assert len(log.scans) == 50
-        assert log.scans[0].timestamp == 0.0
-        assert log.scans[1].timestamp == pytest.approx(0.2)
+        assert len(log.scans.t) == len(log.scans.points) == 50
+        assert log.scans.t[0] == 0.0
+        assert log.scans.t[1] == pytest.approx(0.2)
 
     def test_seed_determinism(self):
         spec = TrajectorySpec(kind="circle", speed=0.3, duration=4.0)
@@ -285,8 +285,9 @@ class TestScenario:
         c = run_scenario(default_world(), spec, SensorRates(), NoiseConfig(), seed=12)
         for sa, sb in zip(a.odometry, b.odometry, strict=True):
             assert np.array_equal(sa, sb)
-        for ca, cb in zip(a.scans, b.scans):
-            assert np.array_equal(ca.points, cb.points)
+        assert np.array_equal(a.scans.t, b.scans.t)
+        for ca, cb in zip(a.scans.points, b.scans.points, strict=True):
+            assert np.array_equal(ca, cb)
         assert not np.array_equal(a.odometry.omega[0], c.odometry.omega[0])
 
     def test_zero_noise_dead_reckoning_recovers_truth(self):
@@ -306,9 +307,9 @@ class TestScenario:
         spec = TrajectorySpec(kind="straight", speed=0.25, duration=4.0)
         rates = SensorRates(odometry_hz=50.0, scan_hz=5.0, cloud_sigma=0.0, range_max=2.0)
         log = run_scenario(corridor_world(), spec, rates, ZERO_NOISE, seed=0)
-        for a, b in zip(log.scans[2:-2], log.scans[3:-1]):
-            assert a.points.shape == b.points.shape
-            assert np.max(np.abs(a.points - b.points)) < 1e-9
+        for a, b in zip(log.scans.points[2:-2], log.scans.points[3:-1]):
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b)) < 1e-9
 
     def test_meta_records_inputs(self):
         spec = TrajectorySpec(kind="straight", speed=0.25, duration=2.0)
