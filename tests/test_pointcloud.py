@@ -4,6 +4,7 @@ between frames, as the matcher places a scan in the ground frame at its pose."""
 import numpy as np
 
 from conftest import random_pose
+from iekf_slam.logio import load_xyz, save_xyz
 from iekf_slam.se3 import Pose
 
 
@@ -36,3 +37,10 @@ def test_known_rotation():
     )
     out = pose.apply(points)
     assert np.allclose(out, [[0, 1, 0], [-1, 0, 0]], atol=1e-12)
+
+
+def test_xyz_round_trip(tmp_path, rng):
+    points = rng.standard_normal((25, 3))
+    path = tmp_path / "cloud.xyz"
+    save_xyz(points, path)
+    assert np.array_equal(load_xyz(path), points)
