@@ -173,11 +173,11 @@ def make_icp_config(cfg, sigma=None, cloud_sigma=0.0) -> IcpConfig:
     return _build(cfg, "icp.", IcpConfig, **settings)
 
 
-def make_initial_state(cfg, timestamp=0.0) -> FilterState:
+def make_initial_state(cfg) -> FilterState:
     psi = np.radians(cfg.get("filter.init_heading_deg", 0.0))
     c, s = np.cos(psi), np.sin(psi)
     rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     pose = Pose(rot, np.array([cfg.get("filter.init_x", 0.0), cfg.get("filter.init_y", 0.0), 0.0]))
     # filter.p0_rot and filter.p0_pos set rot_var and pos_var.
     variances = {f"{name}_var": value for name, value in _section(cfg, "filter.p0_").items()}
-    return _build(cfg, "filter.p0_", FilterState.initial, pose=pose, timestamp=timestamp, **variances)
+    return _build(cfg, "filter.p0_", FilterState.initial, pose=pose, **variances)

@@ -152,8 +152,6 @@ def icp_align(source, target, cfg: IcpConfig | None = None) -> IcpResult:
     matrix (with its conditioning check) is rebuilt only when the accepted
     source points differ from the previous iteration's. When the last
     accepted set is the whole source, its matrix serves the covariance too.
-    The loop carries delta_pose as a rotation and a translation, with
-    ``Pose``'s own products, and builds the ``Pose`` once at the end.
     """
     if cfg is None:
         cfg = IcpConfig()
@@ -168,15 +166,15 @@ def icp_align(source, target, cfg: IcpConfig | None = None) -> IcpResult:
         )
 
     prepared = kernels.Target(target_points)
-    rotation, translation = np.eye(3), np.zeros(3)
+    delta = Pose.identity()
     accepted, count, info = None, 0, None
     cost_history = []
     iterations = 0
     converged = False
     moved = None
     for _ in range(cfg.max_iterations):
-        if moved is None:  # Pose.apply: p @ R.T + t
-            moved = points @ rotation.T + translation
+        if moved is None:
+            moved = delta.apply(points)
         idx, dist = kernels.batch_nearest(moved, prepared, cfg.max_correspondence_dist)
         previous, previous_count = accepted, count
         accepted = idx >= 0
@@ -190,15 +188,10 @@ def icp_align(source, target, cfg: IcpConfig | None = None) -> IcpResult:
         cost_before = float((d**2).sum())
         if count != previous_count or (count < n and not np.array_equal(accepted, previous)):
             info = _checked_information(a)
-        # Pose.inverse, then apply: b @ (R^T).T + (-R^T @ t)
-        inverse = rotation.T
-        residuals = a - (b @ inverse.T + -inverse @ translation)
-        x_hat, _ = solve_linear_alignment(a, residuals, info)
-        step = exp_se3(x_hat)
-        # Pose.compose: R1 R2, R1 t2 + t1
-        rotation, translation = rotation @ step.rotation, rotation @ step.translation + translation
+        x_hat, _ = solve_linear_alignment(a, a - delta.inverse().apply(b), info)
+        delta = delta @ exp_se3(x_hat)
         iterations += 1
-        moved_a = a @ rotation.T + translation
+        moved_a = delta.apply(a)
         cost_after = float(((moved_a - b) ** 2).sum())
         if cost_after > cost_before * (1 + 1e-9) + 1e-15:
             raise NumericalFailureError(
@@ -214,7 +207,7 @@ def icp_align(source, target, cfg: IcpConfig | None = None) -> IcpResult:
     # The last accepted set's matrix is the covariance's when it is the whole source.
     covariance = icp_covariance(points, cfg.sigma, info=info if count == n else None)
     return IcpResult(
-        delta_pose=Pose(rotation, translation),
+        delta_pose=delta,
         covariance=covariance,
         cost_history=cost_history,
         iterations=iterations,

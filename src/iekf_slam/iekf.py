@@ -15,9 +15,9 @@ timestamped stream; ``run_filter`` and both scan matchers in ``pipeline``
 step through its events, which index the odometry columns (t, omega, mu).
 Because A never sees the pose, ``run_filter`` computes every odometry
 increment (one ``exp_se3_many`` call), transition matrix Phi = I + hA and
-noise step hQ before the sequential pass, which only composes poses (on
-arrays, with ``se3.compose_into``), propagates P, fuses measurements and
-writes each event's state into preallocated columns.
+noise step hQ before the sequential pass, which only composes poses,
+propagates P, fuses measurements and writes each event's state into
+preallocated columns.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MeasurementRejectedError, NumericalFailureError, TimingError
-from .se3 import Pose, compose_into, exp_se3, exp_se3_many, project_pi, skew_many
+from .se3 import Pose, exp_se3, exp_se3_many, project_pi, skew_many
 
 MAX_PREDICT_SUBSTEP = 0.1  # s
 
@@ -252,26 +252,23 @@ def run_filter(odometry, measurements, noise: NoiseConfig, init: FilterState):
     n = len(events)
     t_col, r_col, p_col, cov_col = np.empty(n), np.empty((n, 3, 3)), np.empty((n, 3)), np.empty((n, 6, 6))
     stepped = np.array([step >= 0 for step, _, _ in events], dtype=bool)
-    r, position, p = init.pose.rotation, init.pose.translation, init.covariance
+    pose, p = init.pose, init.covariance
     start = 0  # first row of the current interval
     for i, (step, t, j) in enumerate(events):
-        t_col[i] = t
         if step >= 0:
             p = _propagate_covariance(p, phis[step], hqs[step], n_subs[step])
-            compose_into(r, position, rotations[step], translations[step], r_col[i], p_col[i])
-        else:
-            r_col[i], p_col[i] = r, position
+            pose = pose @ Pose(rotations[step], translations[step])
         cov_col[i] = p
         if j is not None:
             _require_predicted_pd(cov_col[start : i + 1], stepped[start : i + 1])
             start = i + 1
             try:
-                state = update(FilterState(Pose(r_col[i], p_col[i]), p, t), measurements[j])
+                state = update(FilterState(pose, p, t), measurements[j])
             except MeasurementRejectedError:
                 pass
             else:
-                r_col[i], p_col[i], p = state.pose.rotation, state.pose.translation, state.covariance
+                pose, p = state.pose, state.covariance
                 cov_col[i] = p
-        r, position = r_col[i], p_col[i]
+        t_col[i], (r_col[i], p_col[i]) = t, pose
     _require_predicted_pd(cov_col[start:], stepped[start:])
     return t_col, r_col, p_col, cov_col

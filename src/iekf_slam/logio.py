@@ -239,15 +239,15 @@ def load_meta(path):
 
 def noise_from_meta(meta) -> NoiseConfig:
     """The process noise recorded in a log's meta; ValueError if it is
-    missing, malformed or not finite."""
+    missing, malformed, not finite or negative."""
     covariances = []
     for key in ("gyro_cov_diag", "velocity_cov_diag"):
         try:
             diagonal = np.array([float(v) for v in meta[key].split()]).reshape(3)
         except (KeyError, ValueError) as exc:
             raise ValueError(f"{key} needs 3 numbers, got {meta.get(key)!r}") from exc
-        if not np.isfinite(diagonal).all():
-            raise ValueError(f"{key} needs 3 finite numbers, got {meta[key]!r}")
+        if not (np.isfinite(diagonal).all() and (diagonal >= 0).all()):
+            raise ValueError(f"{key} needs 3 finite numbers >= 0, got {meta[key]!r}")
         covariances.append(np.diag(diagonal))
     return NoiseConfig(*covariances)
 
@@ -265,9 +265,9 @@ def load_log(directory) -> ScenarioLog:
     meta = load_meta(meta_path)
     try:
         seed = int(meta.get("seed", "0"))
-        cloud_sigma = meta.get("cloud_sigma", "0")  # `run` takes its ICP point noise from it
-        if not math.isfinite(float(cloud_sigma)):
-            raise ValueError(f"cloud_sigma needs a finite number, got {cloud_sigma!r}")
+        cloud_sigma = float(meta.get("cloud_sigma", "0"))  # `run` takes its ICP point noise from it
+        if not 0 <= cloud_sigma < math.inf:  # False for NaN too
+            raise ValueError(f"cloud_sigma needs a finite number >= 0, got {cloud_sigma!r}")
         noise_from_meta(meta)  # and its process noise from these
     except ValueError as exc:
         raise ParseError(f"{meta_path}: {exc}") from exc

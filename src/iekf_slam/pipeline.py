@@ -20,12 +20,11 @@ exponential) from there through the first scan; the filter only consumes
 the matcher's absolute pose measurements, so a badly initialized filter
 still receives correctly anchored measurements.
 
-The aided matcher composes poses on arrays, with ``Pose.compose``'s
-products, places each reference scan in the ground frame with
-``Pose.apply``'s, and builds a ``Pose`` only for ``aided_step``. Scans are
-the log's ``Scans`` columns: their times join the event walk, and their
-points are plain arrays. In ``iekf`` mode the matcher keeps no pose
-columns: only its measurements reach the filter.
+The aided matcher carries its pose as a ``Pose``, composes each odometry
+increment onto it and places each reference scan in the ground frame with
+``Pose.apply``. Scans are the log's ``Scans`` columns: their times join the
+event walk, and their points are plain arrays. In ``iekf`` mode the matcher
+keeps no pose columns: only its measurements reach the filter.
 """
 
 from __future__ import annotations
@@ -56,25 +55,25 @@ def run_aided_matcher(odometry, scans, icp_cfg: IcpConfig, initial_pose: Pose, c
     rotations, translations = odometry_increments(dts, odometry.omega[held], odometry.mu[held])
     n = len(events) if columns else 0
     t_col, r_col, p_col = np.empty(n), np.empty((n, 3, 3)), np.empty((n, 3))
-    r, p = initial_pose.rotation, initial_pose.translation
+    pose = initial_pose
     reference = None
     measurements = []
     for i, (step, t, j) in enumerate(events):
-        if step >= 0:  # Pose.compose's products
-            r, p = r @ rotations[step], r @ translations[step] + p
-        if j is not None and reference is None:  # Pose.apply: p @ R.T + t
-            reference = scans.points[j] @ r.T + p
+        if step >= 0:
+            pose = pose @ Pose(rotations[step], translations[step])
+        if j is not None and reference is None:
+            reference = pose.apply(scans.points[j])
         elif j is not None:
             try:
-                meas = aided_step(reference, Pose(r, p), scans.points[j], scans.t[j], icp_cfg)
+                meas = aided_step(reference, pose, scans.points[j], scans.t[j], icp_cfg)
             except (DegenerateGeometryError, NumericalFailureError):
                 pass
             else:
-                r, p = meas.measured_pose.rotation, meas.measured_pose.translation
-                reference = scans.points[j] @ r.T + p
+                pose = meas.measured_pose
+                reference = pose.apply(scans.points[j])
                 measurements.append(meas)
         if columns:
-            t_col[i], r_col[i], p_col[i] = t, r, p
+            t_col[i], (r_col[i], p_col[i]) = t, pose
     return ((t_col, r_col, p_col) if columns else None), measurements
 
 

@@ -2,8 +2,11 @@
 group operations, renormalization and the heading of rotations.
 
 Twist vectors are 6-vectors ordered [rotational (rad), translational (m)].
-Poses are stored as a rotation matrix plus translation vector; the 4x4
-homogeneous form appears only at I/O boundaries.
+A ``Pose`` is a NamedTuple of a rotation matrix and a translation vector,
+like the log's columns (``simulator.Trajectory``), and takes its arrays as
+given. Every layer composes, inverts and applies poses through its methods,
+so the order of the products, and with it the output bits, is set here
+alone. The 4x4 homogeneous form appears only at I/O boundaries.
 
 ``exp_se3_many`` is the exponential of a whole (N, 6) stream of twists in
 one call, bit-identical to ``exp_se3`` row by row; the matcher and the
@@ -12,7 +15,7 @@ filter integrate each odometry stream with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,20 +83,16 @@ def _translation_jacobian(axis_angle):
     return _jacobian(S, S @ S, c, d)
 
 
-@dataclass(frozen=True)
-class Pose:
-    """Rigid transform in SE(3): p_ground = rotation @ p_body + translation."""
+class Pose(NamedTuple):
+    """Rigid transform in SE(3): p_ground = rotation @ p_body + translation,
+    with a (3, 3) and a (3,) float array."""
 
-    rotation: np.ndarray = field(default_factory=lambda: np.eye(3))
-    translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-    def __post_init__(self):
-        object.__setattr__(self, "rotation", np.asarray(self.rotation, dtype=float))
-        object.__setattr__(self, "translation", np.asarray(self.translation, dtype=float))
+    rotation: np.ndarray
+    translation: np.ndarray
 
     @staticmethod
     def identity():
-        return Pose()
+        return Pose(np.eye(3), np.zeros(3))
 
     def compose(self, other: "Pose") -> "Pose":
         return Pose(
@@ -138,16 +137,6 @@ class Pose:
             np.max(np.abs(self.rotation - other.rotation)) <= tol
             and np.max(np.abs(self.translation - other.translation)) <= tol
         )
-
-
-def compose_into(rotation, translation, d_rotation, d_translation, rotation_out, translation_out):
-    """:meth:`Pose.compose` of (rotation, translation) with (d_rotation,
-    d_translation) on arrays, written into ``rotation_out`` and
-    ``translation_out``: the same products in the same order, so the same
-    bits, with no Pose built. The outputs must not overlap the inputs."""
-    np.matmul(rotation, d_rotation, out=rotation_out)
-    np.matmul(rotation, d_translation, out=translation_out)
-    translation_out += translation
 
 
 def exp_se3(twist) -> Pose:

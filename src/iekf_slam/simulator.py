@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .iekf import NoiseConfig
-from .se3 import Pose, compose_into, exp_se3, wrap_angle
+from .se3 import Pose, exp_se3, wrap_angle
 
 
 # The most points one wall may be sampled into. A `simulate` of one scan
@@ -262,7 +262,7 @@ def generate_trajectory(spec: TrajectorySpec, dt: float):
     for twist, steps in segments:
         step = exp_se3(dt * twist)
         for k in range(start, start + steps):
-            compose_into(r[k], p[k], step.rotation, step.translation, r[k + 1], p[k + 1])
+            r[k + 1], p[k + 1] = Pose(r[k], p[k]) @ step
         start += steps
     return Trajectory(np.arange(len(r)) * dt, r, p), twists
 

@@ -374,14 +374,23 @@ class TestRun:
             ("gyro_cov_diag", "nan nan nan"),
             ("gyro_cov_diag", "inf inf inf"),
             ("velocity_cov_diag", "1e-4 -inf 1e-4"),
+            ("gyro_cov_diag", "-1e-10 -1e-10 -1e-10"),
+            ("velocity_cov_diag", "1e-4 -1e-9 1e-4"),
+            ("gyro_cov_diag", "-1e-06 -1e-06 -1e-06"),
+            ("cloud_sigma", "-0.2"),
         ],
-        ids=["non-numeric", "two-values", "missing", "nan", "inf", "one-minus-inf"],
+        ids=[
+            "non-numeric", "two-values", "missing", "nan", "inf", "one-minus-inf",
+            "negative", "one-negative", "negative-not-pd", "negative-cloud-sigma",
+        ],
     )
     def test_bad_meta_covariance_exit_3(self, tmp_path, capsys, key, value):
         # The recorded process noise is log content like cloud_sigma: a bad,
-        # non-finite or missing covariance is a parse error naming the meta
-        # file and the key, not a config error. A NaN one would otherwise
-        # run to exit 0 with a NaN covariance rejecting every measurement.
+        # non-finite, negative or missing covariance is a parse error naming
+        # the meta file and the key, not a config error. A NaN one would
+        # otherwise run to exit 0 with a NaN covariance rejecting every
+        # measurement; a slightly negative one ran to exit 0 with negative
+        # process noise, and a negative cloud_sigma as if it were absent.
         cfg = write_config(tmp_path, SHORT_SCENARIO)
         log_dir = tmp_path / "log"
         main(["simulate", "--config", cfg, "--out", str(log_dir)])

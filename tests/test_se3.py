@@ -8,7 +8,6 @@ from iekf_slam.errors import CorruptedPoseError, LogDomainError
 from iekf_slam.metrics import ground_truth_planar
 from iekf_slam.se3 import (
     Pose,
-    compose_into,
     exp_se3,
     exp_se3_many,
     hat,
@@ -236,20 +235,13 @@ class TestGroupOps:
             a, b, c = (random_pose(rng) for _ in range(3))
             assert ((a @ b) @ c).is_close(a @ (b @ c), tol=1e-12)
 
-    def test_compose_into_matches_compose_bits(self, rng):
-        # Chained as the replay loops chain it: each product is written into
-        # the next row of column arrays and read back from there.
-        n = 200
-        increments = [random_pose(rng, 1.7, 5.0) for _ in range(n)]
-        r_col, p_col = np.empty((n, 3, 3)), np.empty((n, 3))
-        pose = random_pose(rng, 1.7, 5.0)
-        r, p = pose.rotation, pose.translation
-        for i, inc in enumerate(increments):
-            compose_into(r, p, inc.rotation, inc.translation, r_col[i], p_col[i])
-            r, p = r_col[i], p_col[i]
-            pose = pose @ inc
-            assert r_col[i].tobytes() == pose.rotation.tobytes()
-            assert p_col[i].tobytes() == pose.translation.tobytes()
+    def test_unpacks_and_is_immutable(self, rng):
+        # The replay loops unpack a pose into their rotation and position columns.
+        x = random_pose(rng)
+        rotation, translation = x
+        assert rotation is x.rotation and translation is x.translation
+        with pytest.raises(AttributeError):
+            x.rotation = np.eye(3)
 
 
 class TestRenormalize:
