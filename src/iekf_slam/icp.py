@@ -16,7 +16,9 @@ when the caller holds it, and build their own otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,11 +45,10 @@ class IcpConfig:
                 raise ValueError(f"{name} must be positive")
 
 
-@dataclass(frozen=True)
-class IcpResult:
+class IcpResult(NamedTuple):
     delta_pose: Pose
     covariance: np.ndarray  # 6x6, rescaled
-    cost_history: list = field(default_factory=list)  # residual sums, m^2
+    cost_history: Sequence[float] = ()  # residual sums, m^2; icp_align gives a list
     iterations: int = 0
     converged: bool = False
 
@@ -61,7 +62,7 @@ def information_matrix(points):
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     n = points.shape[0]
     sq = np.sum(points**2)
-    outer = points.T @ points
+    outer = points.T.dot(points)
     s_sum = skew(points.sum(axis=0))
     info = np.zeros((6, 6))
     info[:3, :3] = sq * np.eye(3) - outer

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,10 +32,11 @@ from .errors import MeasurementRejectedError, NumericalFailureError, TimingError
 from .se3 import Pose, exp_se3, exp_se3_many, project_pi, skew_many
 
 MAX_PREDICT_SUBSTEP = 0.1  # s
+_I6 = np.eye(6)
+_I6.flags.writeable = False
 
 
-@dataclass(frozen=True)
-class PoseMeasurement:
+class PoseMeasurement(NamedTuple):
     """Absolute pose measurement with the covariance of its body-frame twist noise."""
 
     measured_pose: Pose
@@ -65,14 +67,12 @@ class NoiseConfig:
         return q
 
 
-@dataclass(frozen=True)
-class FilterState:
-    pose: Pose
-    covariance: np.ndarray  # 6x6 symmetric PD
-    timestamp: float = 0.0
+class FilterState(NamedTuple):
+    """Pose, covariance and time of the filter; takes its arrays as given."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "covariance", np.asarray(self.covariance, dtype=float))
+    pose: Pose
+    covariance: np.ndarray  # 6x6 symmetric PD, float
+    timestamp: float = 0.0
 
     @staticmethod
     def initial(pose=None, rot_var=1e-4, pos_var=1e-4, timestamp=0.0):
@@ -123,7 +123,7 @@ def _substeps(dt):
 def _propagate_covariance(p, phi, hq, n_sub):
     """n_sub steps of P <- phi P phi^T + hQ, each followed by symmetrization."""
     for _ in range(n_sub):
-        p = phi @ p @ phi.T + hq
+        p = phi.dot(p).dot(phi.T) + hq
         p = (p + p.T) / 2.0
     return p
 
@@ -138,7 +138,7 @@ def predict(state: FilterState, omega, mu, dt: float, noise: NoiseConfig) -> Fil
     if dt <= 0:
         raise TimingError(f"non-positive prediction step dt={dt}")
     n_sub, h = _substeps(dt)
-    phi = np.eye(6) + h * linearize(omega, mu)
+    phi = _I6 + h * linearize(omega, mu)
     p = _propagate_covariance(state.covariance, phi, h * noise.q_block(), n_sub)
     pose = state.pose @ exp_se3(dt * np.concatenate([omega, mu]))
     _require_pd(p, "predict")
@@ -162,9 +162,9 @@ def update(state: FilterState, meas: PoseMeasurement) -> FilterState:
     if not np.all(np.isfinite(gain)):
         raise MeasurementRejectedError("non-finite Kalman gain")
     z = innovation(state, meas)
-    pose = state.pose @ exp_se3(gain @ z)
-    i_k = np.eye(6) - gain
-    p_new = i_k @ p @ i_k.T + gain @ meas.covariance @ gain.T
+    pose = state.pose @ exp_se3(gain.dot(z))
+    i_k = _I6 - gain
+    p_new = i_k.dot(p).dot(i_k.T) + gain.dot(meas.covariance).dot(gain.T)
     p_new = (p_new + p_new.T) / 2.0
     _require_pd(p_new, "update")
     return FilterState(pose, p_new, state.timestamp)
@@ -246,7 +246,7 @@ def run_filter(odometry, measurements, noise: NoiseConfig, init: FilterState):
     rotations, translations = odometry_increments(dts, omega, mu)
     phis = linearize(omega, mu)  # becomes I + hA in place
     phis *= hs[:, None, None]
-    phis += np.eye(6)
+    phis += _I6
     hqs = hs[:, None, None] * noise.q_block()
 
     n = len(events)

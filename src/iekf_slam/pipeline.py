@@ -29,8 +29,6 @@ keeps no pose columns: only its measurements reach the filter.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .errors import ConfigError, DegenerateGeometryError, NumericalFailureError
@@ -49,7 +47,9 @@ def run_aided_matcher(odometry, scans, icp_cfg: IcpConfig, initial_pose: Pose, c
     Returns ((t, R, p), measurements): the pose after every event of
     :func:`schedule` as columns t (n,), R (n, 3, 3) and p (n, 3), or None
     without ``columns``, and the list of PoseMeasurements. ICP failures drop
-    the measurement and continue on the integrated pose.
+    the measurement and continue on the integrated pose. A reference with
+    fewer than ``icp_cfg.min_points`` points can never be an ICP target, so
+    the next scan takes its place unmatched.
     """
     events, dts, held = schedule(odometry.t, scans.t, 0.0)
     rotations, translations = odometry_increments(dts, odometry.omega[held], odometry.mu[held])
@@ -61,7 +61,7 @@ def run_aided_matcher(odometry, scans, icp_cfg: IcpConfig, initial_pose: Pose, c
     for i, (step, t, j) in enumerate(events):
         if step >= 0:
             pose = pose @ Pose(rotations[step], translations[step])
-        if j is not None and reference is None:
+        if j is not None and (reference is None or len(reference) < icp_cfg.min_points):
             reference = pose.apply(scans.points[j])
         elif j is not None:
             try:
@@ -105,7 +105,7 @@ def run_pipeline(log, mode, noise: NoiseConfig, init: FilterState, icp_cfg: IcpC
                 f"{len(log.scans.t)} scans gave a pose measurement"
             )
     if mode in ("iekf", "dead-reckoning"):
-        init = replace(init, pose=initial_pose @ init.pose)
+        init = init._replace(pose=initial_pose @ init.pose)
         t, rotations, positions, covariances = run_filter(log.odometry, measurements, noise, init)
     else:
         t, rotations, positions = columns

@@ -11,6 +11,14 @@ alone. The 4x4 homogeneous form appears only at I/O boundaries.
 ``exp_se3_many`` is the exponential of a whole (N, 6) stream of twists in
 one call, bit-identical to ``exp_se3`` row by row; the matcher and the
 filter integrate each odometry stream with it.
+
+Products of one or two 2-D or 1-D arrays are written ``a.dot(b)``, here and
+in the filter, the ICP solve and the simulator, not ``a @ b``. Both make the
+same BLAS call with the same arguments and give the same bits, but the
+``matmul`` ufunc's dispatch costs about twice ``ndarray.dot``'s, which
+outweighs the arithmetic of a 3x3 or 6x6 product. Products of stacked
+(N, 3, 3) arrays, as in ``exp_se3_many``, stay on ``@``: ``dot`` of N-D
+arrays sums over other axes and means something else.
 """
 
 from __future__ import annotations
@@ -29,12 +37,12 @@ _LOG_SINGULARITY_MARGIN = 1e-6
 
 def skew(v):
     """3x3 antisymmetric matrix such that skew(v) @ y == cross(v, y)."""
-    v = np.asarray(v, dtype=float)
+    x, y, z = np.asarray(v, dtype=float).tolist()  # Python floats: no numpy scalar per entry
     return np.array(
         [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
+            [0.0, -z, y],
+            [z, 0.0, -x],
+            [-y, x, 0.0],
         ]
     )
 
@@ -80,7 +88,7 @@ def _translation_jacobian(axis_angle):
     """The matrix A with exp(hat(t)) translation = A @ v_p (same A as in log)."""
     S = skew(axis_angle)
     _, c, d = _exp_coeffs(np.linalg.norm(axis_angle))
-    return _jacobian(S, S @ S, c, d)
+    return _jacobian(S, S.dot(S), c, d)
 
 
 class Pose(NamedTuple):
@@ -96,23 +104,20 @@ class Pose(NamedTuple):
 
     def compose(self, other: "Pose") -> "Pose":
         return Pose(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
+            self.rotation.dot(other.rotation),
+            self.rotation.dot(other.translation) + self.translation,
         )
 
-    def __matmul__(self, other):
-        if isinstance(other, Pose):
-            return self.compose(other)
-        return NotImplemented
+    __matmul__ = compose  # pose @ pose, at the cost of one call
 
     def inverse(self) -> "Pose":
         rt = self.rotation.T
-        return Pose(rt, -rt @ self.translation)
+        return Pose(rt, (-rt).dot(self.translation))
 
     def apply(self, points):
         """Transform a (3,) point or (N, 3) array of points."""
         points = np.asarray(points, dtype=float)
-        return points @ self.rotation.T + self.translation
+        return points.dot(self.rotation.T) + self.translation
 
     def matrix(self):
         """4x4 homogeneous form."""
@@ -148,10 +153,10 @@ def exp_se3(twist) -> Pose:
     twist = np.asarray(twist, dtype=float)
     w = twist[:3]
     S = skew(w)
-    SS = S @ S
+    SS = S.dot(S)
     b, c, d = _exp_coeffs(_norm(w))
     rotation = _I3 + b * S + c * SS
-    return Pose(rotation, _jacobian(S, SS, c, d) @ twist[3:])
+    return Pose(rotation, _jacobian(S, SS, c, d).dot(twist[3:]))
 
 
 def skew_many(vectors):
@@ -239,7 +244,7 @@ def renormalize(pose: Pose, tol=1e-3) -> Pose:
     from any rotation.
     """
     u, _, vt = np.linalg.svd(pose.rotation)
-    nearest = u @ np.diag([1.0, 1.0, np.linalg.det(u @ vt)]) @ vt
+    nearest = u.dot(np.diag([1.0, 1.0, np.linalg.det(u.dot(vt))])).dot(vt)
     if np.linalg.norm(pose.rotation - nearest) > tol:
         raise CorruptedPoseError("rotation block too far from orthonormal")
     return Pose(nearest, pose.translation)

@@ -270,7 +270,7 @@ def generate_trajectory(spec: TrajectorySpec, dt: float):
 def _cov_sqrt(cov):
     vals, vecs = np.linalg.eigh(cov)
     vals = np.clip(vals, 0.0, None)
-    return vecs @ np.diag(np.sqrt(vals)) @ vecs.T
+    return vecs.dot(np.diag(np.sqrt(vals))).dot(vecs.T)
 
 
 def odometry_noise_sqrt(noise: NoiseConfig):
@@ -286,8 +286,8 @@ def sample_odometry(twist, noise_sqrt, rng):
     """
     twist = np.asarray(twist, dtype=float)
     gyro_sqrt, velocity_sqrt = noise_sqrt
-    nu_omega = gyro_sqrt @ rng.standard_normal(3)
-    nu_mu = velocity_sqrt @ rng.standard_normal(3)
+    nu_omega = gyro_sqrt.dot(rng.standard_normal(3))
+    nu_mu = velocity_sqrt.dot(rng.standard_normal(3))
     return twist[:3] + nu_omega, twist[3:] + nu_mu
 
 

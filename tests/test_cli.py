@@ -528,6 +528,27 @@ class TestRun:
         assert f"{n_scans} scans" in err
         assert not os.path.exists(est)
 
+    @pytest.mark.parametrize("mode", ["iekf", "scan-match-only", "naive-scan-match"])
+    def test_first_scan_too_small_for_icp_is_not_the_reference(self, tmp_path, capsys, mode):
+        # A first scan cut to 5 points can never be an ICP target; the next
+        # scan must take its place as the reference rather than every later
+        # match failing against it. The naive matcher places that scan at
+        # the start pose, 5 cm behind the truth at 0.25 m/s, and so scores
+        # worse.
+        cfg = write_config(tmp_path, "scenario.kind = straight\nscenario.duration = 4.0\nseed = 2\n")
+        log_dir = str(tmp_path / "log")
+        assert main(["simulate", "--config", cfg, "--out", log_dir]) == 0
+        first = tmp_path / "log" / "scans" / "00000.xyz"
+        first.write_text("".join(first.read_text().splitlines(keepends=True)[:5]))
+        sizes = [len(points) for points in load_log(log_dir).scans.points]
+        assert sizes[0] == 5 and len(sizes) > 2 and min(sizes[1:]) >= 10
+        capsys.readouterr()
+        est = str(tmp_path / "est.csv")
+        assert main(["run", log_dir, "--mode", mode, "--out", est]) == 0
+        report = evaluate_report(tmp_path, est, log_dir)
+        bound = 0.1 if mode == "naive-scan-match" else 0.02
+        assert float(report["rms_x"]) < bound and float(report["rms_y"]) < bound
+
 
 # Short logs of the benchmark's two workloads: two seconds of the room circle,
 # and the dense corridor, whose 0.02 m rejection radius drops some pairs.

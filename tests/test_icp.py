@@ -290,7 +290,7 @@ def assert_same_as_reference(source, target, cfg, searches):
     # Each search is given a target of the cloud's length (what the
     # benchmark counts pairs by).
     assert all(size == len(target) for size, _ in searches)
-    if isinstance(expected, tuple):
+    if not isinstance(expected, IcpResult):  # (error type, message)
         assert got == expected
     else:
         assert np.array_equal(got.delta_pose.rotation, expected.delta_pose.rotation)

@@ -53,7 +53,8 @@ def _reference_merge_events(odometry, scans):
 def reference_matcher_rows(odometry, scans, icp_cfg, initial_pose):
     """Oracle: the matcher's own event merge and zero-order-hold pass, which
     ``iekf.schedule`` replaced. Returns (rows, measurements); row times are
-    the event timestamps, held at 0 before the first positive one."""
+    the event timestamps, held at 0 before the first positive one. A scan
+    too small for ICP is never kept as the first reference."""
     odometry = [Sample(*row) for row in zip(odometry.t.tolist(), odometry.omega, odometry.mu)]
     scans = [Scan(*row) for row in zip(scans.t.tolist(), scans.points)]
     events = list(_reference_merge_events(odometry, scans))
@@ -82,7 +83,7 @@ def reference_matcher_rows(odometry, scans, icp_cfg, initial_pose):
             pose = pose @ Pose(rotations[step], translations[step])
         if kind == "scan":
             try:
-                if reference is not None:
+                if reference is not None and len(reference) >= icp_cfg.min_points:
                     meas = aided_step(reference, pose, event.points, event.timestamp, icp_cfg)
                     pose = meas.measured_pose
                     measurements.append(meas)
@@ -158,6 +159,14 @@ class TestMatchersFollowSchedule:
         odo_times = sorted([0.02 * k for k in range(30)] + [0.1, 0.1, 0.3])
         odometry, scans = hand_built_log(rng, odo_times, [0.0, 0.1, 0.2, 0.2, 0.3])
         assert_matches_reference(odometry, scans, Pose.identity())
+
+    def test_first_scan_too_small_for_icp(self, rng):
+        # 0.0 holds two points: 0.09 becomes the reference unmatched
+        odometry, scans = hand_built_log(
+            rng, [0.02 * k for k in range(30)], [0.0, 0.09, 0.21, 0.33], failing=(0.0,)
+        )
+        measurements = assert_matches_reference(odometry, scans, Pose.identity())
+        assert [m.timestamp for m in measurements] == [0.21, 0.33]
 
     def test_scans_before_first_odometry_sample(self, rng):
         odometry, scans = hand_built_log(
