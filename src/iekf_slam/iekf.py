@@ -5,19 +5,21 @@ measured body-frame velocities, never on the estimated pose:
 
     A = [[-S(omega), 0], [-S(mu), -S(omega)]],  B = -I,  C = I,  D = I
 
-Covariance propagates by an Euler step of the Riccati drift between scans;
-each pose measurement applies the equivalent discrete update with gain
-K = P (P + C_meas)^-1 and the multiplicative correction pose * exp(K z),
-z = pi(pose^-1 * measured) as a twist (``project_pi``).
+The error propagates exactly: over a step dt its transition is
+Phi = expm(dt A) = Ad(increment^-1) = [[R^T, 0], [-R^T S(p), R^T]], with
+(R, p) = exp(dt (omega, mu)) the increment the pose composes, and every
+step, however long, sets P <- Phi P Phi^T + dt Q. Each pose measurement
+applies the discrete update with gain K = P (P + C_meas)^-1 and the
+multiplicative correction pose * exp(K z), z = pi(pose^-1 * measured) as a
+twist (``project_pi``).
 
 :func:`schedule` is the one place where odometry is merged with a second
 timestamped stream; ``run_filter`` and both scan matchers in ``pipeline``
 step through its events, which index the odometry columns (t, omega, mu).
-Because A never sees the pose, ``run_filter`` computes every odometry
-increment (one ``exp_se3_many`` call), transition matrix Phi = I + hA and
-noise step hQ before the sequential pass, which only composes poses,
-propagates P, fuses measurements and writes each event's state into
-preallocated columns.
+Because Phi never sees the pose, ``run_filter`` builds every step's
+increment, Phi and dt Q in one ``_prediction_steps`` batch before the
+sequential pass, which only composes poses, propagates P, fuses
+measurements and writes each event's state into preallocated columns.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import numpy as np
 from .errors import MeasurementRejectedError, NumericalFailureError, TimingError
 from .se3 import Pose, exp_se3, exp_se3_many, project_pi, skew_many
 
-MAX_PREDICT_SUBSTEP = 0.1  # s
 _I6 = np.eye(6)
 _I6.flags.writeable = False
 
@@ -85,7 +86,8 @@ class FilterState(NamedTuple):
 def linearize(omega, mu) -> np.ndarray:
     """A = [[-S(omega), 0], [-S(mu), -S(omega)]] of the state-independent
     linearization, a function of the odometry velocities alone (B = -I,
-    C = I and D = I are constant): (6, 6) for one sample, stacked for (N, 3)."""
+    C = I and D = I are constant): (6, 6) for one sample, stacked for (N, 3).
+    The filter runs its exponential, the Phi of ``_prediction_steps``."""
     s_omega = skew_many(omega)
     a = np.zeros((s_omega.shape[0], 6, 6))
     a[:, :3, :3] = -s_omega
@@ -112,35 +114,34 @@ def _require_pd(p, context):
         raise NumericalFailureError(f"covariance not positive definite after {context}") from exc
 
 
-def _substeps(dt):
-    """Number (Python ints) and length of the covariance substeps over each dt (<= 0.1 s)."""
-    n_sub = np.maximum(1.0, np.ceil(np.divide(dt, MAX_PREDICT_SUBSTEP)))
-    if not np.isfinite(n_sub).all():
+def _prediction_steps(dts, omega, mu, noise: NoiseConfig):
+    """The increments (R, p) of ``odometry_increments``, the transitions
+    Phi = Ad((R, p)^-1) = expm(dt A) and the noise terms dt Q of paired rows
+    of steps and (N, 3) velocities, each stacked; TimingError on an infinite step."""
+    dts = np.asarray(dts, dtype=float)
+    if not np.isfinite(dts).all():
         raise TimingError("infinite prediction step")
-    return n_sub.astype(int).tolist(), dt / n_sub
+    rotations, translations = odometry_increments(dts, omega, mu)
+    rts = rotations.transpose(0, 2, 1)
+    phis = np.block([[rts, np.zeros_like(rts)], [-(rts @ skew_many(translations)), rts]])
+    return rotations, translations, phis, dts[:, None, None] * noise.q_block()
 
 
-def _propagate_covariance(p, phi, hq, n_sub):
-    """n_sub steps of P <- phi P phi^T + hQ, each followed by symmetrization."""
-    for _ in range(n_sub):
-        p = phi.dot(p).dot(phi.T) + hq
-        p = (p + p.T) / 2.0
-    return p
+def _propagate_covariance(p, phi, hq):
+    """One step P <- phi P phi^T + hq, followed by symmetrization."""
+    p = phi.dot(p).dot(phi.T) + hq
+    return (p + p.T) / 2.0
 
 
 def predict(state: FilterState, omega, mu, dt: float, noise: NoiseConfig) -> FilterState:
-    """Propagate pose exactly (constant twist over dt) and P by first-order
-    steps of the Riccati drift, substepping so no step exceeds 0.1 s.
-
-    Each substep applies (I + hA) P (I + hA)^T + hQ: the Euler step of
-    dP = (AP + PA^T + Q) dt plus the h^2 A P A^T completion, which keeps P
-    positive definite even for very lopsided priors."""
+    """Propagate the pose (constant twist over dt) and P by the exact
+    transition, P <- Phi P Phi^T + dt Q with Phi = Ad(increment^-1), in one
+    step of any length, built by ``_prediction_steps`` as in ``run_filter``."""
     if dt <= 0:
         raise TimingError(f"non-positive prediction step dt={dt}")
-    n_sub, h = _substeps(dt)
-    phi = _I6 + h * linearize(omega, mu)
-    p = _propagate_covariance(state.covariance, phi, h * noise.q_block(), n_sub)
-    pose = state.pose @ exp_se3(dt * np.concatenate([omega, mu]))
+    rotations, translations, phis, hqs = _prediction_steps([dt], [omega], [mu], noise)
+    p = _propagate_covariance(state.covariance, phis[0], hqs[0])
+    pose = state.pose @ Pose(rotations[0], translations[0])
     _require_pd(p, "predict")
     return FilterState(pose, p, state.timestamp + dt)
 
@@ -241,13 +242,7 @@ def run_filter(odometry, measurements, noise: NoiseConfig, init: FilterState):
     that ends it.
     """
     events, dts, held = schedule(odometry.t, [m.timestamp for m in measurements], init.timestamp)
-    omega, mu = odometry.omega[held], odometry.mu[held]
-    n_subs, hs = _substeps(dts)
-    rotations, translations = odometry_increments(dts, omega, mu)
-    phis = linearize(omega, mu)  # becomes I + hA in place
-    phis *= hs[:, None, None]
-    phis += _I6
-    hqs = hs[:, None, None] * noise.q_block()
+    rotations, translations, phis, hqs = _prediction_steps(dts, odometry.omega[held], odometry.mu[held], noise)
 
     n = len(events)
     t_col, r_col, p_col, cov_col = np.empty(n), np.empty((n, 3, 3)), np.empty((n, 3)), np.empty((n, 6, 6))
@@ -256,7 +251,7 @@ def run_filter(odometry, measurements, noise: NoiseConfig, init: FilterState):
     start = 0  # first row of the current interval
     for i, (step, t, j) in enumerate(events):
         if step >= 0:
-            p = _propagate_covariance(p, phis[step], hqs[step], n_subs[step])
+            p = _propagate_covariance(p, phis[step], hqs[step])
             pose = pose @ Pose(rotations[step], translations[step])
         cov_col[i] = p
         if j is not None:

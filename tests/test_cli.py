@@ -297,6 +297,28 @@ class TestRun:
         assert abs(psi[0] - gt_psi[0]) < 1e-9
         assert float(evaluate_report(tmp_path, est, log_dir)["rms_psi_deg"]) < 1.0
 
+    def test_long_odometry_gap(self, tmp_path):
+        # Every odometry time after 1 s moves 1e5 s later, so one prediction
+        # step spans the gap. Isotropic Q is invariant under rotation, so P's
+        # rotation block stays (p0 + (t - t0) q) I, exactly through the gap.
+        cfg = write_config(tmp_path, "scenario.kind = straight\nscenario.duration = 2.0\nscenario.veer_rate = 0.2\n")
+        log_dir = tmp_path / "log"
+        assert main(["simulate", "--config", cfg, "--seed", "3", "--out", str(log_dir)]) == 0
+        odometry = log_dir / "odometry.csv"
+        header, *rows = odometry.read_text().splitlines()
+        shifted = []
+        for row in rows:
+            t, rest = row.split(",", 1)
+            shifted.append(f"{repr(float(t) + 1e5) if float(t) > 1.0 else t},{rest}")
+        odometry.write_text("\n".join([header, *shifted]) + "\n")
+        est = str(tmp_path / "est.csv")
+        assert main(["run", str(log_dir), "--mode", "dead-reckoning", "--out", est]) == 0
+        t, _, _, _, _, covariances = load_estimates(est)
+        after = np.flatnonzero(t > 1e5)[0]
+        assert t[after - 1] <= 1.0
+        want = 1e-4 + (t[after] - t[0]) * 1e-4  # p0 and the gyro variance are both 1e-4
+        assert np.max(np.abs(covariances[after, :3, :3] - want * np.eye(3))) <= 1e-9 * want
+
     def test_covariance_independent_of_initial_estimate(self, tmp_path, short_log):
         # The paper's claim, end to end: the invariant filter linearizes on
         # the odometry alone and its error is defined in the body frame, so
@@ -557,12 +579,12 @@ REPLAY_PINS = {
         "scenario.kind = circle\nscenario.speed = 0.3\nscenario.radius = 1.5\n"
         "scenario.turns = 2\nscenario.duration = 2.0\n",
         {
-            "iekf": "19ea14220ee58b0d04866a9f7c36e0fb9f08f6d8e6cfac8edcd9ded7338ab3fe",
-            "dead-reckoning": "61abac741c0ea8a95e2a2e7fd95daa97fe6b3dce82c352c1b9854c641e359c54",
+            "iekf": "f84b45ff6845d0f26fd5eeef89551f034223d5bdc3ad8ae6feb37df06928ccc5",
+            "dead-reckoning": "91fd2160c7923ea2b30a4ce1f4c49670f5b8b94a7f5edfc1f6b754e97316efe4",
             "naive-scan-match": "53484afab993097c7eb46f57d3333af68114758e118464403de26fab66583945",
             "scan-match-only": "15c2e5044c1bab2570e0fa123720baae50f03e5174d09e3fce9671b6a14a9041",
-            "report": "de341686ef5d960db034a5b62d9f7d1332ce1974fecec93971d5c07f0e4f4d99",
-            "errors": "0812f89eea44b30ff31331fad57ae23c1f2086e071c1aed8ea42e719a78f476c",
+            "report": "eb95880134c2c28ffd9b9bdc952eb3cbff2b49f9bbae4053300dd44dd511446f",
+            "errors": "ce88b86191bb7ea90aab9734709a799f33d69dd2622166e3d33257c652bfb4e3",
         },
     ),
     "corridor-dense": (
@@ -571,12 +593,12 @@ REPLAY_PINS = {
         "icp.max_correspondence_dist = 0.02\nicp.max_iterations = 100\n"
         "icp.convergence_tol = 1e-10\n",
         {
-            "iekf": "15a7cdcfc4245ce067ef149599f0afbacc108d40acf10078144f9ea9696cbd7b",
-            "dead-reckoning": "be3c4963617645e75a83240d07d68ed468b9a722a4917b54711727ba0716b0ce",
+            "iekf": "74d28c0a9bd5c7c23d8df6dfb046c94e87f7027c77747f447807d39c90f8b475",
+            "dead-reckoning": "86167bd0615818e6d89bb70ef141e52f3b428e8cf621a2143abba3d685d806ab",
             "naive-scan-match": "f54508c78d679a9752c3780fd25601dc2b0ff82821f14368f1de3430b8805ff5",
             "scan-match-only": "1c7c40ca25dc2e8fb2ac3da0e5dba5e0d4581b11219b224c48cc6d68c855281c",
-            "report": "0534ebd4c4aee6aa4d336332648740be500f0ccf862051620d63728df835d7ad",
-            "errors": "ee05baf1d74d17294ac84c93e8504e0ca597452e812f80cc84e36e37ed94af3e",
+            "report": "8a5cc7a54b1aba34cebb5b711275734b8aa5c7c79091557cd2f4312ca52f7ee2",
+            "errors": "0764c486401e57ef5583fc0842e98b830db16e4f654aa0bdb69dd24066480223",
         },
     ),
 }
@@ -584,14 +606,15 @@ REPLAY_PINS = {
 
 @pytest.mark.parametrize("name", sorted(REPLAY_PINS))
 def test_replay_bytes_pinned(tmp_path, name):
-    # estimates_<mode>.csv in every mode, and the iekf report, pinned to the
-    # bytes written before ICP cached its per-alignment invariants; the iekf
-    # errors.csv, pinned to the bytes written before `evaluate` read only the
-    # columns it scores. The room-circle naive-scan-match file is pinned to
-    # the bytes written once naive matching became the aided matcher under a
-    # zero-motion prior, whose reference round trip rounds differently. Like
-    # the simulator digests, these assume IEEE doubles and numpy 2's sin, cos
-    # and sqrt.
+    # The matcher modes' estimates_<mode>.csv, pinned to the bytes written
+    # before ICP cached its per-alignment invariants (the room-circle
+    # naive-scan-match file once naive matching became the aided matcher
+    # under a zero-motion prior, whose reference round trip rounds
+    # differently). The iekf and dead-reckoning files and the iekf report and
+    # errors.csv, pinned to the bytes written once the filter propagated P by
+    # the exact transition Ad(increment^-1); dead reckoning's poses kept
+    # their bits then. Like the simulator digests, these assume IEEE doubles
+    # and numpy 2's sin, cos and sqrt.
     text, digests = REPLAY_PINS[name]
     cfg = write_config(tmp_path, text)
     log_dir = str(tmp_path / "log")

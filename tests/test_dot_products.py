@@ -91,15 +91,13 @@ def test_exp_se3(rng):
 
 
 def test_propagate_covariance(rng):
-    for n_sub in [1, 2, 3] * (CASES // 3):
+    for _ in range(CASES):
         p = random_spd(rng)
         phi = np.eye(6) + 0.02 * rng.standard_normal((6, 6))
         hq = 0.02 * np.diag(rng.uniform(1e-4, 1e-2, 6))
-        want = p
-        for _ in range(n_sub):
-            want = phi @ want @ phi.T + hq
-            want = (want + want.T) / 2.0
-        assert same_bits(_propagate_covariance(p, phi, hq, n_sub), want), DIVERGED
+        want = phi @ p @ phi.T + hq
+        want = (want + want.T) / 2.0
+        assert same_bits(_propagate_covariance(p, phi, hq), want), DIVERGED
 
 
 def test_update(rng):

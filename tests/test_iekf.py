@@ -112,23 +112,61 @@ class TestPredict:
             predict(FilterState.initial(), np.zeros(3), np.zeros(3), 0.0, NoiseConfig())
 
     def test_infinite_dt(self):
-        # An infinite step has no substep count: refused, not run as no substeps.
+        # An infinite step has no increment: refused, not run as a NaN step.
         with pytest.raises(TimingError, match="infinite"):
             predict(FilterState.initial(), np.zeros(3), np.zeros(3), np.inf, NoiseConfig())
         odometry = odometry_columns([0.0, np.inf], np.zeros(3), [0.25, 0, 0])
         with pytest.raises(TimingError, match="infinite"):
             run_filter(odometry, [], NoiseConfig(), FilterState.initial())
 
-    def test_large_dt_substepped(self):
-        # dt above the cap must still integrate, matching many explicit substeps
-        noise = NoiseConfig()
-        sample = ([0, 0, 0.5], [0.3, 0, 0])
-        one = predict(FilterState.initial(), *sample, 0.5, noise)
-        many = FilterState.initial()
-        for _ in range(5):
-            many = predict(many, *sample, 0.1, noise)
-        assert one.pose.is_close(many.pose, tol=1e-12)
-        assert np.allclose(one.covariance, many.covariance, atol=1e-12)
+    def test_large_dt_one_step(self):
+        # One 0.5 s step against five 0.1 s steps: the pose and the
+        # transition agree exactly, so with Q = 0 P agrees to rounding. With
+        # Q, one step adds its noise without propagating any of it, which
+        # differs at second order: below dt^2 |A|_2 |Q|_2.
+        sample, dt = ([0, 0, 0.5], [0.3, 0, 0]), 0.5
+        zero, default = NoiseConfig(np.zeros((3, 3)), np.zeros((3, 3))), NoiseConfig()
+        second_order = dt**2 * np.linalg.norm(linearize(*sample), 2) * np.linalg.norm(default.q_block(), 2)
+        for noise, bound in ((zero, 1e-15), (default, second_order)):
+            one = predict(FilterState.initial(), *sample, dt, noise)
+            many = FilterState.initial()
+            for _ in range(5):
+                many = predict(many, *sample, dt / 5, noise)
+            assert one.pose.is_close(many.pose, tol=1e-12)
+            assert np.max(np.abs(one.covariance - many.covariance)) < bound
+
+
+class TestExactTransition:
+    """The transition of ``_prediction_steps`` is expm(dt A) of ``linearize``'s A."""
+
+    @staticmethod
+    def series_expm(a, terms=30):
+        out, term = np.eye(6), np.eye(6)
+        for k in range(1, terms + 1):
+            term = term @ a / k
+            out = out + term
+        return out
+
+    def test_phi_is_exponential_of_linearization(self, rng):
+        h = 0.02
+        omega, mu = rng.standard_normal((200, 3)), rng.standard_normal((200, 3))
+        _, _, phis, _ = iekf._prediction_steps(np.full(200, h), omega, mu, NoiseConfig())
+        for phi, a in zip(phis, linearize(omega, mu)):
+            assert np.max(np.abs(phi - self.series_expm(h * a))) <= 1e-15
+
+    def test_one_step_is_product_of_substeps(self):
+        sample = (np.array([[0, 0, 0.5]]), np.array([[0.3, 0, 0]]))
+        _, _, (one,), _ = iekf._prediction_steps([0.5], *sample, NoiseConfig())
+        _, _, (fifth,), _ = iekf._prediction_steps([0.1], *sample, NoiseConfig())
+        assert np.max(np.abs(one - np.linalg.matrix_power(fifth, 5))) <= 1e-15
+
+    def test_turning_without_noise_keeps_rotation_block(self):
+        # With Q = 0 over a 20 s circle, P's rotation block only turns by
+        # the orthogonal R^T of each step, so 1e-4 I stays 1e-4 I.
+        odometry = odometry_columns([0.02 * k for k in range(1000)], [0, 0, 1.0], [0.25, 0, 0])
+        noise = NoiseConfig(np.zeros((3, 3)), np.zeros((3, 3)))
+        _, _, _, covariances = run_filter(odometry, [], noise, FilterState.initial())
+        assert np.max(np.abs(covariances[:, :3, :3] - 1e-4 * np.eye(3))) <= 1e-15
 
 
 class TestInnovation:
@@ -334,7 +372,7 @@ class TestRunFilterMatchesReference:
         ms = self.measurements_near(rng, truth, [0.1, 0.2, 0.2, 0.3, 0.3])
         self.assert_matches(odometry, ms)
 
-    def test_long_gap_is_substepped(self, rng):
+    def test_long_gap(self, rng):
         times = [0.02 * k for k in range(10)] + [0.18 + 0.35, 0.18 + 0.35 + 0.137, 1.5]
         odometry = self.noisy_odometry(rng, times)
         truth = run_filter(odometry, [], NoiseConfig(), FilterState.initial())
