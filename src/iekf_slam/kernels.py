@@ -10,29 +10,34 @@ call runs the same code. ``len(target)`` is M either way.
 
 - Sweep: taken when ``max_dist`` is finite and N * M >= SWEEP_MIN_PAIRS.
   The target is sorted along the axis of its largest extent, and each source
-  point is compared only with the targets whose coordinate on that axis lies
-  within a hair more than ``max_dist`` of its own, found with two
+  point's slab is the run of sorted targets whose coordinate on that axis
+  lies within a hair more than ``max_dist`` of its own, found with two
   ``searchsorted`` calls. Every target within ``max_dist`` of the point is
   in that slab, so whatever brute force would accept is among the
-  candidates. Both clouds are held as one contiguous array per coordinate,
-  so the candidate pairs are gathered with 1-D takes. A ``Target`` sorts
-  itself, and finds its largest coordinate magnitude, on the first sweep
-  that searches it, and keeps both.
+  candidates. The candidates form a (k, N) table, k the largest slab: column
+  i holds query i's slab, filled out with the sorted targets after it. A
+  filler outside the slab lies more than ``max_dist`` away along the axis,
+  so it can neither be accepted nor tie a minimum within ``max_dist``, and
+  the table needs no mask. A ``Target`` sorts itself, and finds its largest
+  coordinate magnitude, on the first sweep that searches it, and keeps both.
 - Brute force: everything else, including every ``max_dist = inf`` call,
-  non-finite or far-off coordinates, and slabs that would hold more than
-  BLOCK_ROWS * M candidates in total. The source cloud is processed
-  BLOCK_ROWS rows at a time, so the squared-distance temporary is
-  BLOCK_ROWS x M.
+  non-finite or far-off coordinates, and tables of more than BLOCK_ROWS * M
+  slots (N * k), decided from the slab bounds before any candidate exists.
+  The source cloud is processed BLOCK_ROWS rows at a time, so the
+  squared-distance temporary is BLOCK_ROWS x M.
 
 Both paths compute a pair's squared distance as ``dx*dx + dy*dy + dz*dz``
 and break ties to the lowest target index, so they return the same bits, and
 both keep memory linear in the cloud sizes.
 
 The sweep prunes along one axis only. That suits the clouds this package
-makes, walls and sparse landmarks that are long along at least one axis, but
-on a volumetric cloud (say, points filling a cube several radii wide) the
-slabs overfill and the call falls back to brute force, where a voxel grid
-would still prune.
+makes, walls and sparse landmarks that are long along at least one axis.
+Two kinds of cloud fall back to brute force. On a volumetric one (say,
+points filling a cube several radii wide) every slab overfills, where a
+voxel grid would still prune. On a skewed one, such as a dense column beside
+a sparse wall, one full slab sets k for every query, so the table overfills
+while the slabs hold few candidates in total. Sizing the work by that total
+takes per-query bookkeeping that costs more on wall scans than the filler.
 """
 
 from functools import cached_property
@@ -40,10 +45,12 @@ from functools import cached_property
 import numpy as np
 
 BLOCK_ROWS = 64
-# Brute force serves calls with fewer source x target pairs than this. On
-# corridor wall scans the sweep is already faster at 181 x 181 points
-# (0.13 against 0.23 ms on a 2-CPU x86 machine), so the bound is
-# conservative; it keeps 50-point room scans on brute force.
+# Brute force serves calls with fewer source x target pairs than this. On a
+# 5 cm wall lattice the sweep is already faster at 102 x 102 points (0.05
+# against 0.10 ms on a 2-CPU x86 machine), so the bound is conservative.
+# On room-like clouds (points on a room's four walls, max_dist 0.5 m) it
+# breaks even at 100-150 points and is slower at 50 (0.05 against 0.03 ms),
+# so the bound keeps 50-point room scans on brute force.
 SWEEP_MIN_PAIRS = 2**17
 # Slabs reach this much further than max_dist, so rounding in q +- pad
 # cannot leave out a target within max_dist ...
@@ -133,12 +140,13 @@ def _squared_distances(sx, sy, sz, tx, ty, tz):
 
 
 def _sweep_nearest(source, target, max_dist):
-    """Nearest target within the slab of half-width max_dist around every
-    source point, along the target's widest axis.
+    """Nearest target among the candidates of the slab of half-width max_dist
+    around every source point, along the target's widest axis.
 
-    Points with no candidate get -1 / inf. Returns None when the sweep cannot
-    be used: a coordinate that is non-finite or not below MAX_SPAN * max_dist
-    in magnitude, or more than BLOCK_ROWS * M candidates in total.
+    A point with an empty slab gets a target beyond max_dist, which
+    ``batch_nearest`` rejects. Returns None when the sweep cannot be used: a
+    coordinate that is non-finite or not below MAX_SPAN * max_dist in
+    magnitude, or a candidate table of more than BLOCK_ROWS * M slots.
     """
     n, m = source.shape[0], len(target)
     limit = MAX_SPAN * max_dist
@@ -146,34 +154,23 @@ def _sweep_nearest(source, target, max_dist):
     if not (np.all(np.abs(source) < limit) and target.max_abs < limit):
         return None
     axis, order, keys = target.sorted_axis
-    # One contiguous array per coordinate, so the gathers below are 1-D takes.
+    # One contiguous array per coordinate, broadcast down the table's rows.
     source_cols = source.T.copy()
     pad = max_dist * (1.0 + MARGIN)
     starts = np.searchsorted(keys, source_cols[axis] - pad, side="left")
-    counts = np.searchsorted(keys, source_cols[axis] + pad, side="right") - starts
-    total = int(counts.sum())
-    if total > BLOCK_ROWS * m:
+    stops = np.searchsorted(keys, source_cols[axis] + pad, side="right")
+    k = int(np.max(stops - starts, initial=1))
+    if n * k > BLOCK_ROWS * m:
         return None
 
-    # Each query's candidates are a run of the sorted targets; flatten the
-    # runs in source order and map them back to target indices.
-    firsts = np.cumsum(counts) - counts
-    candidates = order[np.arange(total) + np.repeat(starts - firsts, counts)]
-    query = np.repeat(np.arange(n), counts)
-    pairs = [column[query] for column in source_cols] + [column[candidates] for column in target.columns]
-    # The source columns and the query rows are not needed past the gathers;
-    # freed here, they do not add to the distance step's peak.
-    del source_cols, query
-    d2 = _squared_distances(*pairs)
-
-    indices = np.full(n, -1, dtype=np.int64)
-    distances = np.full(n, np.inf)
-    has = counts > 0
-    if not np.any(has):
-        return indices, distances
-    best_d2 = np.minimum.reduceat(d2, firsts[has])
+    # Column i holds query i's slab in sorted order, filled out to k rows with
+    # the sorted targets after it (the last one repeated past the end). A
+    # filler outside the slab lies beyond q + pad, or below q - pad when the
+    # slab starts past the last key: more than max_dist away, so it can
+    # neither be accepted nor tie a minimum within max_dist.
+    candidates = order.take(np.minimum(np.arange(k)[:, None] + starts, m - 1))
+    d2 = _squared_distances(*source_cols, *(column.take(candidates) for column in target.columns))
+    best = d2.min(axis=0)
     # Among a query's candidates at the minimum, the lowest target index.
-    tied = d2 == np.repeat(best_d2, counts[has])
-    indices[has] = np.minimum.reduceat(np.where(tied, candidates, m), firsts[has])
-    distances[has] = np.sqrt(best_d2)
-    return indices, distances
+    candidates[d2 != best] = m
+    return candidates.min(axis=0), np.sqrt(best)

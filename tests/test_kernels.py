@@ -202,16 +202,95 @@ def test_sweep_path_walls_along_each_axis(rng, sweep_only, axis):
     st.lists(st.tuples(*[st.integers(-6, 6)] * 3), min_size=1, max_size=60),
     st.lists(st.tuples(*[st.integers(-8, 8)] * 3), min_size=1, max_size=40),
     st.sampled_from([0.25, 0.5, 0.75, 1.0, 1.5]),
+    st.sampled_from([0.0, 1e-9, 0.01, 0.2]),
+    st.integers(0, 2**32 - 1),
 )
-def test_sweep_matches_reference_on_small_lattices(target_cells, source_cells, max_dist):
+def test_sweep_matches_reference_on_small_lattices(target_cells, source_cells, max_dist, jitter, seed):
     # Points on a quarter-unit lattice: exact ties and exact max_dist
-    # distances are common. SWEEP_MIN_PAIRS is lowered so the sweep takes
-    # these small clouds.
+    # distances are common. A jittered cloud moves every point by up to
+    # ``jitter`` per axis, so slab bounds fall between lattice keys and keys
+    # repeat less. SWEEP_MIN_PAIRS is lowered so the sweep takes these small
+    # clouds.
+    rng = np.random.default_rng(seed)
     tgt = 0.25 * np.array(target_cells, dtype=float)
     src = 0.25 * np.array(source_cells, dtype=float).reshape(-1, 3)
+    tgt += rng.uniform(-jitter, jitter, tgt.shape)
+    src += rng.uniform(-jitter, jitter, src.shape)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "SWEEP_MIN_PAIRS", 0)
         assert_matches_reference(src, tgt, max_dist)
+
+
+def slab_bounds(src, tgt, max_dist):
+    """Each query's slab as [start, stop) in the target's sorted order, with
+    the sweep's own sort and pad."""
+    axis, _, keys = kernels.Target(tgt).sorted_axis
+    pad = max_dist * (1.0 + kernels.MARGIN)
+    starts = np.searchsorted(keys, src[:, axis] - pad, side="left")
+    return starts, np.searchsorted(keys, src[:, axis] + pad, side="right")
+
+
+def test_sweep_path_slabs_at_the_ends(rng, sweep_only):
+    # Queries about the first and last keys of a 600-point wall, and past
+    # them: table slots past the end clip to the last sorted target, and a
+    # slab that starts past the last key holds only such slots.
+    tgt = lattice(0.05, 200, 3)
+    ends = np.array([-0.3, -0.06, -0.02, 0.0, 0.01, 0.03, 9.92, 9.95, 9.97, 10.0, 10.02, 10.3])
+    src = np.column_stack([np.tile(ends, 60), rng.uniform(-0.01, 0.01, 720), rng.uniform(-0.02, 0.12, 720)])
+    starts, stops = slab_bounds(src, tgt, 0.05)
+    k = (stops - starts).max()
+    assert np.any(starts == 0) and np.any(stops == len(tgt))
+    assert np.any(starts == len(tgt)) and np.any(stops == 0)
+    assert np.any((starts + k > len(tgt)) & (stops > starts))
+    idx, _ = assert_matches_reference(src, tgt, 0.05)
+    assert np.count_nonzero(idx >= 0) > 200
+    # The queries with empty slabs alone: every table slot is a filler.
+    empty = src[stops == starts]
+    assert len(empty) * len(tgt) >= kernels.SWEEP_MIN_PAIRS
+    idx, _ = assert_matches_reference(empty, tgt, 0.05)
+    assert np.all(idx == -1)
+
+
+def test_sweep_path_empty_slabs_beside_full_ones(rng, sweep_only):
+    # A wall with a 2 m gap, queried alternately on the wall and in the gap:
+    # empty slabs sit next to full ones in source order.
+    wall = lattice(0.05, 200, 3)
+    tgt = wall[(wall[:, 0] < 4.0) | (wall[:, 0] > 6.0)]
+    on_wall = tgt[rng.integers(0, len(tgt), 200)] + rng.uniform(-0.02, 0.02, (200, 3))
+    in_gap = np.column_stack([rng.uniform(4.2, 5.8, 200), np.zeros(200), rng.uniform(0, 0.4, 200)])
+    src = np.stack([on_wall, in_gap], axis=1).reshape(-1, 3)
+    assert len(src) * len(tgt) >= kernels.SWEEP_MIN_PAIRS
+    starts, stops = slab_bounds(src, tgt, 0.05)
+    counts = stops - starts
+    assert np.all(counts[1::2] == 0) and np.any(counts[::2] == counts.max())
+    idx, _ = assert_matches_reference(src, tgt, 0.05)
+    assert np.all(idx[1::2] == -1) and np.count_nonzero(idx[::2] >= 0) > 100
+
+
+def test_skewed_target_declines_before_allocating(rng, paths):
+    # A dense column of 300 points on a sparse wall: the one query beside the
+    # column has a 300-candidate slab, so a table for all 1,000 queries would
+    # exceed BLOCK_ROWS * M slots, although the slabs hold a few thousand
+    # candidates in total.
+    wall = np.column_stack([0.5 * np.arange(200), np.zeros(200), np.zeros(200)])
+    column = np.column_stack([np.full(300, 50.0), np.full(300, 0.1), 0.01 * np.arange(300)])
+    tgt = np.vstack([wall, column])
+    src = np.vstack([[50.0, 0.05, 1.0], wall[rng.integers(0, 200, 999)] + rng.uniform(-0.1, 0.1, (999, 3))])
+    starts, stops = slab_bounds(src, tgt, 0.25)
+    counts = stops - starts
+    assert len(src) * counts.max() > kernels.BLOCK_ROWS * len(tgt) >= counts.sum()
+    prepared = kernels.Target(tgt)
+    prepared.sorted_axis  # sorted outside the traced region: the peak is the decision's
+    tracemalloc.start()
+    try:
+        assert kernels._sweep_nearest(src, prepared, 0.25) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Less than one (k, N) array of int64 slots.
+    assert peak < 8 * len(src) * counts.max() // 4
+    idx, _ = assert_matches_reference(src, tgt, 0.25)
+    assert paths == ["brute"] and idx[0] >= 200
 
 
 def test_dense_cube_falls_back_with_bounded_memory(rng):
