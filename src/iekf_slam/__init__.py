@@ -15,7 +15,7 @@ Library layout:
 """
 
 from .icp import IcpConfig, IcpResult, icp_align, icp_covariance, solve_linear_alignment
-from .iekf import FilterState, NoiseConfig, PoseMeasurement, linearize, predict, run_filter, update
+from .iekf import FilterState, Measurements, NoiseConfig, PoseMeasurement, linearize, predict, run_filter, update
 from .scan_matching import aided_step
 from .se3 import Pose, exp_se3, hat, log_se3, project_pi, renormalize, skew
 from .simulator import Odometry, ScenarioLog, Scans, SensorRates, Trajectory, TrajectorySpec, WorldModel, run_scenario

@@ -38,8 +38,9 @@ class IcpConfig:
     sigma: float = 0.05  # m, assumed isotropic per-point sensor noise
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        for name, least in (("max_iterations", 1), ("min_points", 3)):  # min_points: the solve needs 3 pairs
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
         for name in ("convergence_tol", "max_correspondence_dist", "sigma"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")

@@ -14,8 +14,9 @@ multiplicative correction pose * exp(K z), z = pi(pose^-1 * measured) as a
 twist (``project_pi``).
 
 :func:`schedule` is the one place where odometry is merged with a second
-timestamped stream; ``run_filter`` and both scan matchers in ``pipeline``
+timestamped stream; ``run_filter`` and the scan matcher in ``pipeline``
 step through its events, which index the odometry columns (t, omega, mu).
+The matcher's ``Measurements`` columns reach ``update`` a row at a time.
 Because Phi never sees the pose, ``run_filter`` builds every step's
 increment, Phi and dt Q in one ``_prediction_steps`` batch before the
 sequential pass, which only composes poses, propagates P, fuses
@@ -43,6 +44,15 @@ class PoseMeasurement(NamedTuple):
     measured_pose: Pose
     covariance: np.ndarray  # 6x6
     timestamp: float = 0.0
+
+
+class Measurements(NamedTuple):
+    """Pose measurements as columns: t (m,), rotations (m, 3, 3), translations (m, 3), covariances (m, 6, 6)."""
+
+    t: np.ndarray
+    rotations: np.ndarray
+    translations: np.ndarray
+    covariances: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -229,9 +239,9 @@ def _require_predicted_pd(covariances, stepped):
         _require_pd(covariances[stepped], "predict")
 
 
-def run_filter(odometry, measurements, noise: NoiseConfig, init: FilterState):
+def run_filter(odometry, measurements: Measurements, noise: NoiseConfig, init: FilterState):
     """Run timestamp-sorted ``Odometry`` columns (t, omega, mu) and
-    measurements through predict/update; returns the filter state after
+    ``Measurements`` columns through predict/update; returns the filter state after
     every event as columns t (n,), R (n, 3, 3), p (n, 3) and P (n, 6, 6).
 
     The events and their timing come from :func:`schedule` (zero-order hold,
@@ -241,7 +251,7 @@ def run_filter(odometry, measurements, noise: NoiseConfig, init: FilterState):
     measurements pass one positive-definiteness check before the update
     that ends it.
     """
-    events, dts, held = schedule(odometry.t, [m.timestamp for m in measurements], init.timestamp)
+    events, dts, held = schedule(odometry.t, measurements.t, init.timestamp)
     rotations, translations, phis, hqs = _prediction_steps(dts, odometry.omega[held], odometry.mu[held], noise)
 
     n = len(events)
@@ -257,8 +267,10 @@ def run_filter(odometry, measurements, noise: NoiseConfig, init: FilterState):
         if j is not None:
             _require_predicted_pd(cov_col[start : i + 1], stepped[start : i + 1])
             start = i + 1
+            measured = Pose(measurements.rotations[j], measurements.translations[j])
+            meas = PoseMeasurement(measured, measurements.covariances[j], measurements.t[j])
             try:
-                state = update(FilterState(pose, p, t), measurements[j])
+                state = update(FilterState(pose, p, t), meas)
             except MeasurementRejectedError:
                 pass
             else:

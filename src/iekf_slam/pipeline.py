@@ -23,8 +23,8 @@ still receives correctly anchored measurements.
 The aided matcher carries its pose as a ``Pose``, composes each odometry
 increment onto it and places each reference scan in the ground frame with
 ``Pose.apply``. Scans are the log's ``Scans`` columns: their times join the
-event walk, and their points are plain arrays. In ``iekf`` mode the matcher
-keeps no pose columns: only its measurements reach the filter.
+event walk, and their points are plain arrays. The matcher's pose
+measurements are its pose columns' rows at the matched scans.
 """
 
 from __future__ import annotations
@@ -33,31 +33,31 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateGeometryError, NumericalFailureError
 from .icp import IcpConfig
-from .iekf import FilterState, NoiseConfig, odometry_increments, run_filter, schedule
+from .iekf import FilterState, Measurements, NoiseConfig, odometry_increments, run_filter, schedule
 from .scan_matching import aided_step
 from .se3 import Pose, exp_se3, heading  # noqa: F401  (re-export: perfbench traces pipeline.exp_se3)
 
 MODES = ("iekf", "dead-reckoning", "naive-scan-match", "scan-match-only")
 
 
-def run_aided_matcher(odometry, scans, icp_cfg: IcpConfig, initial_pose: Pose, columns=True):
+def run_aided_matcher(odometry, scans, icp_cfg: IcpConfig, initial_pose: Pose):
     """Odometry-aided scan matching over ``Odometry`` and ``Scans`` columns,
     starting from ``initial_pose``.
 
     Returns ((t, R, p), measurements): the pose after every event of
-    :func:`schedule` as columns t (n,), R (n, 3, 3) and p (n, 3), or None
-    without ``columns``, and the list of PoseMeasurements. ICP failures drop
-    the measurement and continue on the integrated pose. A reference with
-    fewer than ``icp_cfg.min_points`` points can never be an ICP target, so
-    the next scan takes its place unmatched.
+    :func:`schedule` as columns t (n,), R (n, 3, 3) and p (n, 3), and the
+    matched scans' ``Measurements``: each scan's time, its event's R and p
+    rows. ICP failures drop the measurement and continue on the integrated
+    pose. A reference with fewer than ``icp_cfg.min_points`` points can
+    never be an ICP target, so the next scan takes its place unmatched.
     """
     events, dts, held = schedule(odometry.t, scans.t, 0.0)
     rotations, translations = odometry_increments(dts, odometry.omega[held], odometry.mu[held])
-    n = len(events) if columns else 0
+    n = len(events)
     t_col, r_col, p_col = np.empty(n), np.empty((n, 3, 3)), np.empty((n, 3))
     pose = initial_pose
     reference = None
-    measurements = []
+    rows, matched, covariances = [], [], []
     for i, (step, t, j) in enumerate(events):
         if step >= 0:
             pose = pose @ Pose(rotations[step], translations[step])
@@ -65,16 +65,17 @@ def run_aided_matcher(odometry, scans, icp_cfg: IcpConfig, initial_pose: Pose, c
             reference = pose.apply(scans.points[j])
         elif j is not None:
             try:
-                meas = aided_step(reference, pose, scans.points[j], scans.t[j], icp_cfg)
+                pose, covariance = aided_step(reference, pose, scans.points[j], icp_cfg)
             except (DegenerateGeometryError, NumericalFailureError):
                 pass
             else:
-                pose = meas.measured_pose
                 reference = pose.apply(scans.points[j])
-                measurements.append(meas)
-        if columns:
-            t_col[i], (r_col[i], p_col[i]) = t, pose
-    return ((t_col, r_col, p_col) if columns else None), measurements
+                rows.append(i)
+                matched.append(j)
+                covariances.append(covariance)
+        t_col[i], (r_col[i], p_col[i]) = t, pose
+    measurements = Measurements(scans.t[matched], r_col[rows], p_col[rows], np.reshape(covariances, (-1, 6, 6)))
+    return (t_col, r_col, p_col), measurements
 
 
 def run_pipeline(log, mode, noise: NoiseConfig, init: FilterState, icp_cfg: IcpConfig):
@@ -90,16 +91,13 @@ def run_pipeline(log, mode, noise: NoiseConfig, init: FilterState, icp_cfg: IcpC
         raise ConfigError(f"unknown mode {mode!r}; choose from {', '.join(MODES)}")
 
     initial_pose = Pose(log.ground_truth.rotations[0], log.ground_truth.translations[0])
-    measurements = []
+    measurements = Measurements(np.empty(0), np.empty((0, 3, 3)), np.empty((0, 3)), np.empty((0, 6, 6)))
     if mode != "dead-reckoning":
         odometry = log.odometry
         if mode == "naive-scan-match":  # a zero-motion prior: every increment is the identity
             odometry = odometry._replace(omega=np.zeros_like(odometry.omega), mu=np.zeros_like(odometry.mu))
-        # in iekf mode the filter takes only the measurements
-        columns, measurements = run_aided_matcher(
-            odometry, log.scans, icp_cfg, initial_pose, columns=mode != "iekf"
-        )
-        if not measurements:
+        columns, measurements = run_aided_matcher(odometry, log.scans, icp_cfg, initial_pose)
+        if not len(measurements.t):
             raise DegenerateGeometryError(
                 f"no scan matched in {mode} mode: none of the log's "
                 f"{len(log.scans.t)} scans gave a pose measurement"

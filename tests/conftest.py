@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from iekf_slam.iekf import Measurements
 from iekf_slam.se3 import Pose, hat
 from iekf_slam.simulator import Odometry
 
@@ -34,6 +35,16 @@ def odometry_columns(times, omega, mu):
     t = np.array(times, dtype=float)
     n = len(t)
     return Odometry(t, np.broadcast_to(omega, (n, 3)).astype(float), np.broadcast_to(mu, (n, 3)).astype(float))
+
+
+def stack_measurements(measurements):
+    """``Measurements`` columns of a list of ``PoseMeasurement``s, row for row."""
+    return Measurements(
+        np.array([m.timestamp for m in measurements], dtype=float),
+        np.reshape([m.measured_pose.rotation for m in measurements], (-1, 3, 3)),
+        np.reshape([m.measured_pose.translation for m in measurements], (-1, 3)),
+        np.reshape([m.covariance for m in measurements], (-1, 6, 6)),
+    )
 
 
 def rot_z(psi):

@@ -444,13 +444,18 @@ class TestRun:
             ("filter.init_heading_deg = nan", 2),
             ("filter.p0_rot = inf", 2),
             ("icp.sigma = inf", 2),
+            ("icp.min_points = 2", 2),
+            ("icp.min_points = 0", 2),
+            ("icp.min_points = 3", 0),
         ],
     )
     def test_bad_value_exit_2(self, short_log, tmp_path, capsys, text, code):
         # A value its settings object refuses is a config error naming the
         # key, not a traceback or a numerical failure later in the filter.
         # The non-finite ones exited 0 with NaN estimates, inf covariances,
-        # or (icp.sigma) every update lost.
+        # or (icp.sigma) every update lost. ICP's solve needs 3 pairs, so
+        # below icp.min_points = 3 a first scan of 0-2 points stayed the
+        # reference forever and the run exited 4.
         cfg = write_config(tmp_path, text + "\n")
         est = tmp_path / "est.csv"
         capsys.readouterr()

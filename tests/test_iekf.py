@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import odometry_columns, random_pose, random_twist, rot_z
+from conftest import odometry_columns, random_pose, random_twist, rot_z, stack_measurements
 from iekf_slam import iekf
 from iekf_slam.errors import MeasurementRejectedError, NumericalFailureError, TimingError
 from iekf_slam.iekf import (
@@ -117,7 +117,7 @@ class TestPredict:
             predict(FilterState.initial(), np.zeros(3), np.zeros(3), np.inf, NoiseConfig())
         odometry = odometry_columns([0.0, np.inf], np.zeros(3), [0.25, 0, 0])
         with pytest.raises(TimingError, match="infinite"):
-            run_filter(odometry, [], NoiseConfig(), FilterState.initial())
+            run_filter(odometry, stack_measurements([]), NoiseConfig(), FilterState.initial())
 
     def test_large_dt_one_step(self):
         # One 0.5 s step against five 0.1 s steps: the pose and the
@@ -165,7 +165,7 @@ class TestExactTransition:
         # the orthogonal R^T of each step, so 1e-4 I stays 1e-4 I.
         odometry = odometry_columns([0.02 * k for k in range(1000)], [0, 0, 1.0], [0.25, 0, 0])
         noise = NoiseConfig(np.zeros((3, 3)), np.zeros((3, 3)))
-        _, _, _, covariances = run_filter(odometry, [], noise, FilterState.initial())
+        _, _, _, covariances = run_filter(odometry, stack_measurements([]), noise, FilterState.initial())
         assert np.max(np.abs(covariances[:, :3, :3] - 1e-4 * np.eye(3))) <= 1e-15
 
 
@@ -249,14 +249,14 @@ class TestRunFilter:
 
     def test_dead_reckoning_on_empty_measurements(self):
         odometry, _ = self.make_streams()
-        t, _, p, _ = run_filter(odometry, [], NoiseConfig(), FilterState.initial())
+        t, _, p, _ = run_filter(odometry, stack_measurements([]), NoiseConfig(), FilterState.initial())
         assert len(t) == len(odometry.t)
         # zero-noise samples: exact integration of the constant twist
         assert np.allclose(p[-1], [0.25 * t[-1], 0, 0], atol=1e-9)
 
     def test_event_counts_and_prediction_ratio(self):
         odometry, measurements = self.make_streams(duration=1.0)
-        t, _, _, _ = run_filter(odometry, measurements, NoiseConfig(), FilterState.initial())
+        t, _, _, _ = run_filter(odometry, stack_measurements(measurements), NoiseConfig(), FilterState.initial())
         assert len(t) == len(odometry.t) + len(measurements)
         # between consecutive measurements: exactly 10 odometry events
         meas_times = {m.timestamp for m in measurements}
@@ -271,13 +271,13 @@ class TestRunFilter:
 
     def test_tracks_noisy_measurements(self, rng):
         odometry, measurements = self.make_streams(duration=4.0)
-        t, _, p, _ = run_filter(odometry, measurements, NoiseConfig(), FilterState.initial())
+        t, _, p, _ = run_filter(odometry, stack_measurements(measurements), NoiseConfig(), FilterState.initial())
         assert np.linalg.norm(p[-1] - [0.25 * t[-1], 0, 0]) < 1e-6
 
     def test_out_of_order_rejected(self):
         odometry = odometry_columns([0.1, 0.0], np.zeros(3), np.zeros(3))
         with pytest.raises(TimingError):
-            run_filter(odometry, [], NoiseConfig(), FilterState.initial())
+            run_filter(odometry, stack_measurements([]), NoiseConfig(), FilterState.initial())
 
     def test_consistency_3sigma_envelope(self, rng):
         # measurements drawn from the modeled output noise: the final position
@@ -315,7 +315,7 @@ class TestRunFilterMatchesReference:
     def assert_matches(odometry, measurements, noise=None, init=None):
         noise = noise if noise is not None else NoiseConfig()
         init = init if init is not None else FilterState.initial()
-        got = run_filter(odometry, measurements, noise, init)
+        got = run_filter(odometry, stack_measurements(measurements), noise, init)
         want = list(reference_run_filter(odometry, measurements, noise, init))
         t, R, p, P = got
         n = len(want)
@@ -346,13 +346,13 @@ class TestRunFilterMatchesReference:
 
     def test_regular_streams(self, rng):
         odometry = self.noisy_odometry(rng, [0.02 * k for k in range(200)])
-        truth = run_filter(odometry, [], NoiseConfig(), FilterState.initial())
+        truth = run_filter(odometry, stack_measurements([]), NoiseConfig(), FilterState.initial())
         times = [0.02 * k for k in range(10, 200, 10)]
         self.assert_matches(odometry, self.measurements_near(rng, truth, times))
 
     def test_rejected_measurement(self, rng):
         odometry = self.noisy_odometry(rng, [0.02 * k for k in range(60)])
-        truth = run_filter(odometry, [], NoiseConfig(), FilterState.initial())
+        truth = run_filter(odometry, stack_measurements([]), NoiseConfig(), FilterState.initial())
         ms = self.measurements_near(rng, truth, [0.2, 0.4, 0.6, 0.8])
         ms[1] = meas(ms[1].measured_pose, np.full((6, 6), np.nan), 0.4)
         with pytest.raises(MeasurementRejectedError):
@@ -368,14 +368,14 @@ class TestRunFilterMatchesReference:
         # each other's times
         times = sorted([0.02 * k for k in range(40)] + [0.1, 0.1, 0.3])
         odometry = self.noisy_odometry(rng, times)
-        truth = run_filter(odometry, [], NoiseConfig(), FilterState.initial())
+        truth = run_filter(odometry, stack_measurements([]), NoiseConfig(), FilterState.initial())
         ms = self.measurements_near(rng, truth, [0.1, 0.2, 0.2, 0.3, 0.3])
         self.assert_matches(odometry, ms)
 
     def test_long_gap(self, rng):
         times = [0.02 * k for k in range(10)] + [0.18 + 0.35, 0.18 + 0.35 + 0.137, 1.5]
         odometry = self.noisy_odometry(rng, times)
-        truth = run_filter(odometry, [], NoiseConfig(), FilterState.initial())
+        truth = run_filter(odometry, stack_measurements([]), NoiseConfig(), FilterState.initial())
         ms = self.measurements_near(rng, truth, [0.08]) + [
             meas(Pose.identity(), 1e-2 * np.eye(6), 1.2),
         ]
@@ -402,12 +402,14 @@ class TestRunFilterMatchesReference:
 
     def test_odometry_after_last_measurement(self, rng):
         odometry = self.noisy_odometry(rng, [0.02 * k for k in range(100)])
-        truth = run_filter(odometry, [], NoiseConfig(), FilterState.initial())
+        truth = run_filter(odometry, stack_measurements([]), NoiseConfig(), FilterState.initial())
         t = self.assert_matches(odometry, self.measurements_near(rng, truth, [0.2, 0.4]))[0]
         assert t[-1] == odometry.t[-1]
 
     def test_no_events(self):
-        columns = run_filter(odometry_columns([], np.zeros(3), np.zeros(3)), [], NoiseConfig(), FilterState.initial())
+        columns = run_filter(
+            odometry_columns([], np.zeros(3), np.zeros(3)), stack_measurements([]), NoiseConfig(), FilterState.initial()
+        )
         assert [c.shape for c in columns] == [(0,), (0, 3, 3), (0, 3), (0, 6, 6)]
 
 
@@ -427,12 +429,12 @@ class TestRunFilterChecks:
         monkeypatch.setattr(iekf, "update", spy)
         odometry = odometry_columns([0.02 * k for k in range(30)], np.zeros(3), np.zeros(3))
         ms = [meas(Pose.identity(), 1e-3 * np.eye(6), 0.2)]
-        run_filter(odometry, ms, NoiseConfig(), FilterState.initial())
+        run_filter(odometry, stack_measurements(ms), NoiseConfig(), FilterState.initial())
         assert updated_at == [0.2]
         updated_at.clear()
         noise = NoiseConfig(np.diag([-1.5e-3, 1e-4, 1e-4]), 1e-4 * np.eye(3))
         with pytest.raises(NumericalFailureError, match="after predict"):
-            run_filter(odometry, ms, noise, FilterState.initial())
+            run_filter(odometry, stack_measurements(ms), noise, FilterState.initial())
         assert updated_at == []
 
     def test_nan_covariance_raises(self):
@@ -441,7 +443,7 @@ class TestRunFilterChecks:
         odometry = odometry_columns([0.02 * k for k in range(10)], np.zeros(3), np.zeros(3))
         noise = NoiseConfig(np.diag([np.nan, 1e-4, 1e-4]), 1e-4 * np.eye(3))
         with pytest.raises(NumericalFailureError, match="not finite after predict"):
-            run_filter(odometry, [], noise, FilterState.initial())
+            run_filter(odometry, stack_measurements([]), noise, FilterState.initial())
         state = FilterState(Pose.identity(), np.diag([np.nan] + [1e-4] * 5))
         with pytest.raises(NumericalFailureError, match="not finite after predict"):
             predict(state, np.zeros(3), np.zeros(3), 0.02, NoiseConfig())
@@ -450,4 +452,4 @@ class TestRunFilterChecks:
         odometry = odometry_columns([0.02 * k for k in range(10)], np.zeros(3), np.zeros(3))
         ms = [meas(Pose.identity(), np.eye(6), 0.1), meas(Pose.identity(), np.eye(6), 0.05)]
         with pytest.raises(TimingError):
-            run_filter(odometry, ms, NoiseConfig(), FilterState.initial())
+            run_filter(odometry, stack_measurements(ms), NoiseConfig(), FilterState.initial())

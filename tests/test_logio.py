@@ -759,3 +759,10 @@ class TestWriter:
         assert peak() < 2 * table_bytes
         monkeypatch.setattr(logio, "BLOCK_ROWS", 3456)
         assert peak() > 2 * table_bytes
+
+
+def test_xyz_round_trip(tmp_path, rng):
+    points = rng.standard_normal((25, 3))
+    path = tmp_path / "cloud.xyz"
+    save_xyz(points, path)
+    assert np.array_equal(load_xyz(path), points)

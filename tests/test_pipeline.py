@@ -3,11 +3,11 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conftest import odometry_columns
+from conftest import odometry_columns, stack_measurements
 from iekf_slam import pipeline, scan_matching
 from iekf_slam.errors import DegenerateGeometryError, NumericalFailureError, TimingError
 from iekf_slam.icp import IcpConfig
-from iekf_slam.iekf import FilterState, NoiseConfig, odometry_increments, run_filter
+from iekf_slam.iekf import FilterState, NoiseConfig, PoseMeasurement, odometry_increments, run_filter, schedule
 from iekf_slam.logio import load_estimates, save_estimates
 from iekf_slam.pipeline import MODES, run_aided_matcher, run_pipeline
 from iekf_slam.scan_matching import aided_step
@@ -84,9 +84,8 @@ def reference_matcher_rows(odometry, scans, icp_cfg, initial_pose):
         if kind == "scan":
             try:
                 if reference is not None and len(reference) >= icp_cfg.min_points:
-                    meas = aided_step(reference, pose, event.points, event.timestamp, icp_cfg)
-                    pose = meas.measured_pose
-                    measurements.append(meas)
+                    pose, covariance = aided_step(reference, pose, event.points, icp_cfg)
+                    measurements.append(PoseMeasurement(pose, covariance, event.timestamp))
                 reference = pose.apply(event.points)
             except (DegenerateGeometryError, NumericalFailureError):
                 pass
@@ -108,12 +107,9 @@ def assert_matches_reference(odometry, scans, initial_pose):
     columns, measurements = run_aided_matcher(odometry, scans, CFG, initial_pose)
     want_rows, want_measurements = reference_matcher_rows(odometry, scans, CFG, initial_pose)
     assert_columns_equal(columns, want_rows)
-    assert len(measurements) == len(want_measurements)
-    for g, w in zip(measurements, want_measurements):
-        assert g.timestamp == w.timestamp
-        assert np.array_equal(g.covariance, w.covariance)
-        assert np.array_equal(g.measured_pose.rotation, w.measured_pose.rotation)
-        assert np.array_equal(g.measured_pose.translation, w.measured_pose.translation)
+    for g, w in zip(measurements, stack_measurements(want_measurements), strict=True):
+        assert g.shape == w.shape
+        assert np.array_equal(g, w)
     return measurements
 
 
@@ -145,7 +141,7 @@ class TestMatchersFollowSchedule:
         log = run_scenario(default_world(), spec, SensorRates(), NoiseConfig(), 3)
         start = Pose(log.ground_truth.rotations[0], log.ground_truth.translations[0])
         measurements = assert_matches_reference(log.odometry, log.scans, start)
-        assert len(measurements) == len(log.scans.t) - 1
+        assert len(measurements.t) == len(log.scans.t) - 1
 
     def test_scans_between_odometry_samples(self, rng):
         # 0.27 fails to match: the matcher carries on from the integrated pose
@@ -153,7 +149,7 @@ class TestMatchersFollowSchedule:
             rng, [0.02 * k for k in range(30)], [0.0, 0.09, 0.21, 0.27, 0.33, 0.45], failing=(0.27,)
         )
         measurements = assert_matches_reference(odometry, scans, Pose.identity())
-        assert [m.timestamp for m in measurements] == [0.09, 0.21, 0.33, 0.45]
+        assert measurements.t.tolist() == [0.09, 0.21, 0.33, 0.45]
 
     def test_equal_timestamps(self, rng):
         odo_times = sorted([0.02 * k for k in range(30)] + [0.1, 0.1, 0.3])
@@ -166,7 +162,7 @@ class TestMatchersFollowSchedule:
             rng, [0.02 * k for k in range(30)], [0.0, 0.09, 0.21, 0.33], failing=(0.0,)
         )
         measurements = assert_matches_reference(odometry, scans, Pose.identity())
-        assert [m.timestamp for m in measurements] == [0.21, 0.33]
+        assert measurements.t.tolist() == [0.21, 0.33]
 
     def test_scans_before_first_odometry_sample(self, rng):
         odometry, scans = hand_built_log(
@@ -180,7 +176,7 @@ def test_row_times_are_the_filters_state_times(rng):
     # From 0.03 to 0.29 the state time 0.03 + (0.29 - 0.03) is not 0.29 in
     # floating point; every mode reports the state time, as predict does.
     odometry, no_scans = hand_built_log(rng, [0.0, 0.03, 0.29, 0.31], [])
-    want = run_filter(odometry, [], NoiseConfig(), FilterState.initial())[0].tolist()
+    want = run_filter(odometry, stack_measurements([]), NoiseConfig(), FilterState.initial())[0].tolist()
     assert want[2] != 0.29
     (t, _, _), _ = run_aided_matcher(odometry, no_scans, CFG, Pose.identity())
     assert t.tolist() == want
@@ -231,7 +227,7 @@ def test_aided_matcher_calls_through_module_globals(rng, monkeypatch):
     counting(scan_matching, "icp_align")
     odometry, scans = hand_built_log(rng, [0.02 * k for k in range(30)], [0.0, 0.2, 0.4])
     _, measurements = run_aided_matcher(odometry, scans, CFG, Pose.identity())
-    assert len(measurements) == 2
+    assert len(measurements.t) == 2
     assert calls == {"aided_step": 2, "icp_align": 2}
 
 
@@ -257,25 +253,39 @@ def test_estimates_file_is_the_pipelines_columns(short_room_log, tmp_path, mode)
     assert np.any(estimates[5]) == (mode in ("iekf", "dead-reckoning"))
 
 
-def test_aided_matcher_keeps_columns_only_for_scan_match_only(short_room_log, monkeypatch):
-    # In iekf mode only the measurements reach the filter: the matcher fills
-    # no pose columns, and its measurements are the same bits.
-    kept = {}
+def test_measurements_are_the_matched_scans_rows(rng):
+    # -0.1 falls before the first positive time, so its row time is held at
+    # 0; from 0.03 to 0.29 the row time 0.03 + (0.29 - 0.03) is not 0.29.
+    # Each measurement keeps its scan's own time and its row's pose bits.
+    odometry, scans = hand_built_log(rng, [0.0, 0.03, 0.29, 0.31], [-0.2, -0.1, 0.29])
+    (t, R, p), measurements = run_aided_matcher(odometry, scans, CFG, Pose.identity())
+    events, _, _ = schedule(odometry.t, scans.t, 0.0)
+    rows = [i for i, (_, _, j) in enumerate(events) if j is not None][1:]
+    assert measurements.t.tolist() == [-0.1, 0.29]
+    assert t[rows].tolist() == [0.0, 0.03 + (0.29 - 0.03)] != measurements.t.tolist()
+    assert np.array_equal(measurements.rotations, R[rows])
+    assert np.array_equal(measurements.translations, p[rows])
+    assert measurements.covariances.shape == (2, 6, 6)
 
-    def spy(odometry, scans, icp_cfg, initial_pose, columns=True):
-        result = run_aided_matcher(odometry, scans, icp_cfg, initial_pose, columns)
-        kept[columns] = result
-        return result
+
+def test_unmatched_log_gives_empty_measurements(rng):
+    odometry, scans = hand_built_log(rng, [0.02 * k for k in range(10)], [0.1])
+    _, measurements = run_aided_matcher(odometry, scans, CFG, Pose.identity())
+    assert [c.shape for c in measurements] == [(0,), (0, 3, 3), (0, 3), (0, 6, 6)]
+
+
+def test_iekf_and_scan_match_only_get_the_same_measurements(short_room_log, monkeypatch):
+    # Both modes run the one matcher loop, which always writes its columns.
+    kept = []
+
+    def spy(odometry, scans, icp_cfg, initial_pose):
+        kept.append(run_aided_matcher(odometry, scans, icp_cfg, initial_pose))
+        return kept[-1]
 
     monkeypatch.setattr(pipeline, "run_aided_matcher", spy)
     for mode in ("iekf", "scan-match-only"):
         run_pipeline(short_room_log, mode, NoiseConfig(), FilterState.initial(), CFG)
-    assert sorted(kept) == [False, True]
-    assert kept[False][0] is None and kept[True][0] is not None
-    bare, full = kept[False][1], kept[True][1]
-    assert len(bare) == len(full) > 0
-    for g, w in zip(bare, full):
-        assert g.timestamp == w.timestamp
-        assert np.array_equal(g.covariance, w.covariance)
-        assert np.array_equal(g.measured_pose.rotation, w.measured_pose.rotation)
-        assert np.array_equal(g.measured_pose.translation, w.measured_pose.translation)
+    (_, iekf_measurements), (_, matcher_measurements) = kept
+    assert len(iekf_measurements.t) > 0
+    for g, w in zip(iekf_measurements, matcher_measurements, strict=True):
+        assert np.array_equal(g, w)

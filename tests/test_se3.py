@@ -313,3 +313,38 @@ class TestSerialization:
         row = x.to_row()
         assert np.array_equal(row[:9], x.rotation.ravel())
         assert np.array_equal(row[9:], [1.0, 2.0, 3.0])
+
+
+# A point cloud is an (N, 3) array of points; ``Pose.apply`` moves it
+# between frames, as the matcher places a scan in the ground frame at its pose.
+
+
+def test_identity_transform_keeps_points(rng):
+    points = rng.standard_normal((20, 3))
+    assert np.array_equal(Pose.identity().apply(points), points)
+
+
+def test_transform_round_trip(rng):
+    points = rng.standard_normal((50, 3))
+    pose = random_pose(rng)
+    back = pose.inverse().apply(pose.apply(points))
+    assert np.allclose(back, points, atol=1e-12)
+
+
+def test_transform_composes(rng):
+    points = rng.standard_normal((30, 3))
+    x1, x2 = random_pose(rng), random_pose(rng)
+    a = x2.apply(x1.apply(points))
+    b = (x2 @ x1).apply(points)
+    assert np.allclose(a, b, atol=1e-12)
+
+
+def test_known_rotation():
+    points = np.array([[1.0, 0, 0], [0, 1.0, 0]])
+    psi = np.pi / 2
+    pose = Pose(
+        np.array([[np.cos(psi), -np.sin(psi), 0], [np.sin(psi), np.cos(psi), 0], [0, 0, 1.0]]),
+        np.zeros(3),
+    )
+    out = pose.apply(points)
+    assert np.allclose(out, [[0, 1, 0], [-1, 0, 0]], atol=1e-12)
